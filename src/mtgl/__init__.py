@@ -46,7 +46,6 @@ from .assumptions import (
     gram_diagnostics,
     largest_gram_eigenvalue,
     minimize_re_quotient,
-    power_iteration,
     re_lower_bound_from_coherence,
     re_upper_estimate,
     task_grams,

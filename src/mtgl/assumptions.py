@@ -1,11 +1,16 @@
 """Design-matrix diagnostics: Gram normalisation, coherence, and
 restricted-eigenvalue probes.
 
-The per-task Grams are Psi_t = X_t^T X_t / n.  The restricted eigenvalue
-with sparsity s is the minimum of sqrt(D^T X^T X D / n) / ||D_J||_F over
-supports |J| <= s and directions D obeying the cone condition
-||D_{J^c}||_{2,1} <= 3 * ||D_J||_{2,1}.  Computing it exactly is
-infeasible, so this module brackets it instead:
+The per-task Grams are Psi_t = X_t^T X_t / n.  ``gram_diagnostics``
+forms them one task at a time with a BLAS matmul, so it holds a single
+M x M Gram at once, and takes phi_max = max_t lambda_max(Psi_t) exactly
+from LAPACK ``eigvalsh`` of the smaller of X_t^T X_t / n and
+X_t X_t^T / n (both share their nonzero spectrum).
+
+The restricted eigenvalue with sparsity s is the minimum of
+sqrt(D^T X^T X D / n) / ||D_J||_F over supports |J| <= s and directions
+D obeying the cone condition ||D_{J^c}||_{2,1} <= 3 * ||D_J||_{2,1}.
+Computing it exactly is infeasible, so this module brackets it instead:
 
 * a certified LOWER bound sqrt(1 - 1/alpha), valid whenever all Grams
   have unit diagonal and pairwise coherence at most 1/(7*alpha*s);
@@ -17,16 +22,11 @@ Neither bracket ever substitutes for the other in theoretical bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import GroupCoefficients, SparsityPattern, UNIT_DIAGONAL_TOL
-
-# Power iteration stops once successive eigenvalue estimates agree to
-# this relative tolerance.
-_POWER_REL_TOL = 1e-9
-_POWER_MAX_ITER = 100_000
 
 
 @dataclass(frozen=True)
@@ -37,30 +37,15 @@ class AssumptionReport:
     max_coherence               : max_{t, j != k} |Psi_t[j,k]|.
     phi_max                     : largest Gram eigenvalue across tasks.
     c_prime                     : (1/nT) * sum_{t,i} max_j (x_ti)_j^2.
-    kappa_lower                 : certified RE lower bound, if computed.
-    kappa_upper_estimate        : sampled RE upper estimate, if computed.
     """
 
     unit_diagonal_max_deviation: float
     max_coherence: float
     phi_max: float
     c_prime: float
-    kappa_lower: float | None = None
-    kappa_upper_estimate: float | None = None
 
     def admissible(self, s, alpha):
         return coherence_admissible(self, s, alpha)
-
-    def with_re_bounds(self, kappa_lower=None, kappa_upper_estimate=None):
-        return replace(
-            self,
-            kappa_lower=self.kappa_lower if kappa_lower is None else kappa_lower,
-            kappa_upper_estimate=(
-                self.kappa_upper_estimate
-                if kappa_upper_estimate is None
-                else kappa_upper_estimate
-            ),
-        )
 
 
 @dataclass(frozen=True)
@@ -73,55 +58,41 @@ class REProbe:
     ratio: float
 
 
-def power_iteration(sym, rel_tol=_POWER_REL_TOL, max_iter=_POWER_MAX_ITER):
-    """Largest eigenvalue of a symmetric PSD matrix.
-
-    Deterministic: starts from the normalised all-ones vector and stops
-    once successive Rayleigh quotients agree to ``rel_tol`` relatively.
-    """
-    sym = np.asarray(sym, dtype=float)
-    m = sym.shape[0]
-    v = np.full(m, 1.0 / np.sqrt(m))
-    w = sym @ v
-    mu = float(v @ w)
-    for _ in range(max_iter):
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        w = sym @ v
-        mu_new = float(v @ w)
-        if abs(mu_new - mu) <= rel_tol * max(abs(mu_new), np.finfo(float).tiny):
-            return mu_new
-        mu = mu_new
-    return mu
-
-
 def task_grams(data):
     """Stack of Psi_t = X_t^T X_t / n, shape (T, M, M)."""
-    return np.einsum("tni,tnj->tij", data.designs, data.designs) / data.n
+    X = data.designs
+    return np.matmul(X.transpose(0, 2, 1), X) / data.n
+
+
+def _top_eigenvalue(x, n, gram=None):
+    """lambda_max(x^T x / n) of one (n, M) task design, from eigvalsh of
+    the smaller of x^T x / n and x x^T / n.  ``gram`` is x^T x / n when
+    the caller has it already."""
+    if x.shape[1] <= x.shape[0]:
+        small = x.T @ x / n if gram is None else gram
+    else:
+        small = x @ x.T / n
+    return float(np.linalg.eigvalsh(small)[-1])
 
 
 def largest_gram_eigenvalue(data):
-    """phi_max = max_t lambda_max(Psi_t), by per-task power iteration."""
-    return float(max(power_iteration(psi) for psi in task_grams(data)))
+    """phi_max = max_t lambda_max(Psi_t), exact up to LAPACK round-off."""
+    return max(_top_eigenvalue(x, data.n) for x in data.designs)
 
 
 def gram_diagnostics(data):
     """Compute the AssumptionReport statistics for a dataset."""
     if not np.any(data.designs):
         raise ValueError("design is all zeros; Gram diagnostics are undefined")
-    grams = task_grams(data)
-    diags = np.einsum("tjj->tj", grams)
-    unit_dev = float(np.max(np.abs(diags - 1.0)))
-    if data.M >= 2:
-        off = np.abs(grams.copy())
-        for t in range(data.T):
-            np.fill_diagonal(off[t], 0.0)
-        coherence = float(np.max(off))
-    else:
-        coherence = 0.0
-    phi_max = float(max(power_iteration(psi) for psi in grams))
+    unit_dev = coherence = phi_max = 0.0
+    for x in data.designs:
+        gram = x.T @ x / data.n
+        unit_dev = max(unit_dev, float(np.max(np.abs(np.diagonal(gram) - 1.0))))
+        phi_max = max(phi_max, _top_eigenvalue(x, data.n, gram))
+        if data.M >= 2:
+            off = np.abs(gram, out=gram)
+            np.fill_diagonal(off, 0.0)
+            coherence = max(coherence, float(np.max(off)))
     c_prime = float(np.mean(np.max(data.designs**2, axis=2)))
     return AssumptionReport(
         unit_diagonal_max_deviation=unit_dev,

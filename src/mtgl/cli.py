@@ -666,6 +666,9 @@ def dispatch(argv):
         return 1
     try:
         return args.func(args)
+    except np.linalg.LinAlgError as exc:  # a ValueError, but not bad input
+        print(f"internal error: LinAlgError: {exc}", file=sys.stderr)
+        return 3
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

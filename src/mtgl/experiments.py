@@ -53,8 +53,11 @@ class ExperimentConfig:
     kappa_source selects where the RE constant in the bound formulas
     comes from: "coherence-lemma" derives kappa = sqrt(1 - 1/alpha) and
     insists every replicate's design passes the coherence check before
-    anything is solved; "user-supplied" takes ``kappa`` (and optionally
-    ``kappa2s``) on trust, e.g. 1.0 for exactly orthogonal designs.
+    that replicate is solved (selection runs skip the check on
+    orthogonal designs, which pass it for every alpha); a failing run
+    raises ValueError naming its lowest failing replicate and returns no
+    report.  "user-supplied" takes ``kappa`` (and optionally ``kappa2s``)
+    on trust, e.g. 1.0 for exactly orthogonal designs.
     ``phi_max`` fixes the largest Gram eigenvalue used in the sparsity
     bound; leave it None to measure it per replicate.
     """
@@ -365,29 +368,34 @@ def _solver_config(config):
     )
 
 
-def _coherence_prepass(config, dataset_for):
-    """Verify every replicate's design before any solve happens."""
+def _check_coherence(config, r, diag):
+    """Raise unless replicate r's design certifies the coherence-lemma
+    kappa (and kappa2s, when that is derived too)."""
     s = config.signal.s
-    for r in range(config.replicates):
-        dataset = dataset_for(r)
-        diag = gram_diagnostics(dataset)
-        if not coherence_admissible(diag, s, config.alpha):
-            raise ValueError(
-                f"replicate {r}: design fails the coherence condition at "
-                f"(s={s}, alpha={config.alpha}); max coherence "
-                f"{diag.max_coherence:.3e} exceeds {1.0 / (7.0 * config.alpha * s):.3e} "
-                "or diagonals are not unit"
-            )
-        if config.kappa2s is None and not coherence_admissible(diag, 2 * s, config.alpha):
-            raise ValueError(
-                f"replicate {r}: design fails the coherence condition at sparsity "
-                f"2s={2 * s} needed for the (2,2)-error bound; supply kappa2s "
-                "explicitly or drop that bound"
-            )
+    if not coherence_admissible(diag, s, config.alpha):
+        raise ValueError(
+            f"replicate {r}: design fails the coherence condition at "
+            f"(s={s}, alpha={config.alpha}); max coherence "
+            f"{diag.max_coherence:.3e} exceeds {1.0 / (7.0 * config.alpha * s):.3e} "
+            "or diagonals are not unit"
+        )
+    if config.kappa2s is None and not coherence_admissible(diag, 2 * s, config.alpha):
+        raise ValueError(
+            f"replicate {r}: design fails the coherence condition at sparsity "
+            f"2s={2 * s} needed for the (2,2)-error bound; supply kappa2s "
+            "explicitly or drop that bound"
+        )
 
 
-def _needs_diag(config):
-    return config.plan.regime == FINITE_VARIANCE or config.phi_max is None
+def _diagnose(config, r, dataset, certify):
+    """Gram diagnostics of replicate r, when it is certified or its
+    bounds need phi_max or c_prime; None otherwise."""
+    if not (certify or config.plan.regime == FINITE_VARIANCE or config.phi_max is None):
+        return None
+    diag = gram_diagnostics(dataset)
+    if certify:
+        _check_coherence(config, r, diag)
+    return diag
 
 
 def _run_replicates(config, worker):
@@ -432,23 +440,14 @@ def run_oracle_experiment(config):
     if s < 1:
         raise ValueError("oracle experiments need at least one active group")
     kappa, kappa2s = _resolve_kappas(config)
-
-    def dataset_for(r):
-        dataset, _ = generate_dataset(
-            config.design, config.signal, config.noise, [config.seed, r]
-        )
-        return dataset
-
-    if config.kappa_source == "coherence-lemma":
-        _coherence_prepass(config, dataset_for)
-
+    certify = config.kappa_source == "coherence-lemma"
     solver_cfg = _solver_config(config)
 
     def worker(r):
         dataset, beta_star = generate_dataset(
             config.design, config.signal, config.noise, [config.seed, r]
         )
-        diag = gram_diagnostics(dataset) if _needs_diag(config) else None
+        diag = _diagnose(config, r, dataset, certify)
         result = solve_group_lasso(dataset, solver_cfg)
         metrics = _error_metrics(r, dataset, beta_star, result, config, diag)
         phi = config.phi_max if config.phi_max is not None else diag.phi_max
@@ -487,26 +486,22 @@ def run_selection_experiment(config):
         c, plan.n, plan.M, plan.T, plan.A, plan.regime, plan.delta
     )
 
-    def dataset_for(r):
-        truth = generate_beta_for_selection(
+    # Orthogonal designs satisfy the coherence condition for every alpha;
+    # anything else must be certified before solving.
+    certify = (
+        config.design.kind != "orthogonal" and config.kappa_source == "coherence-lemma"
+    )
+    solver_cfg = _solver_config(config)
+
+    def worker(r):
+        beta_star = generate_beta_for_selection(
             config.signal, tau, config.margin, plan.M, plan.T, [config.seed, r, 1]
         )
         dataset, _ = generate_dataset(
             config.design, config.signal, config.noise, [config.seed, r, 0],
-            beta_star=truth,
+            beta_star=beta_star,
         )
-        return dataset, truth
-
-    # Orthogonal designs satisfy the coherence condition for every alpha;
-    # anything else must be certified before solving.
-    if config.design.kind != "orthogonal" and config.kappa_source == "coherence-lemma":
-        _coherence_prepass(config, lambda r: dataset_for(r)[0])
-
-    solver_cfg = _solver_config(config)
-
-    def worker(r):
-        dataset, beta_star = dataset_for(r)
-        diag = gram_diagnostics(dataset) if _needs_diag(config) else None
+        diag = _diagnose(config, r, dataset, certify)
         result = solve_group_lasso(dataset, solver_cfg)
         metrics = _error_metrics(r, dataset, beta_star, result, config, diag)
 

@@ -107,6 +107,8 @@ class GroupCoefficients:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 2:
             raise ValueError(f"coefficients must be an (M, T) array, got {values.shape}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("coefficients contain non-finite entries")
         object.__setattr__(self, "values", _frozen_array(values))
 
     @classmethod

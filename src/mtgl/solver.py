@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GroupCoefficients, mixed_norm
+from .model import GroupCoefficients
 
 # Objective traces may rise by at most this much (relative slack) before
 # the solver aborts as divergent.

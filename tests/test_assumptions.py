@@ -8,12 +8,12 @@ from mtgl.assumptions import (
     gram_diagnostics,
     largest_gram_eigenvalue,
     minimize_re_quotient,
-    power_iteration,
     re_lower_bound_from_coherence,
     re_upper_estimate,
     task_grams,
 )
-from mtgl.model import MultiTaskDataset
+from mtgl.model import MultiTaskDataset, objective
+from mtgl.solver import SolverConfig, solve_group_lasso
 from mtgl.synth import DesignSpec, NoiseSpec, SignalSpec, generate_dataset
 
 
@@ -33,6 +33,18 @@ def _two_column_design(n, corr, seed):
     x2 = corr * a + math.sqrt(1.0 - corr**2) * b
     X = math.sqrt(n) * np.column_stack([a, x2])
     return MultiTaskDataset(X[None], np.zeros((1, n)))
+
+
+def _design_with_gram(n, gram, T, seed):
+    """T tasks whose Grams X_t^T X_t / n all equal ``gram`` exactly:
+    X_t = sqrt(n) * Q_t * L^T with gram = L L^T and Q_t orthonormal."""
+    rng = np.random.default_rng(seed)
+    lower = np.linalg.cholesky(gram)
+    tasks = []
+    for _ in range(T):
+        q, _ = np.linalg.qr(rng.standard_normal((n, gram.shape[0])))
+        tasks.append(math.sqrt(n) * q @ lower.T)
+    return np.array(tasks)
 
 
 def _orthogonal_dataset(seed, T=2, n=24, M=6):
@@ -94,25 +106,105 @@ def test_phi_max_lower_bounded_by_diagonal():
         assert report.phi_max >= 1.0 - report.unit_diagonal_max_deviation - 1e-6
 
 
-# ---------------------------------------------------------------------------
-# power iteration
+def _reference_diagnostics(data):
+    """Plain NumPy reference: einsum Grams of all tasks, dense eigvalsh."""
+    X = data.designs
+    grams = np.einsum("tni,tnj->tij", X, X) / data.n
+    diags = np.einsum("tjj->tj", grams)
+    off = np.abs(grams - np.einsum("tj,jk->tjk", diags, np.eye(data.M)))
+    return {
+        "unit_dev": float(np.max(np.abs(diags - 1.0))),
+        "coherence": float(np.max(off)),
+        "phi_max": max(float(np.linalg.eigvalsh(g)[-1]) for g in grams),
+        "c_prime": float(np.mean(np.max(X**2, axis=2))),
+    }
 
-def test_power_iteration_matches_dense_eig():
+
+@pytest.mark.parametrize(
+    "design",
+    [
+        DesignSpec(kind="gaussian-iid", n=40, M=12, T=3),
+        DesignSpec(kind="gaussian-iid", n=15, M=30, T=2),
+        DesignSpec(kind="ar1", n=50, M=20, T=3, rho=0.6),
+        DesignSpec(kind="orthogonal", n=32, M=16, T=4),
+    ],
+    ids=["gaussian", "gaussian-wide", "ar1", "orthogonal"],
+)
+def test_diagnostics_match_plain_reference(design):
+    for seed in range(3):
+        data, _ = generate_dataset(design, SignalSpec(s=0), NoiseSpec(sigma=0.0), seed)
+        report = gram_diagnostics(data)
+        ref = _reference_diagnostics(data)
+        assert report.unit_diagonal_max_deviation == pytest.approx(
+            ref["unit_dev"], abs=1e-12
+        )
+        assert report.max_coherence == pytest.approx(ref["coherence"], abs=1e-12)
+        assert report.c_prime == pytest.approx(ref["c_prime"], abs=1e-12)
+        assert report.phi_max == pytest.approx(ref["phi_max"], rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# largest Gram eigenvalue
+
+def test_largest_gram_eigenvalue_matches_dense_eig():
+    # n = 15 rows; M from 2 to 30 covers both the M x M and the n x n route
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        M = rng.integers(2, 9)
+        M = rng.integers(2, 9) if seed < 5 else rng.integers(16, 31)
         T = rng.integers(1, 4)
         X = rng.standard_normal((T, 15, M))
-        grams = task_grams(MultiTaskDataset(X, np.zeros((T, 15))))
+        data = MultiTaskDataset(X, np.zeros((T, 15)))
+        grams = np.einsum("tni,tnj->tij", X, X) / 15
         top = max(np.linalg.eigvalsh(g)[-1] for g in grams)
-        assert largest_gram_eigenvalue(
-            MultiTaskDataset(X, np.zeros((T, 15)))
-        ) == pytest.approx(top, rel=1e-8)
+        assert largest_gram_eigenvalue(data) == pytest.approx(top, rel=1e-10)
+        assert gram_diagnostics(data).phi_max == pytest.approx(top, rel=1e-10)
 
 
-def test_power_iteration_on_fixed_matrix():
-    A = np.diag([1.0, 3.0, 0.5])
-    assert power_iteration(A) == pytest.approx(3.0, rel=1e-9)
+def test_largest_gram_eigenvalue_on_fixed_matrix():
+    X = _design_with_gram(20, np.diag([1.0, 3.0, 0.5]), T=1, seed=0)
+    data = MultiTaskDataset(X, np.zeros((1, 20)))
+    assert largest_gram_eigenvalue(data) == pytest.approx(3.0, rel=1e-12)
+
+
+def test_largest_gram_eigenvalue_rank_deficient():
+    # rank one: X = u v^T has the single nonzero eigenvalue |u|^2 |v|^2 / n,
+    # reached by both the M x M (M=4 <= n) and the n x n (M=40 > n) route
+    rng = np.random.default_rng(1)
+    u = rng.standard_normal(10)
+    for M in (4, 40):
+        v = rng.standard_normal(M)
+        data = MultiTaskDataset(np.outer(u, v)[None], np.zeros((1, 10)))
+        expected = float(u @ u) * float(v @ v) / 10
+        assert largest_gram_eigenvalue(data) == pytest.approx(expected, rel=1e-12)
+    # duplicated columns: rank 3 of 5
+    base = rng.standard_normal((12, 3))
+    X = np.column_stack([base, base[:, :2]])[None]
+    dense = np.linalg.eigvalsh(X[0].T @ X[0] / 12)[-1]
+    data = MultiTaskDataset(X, np.zeros((1, 12)))
+    assert largest_gram_eigenvalue(data) == pytest.approx(dense, rel=1e-10)
+
+
+def test_phi_max_of_anticorrelated_pair():
+    # Gram [[1, -0.8], [-0.8, 1]] has eigenvalues 1.8 and 0.2; an iteration
+    # started on (1, 1)/sqrt(2) sits on the 0.2 eigenvector and stops there.
+    n, T = 40, 3
+    X = _design_with_gram(n, np.array([[1.0, -0.8], [-0.8, 1.0]]), T, seed=2)
+    rng = np.random.default_rng(3)
+    beta = np.array([[1.0, -0.5, 0.8], [0.6, 0.3, -1.0]])
+    Y = np.einsum("tnm,mt->tn", X, beta) + 0.1 * rng.standard_normal((T, n))
+    data = MultiTaskDataset(X, Y)
+    assert largest_gram_eigenvalue(data) == pytest.approx(1.8, abs=1e-12)
+    assert gram_diagnostics(data).phi_max == pytest.approx(1.8, abs=1e-12)
+
+    lam = 0.05
+    pg = solve_group_lasso(
+        data, SolverConfig(lam=lam, algorithm="proximal-gradient", max_iterations=20000)
+    )
+    bcd = solve_group_lasso(data, SolverConfig(lam=lam, max_iterations=20000))
+    assert pg.converged and bcd.converged
+    assert objective(data, pg.beta_hat, lam) == pytest.approx(
+        objective(data, bcd.beta_hat, lam), rel=1e-9, abs=1e-12
+    )
 
 
 # ---------------------------------------------------------------------------

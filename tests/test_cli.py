@@ -218,6 +218,15 @@ def test_select_rejects_bad_tau_and_missing_plan(tmp_path, capsys):
     assert code == 1 and "--alpha" in err
 
 
+def test_select_rejects_non_finite_coefficients(tmp_path, capsys):
+    for bad in ("nan", "inf"):
+        beta_path = tmp_path / f"beta_{bad}.csv"
+        beta_path.write_text(f"3,3\n{bad},1\n")
+        code, out, err = _run(capsys, "select", "--beta", str(beta_path), "--tau", "1")
+        assert code == 1 and "non-finite" in err
+        assert out == ""
+
+
 def test_solve_rejects_malformed_dataset(tmp_path, capsys):
     bad = tmp_path / "manifest.txt"
     bad.write_text("n=4\nM=2\n")  # missing T and files
@@ -342,3 +351,20 @@ def test_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
     code, _, err = _run(capsys, "experiment", "--config", config, "--out", str(tmp_path / "o"))
     assert code == 3
     assert err.startswith("internal error: RuntimeError")
+
+
+def test_linear_algebra_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # LinAlgError subclasses ValueError, yet it is not bad input
+    def fail(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    config = _write(tmp_path / "gen.cfg", GEN_CONFIG)
+    data_dir = tmp_path / "data"
+    _run(capsys, "gen", "--config", config, "--out", str(data_dir))
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    code, _, err = _run(
+        capsys, "check", "--data", str(data_dir / "manifest.txt"),
+        "--s", "2", "--alpha", "2",
+    )
+    assert code == 3
+    assert err.startswith("internal error: LinAlgError")

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from mtgl import experiments
 from mtgl.experiments import (
     BoundCheck,
     ComparisonRow,
@@ -209,14 +210,48 @@ def test_kappa_from_coherence_lemma():
 
 
 def test_coherence_prepass_rejects_correlated_design():
-    # AR(1) with rho=0.6 violates max coherence <= 1/(7*alpha*s) by a mile
+    # AR(1) with rho=0.6 violates max coherence <= 1/(7*alpha*s) by a mile;
+    # every thread count names the same, lowest failing replicate
+    messages = []
+    for threads in (1, 2):
+        config = _small_config(
+            design=DesignSpec(kind="ar1", n=32, M=8, T=4, rho=0.6),
+            kappa_source="coherence-lemma", kappa=None, kappa2s=None,
+            alpha=8.0, replicates=2, threads=threads,
+        )
+        with pytest.raises(ValueError, match="replicate 0: .*coherence") as info:
+            run_oracle_experiment(config)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def test_certified_run_generates_and_diagnoses_once_per_replicate(monkeypatch):
+    calls = {"gram_diagnostics": 0, "generate_dataset": 0}
+    for name in calls:
+        original = getattr(experiments, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, counted)
+    config = _small_config(
+        kappa_source="coherence-lemma", kappa=None, kappa2s=None,
+        phi_max=None, alpha=8.0, replicates=3,
+    )
+    report = run_oracle_experiment(config)
+    assert report.n_converged == 3
+    assert calls == {"gram_diagnostics": 3, "generate_dataset": 3}
+
+
+def test_selection_certifies_non_orthogonal_design():
     config = _small_config(
         design=DesignSpec(kind="ar1", n=32, M=8, T=4, rho=0.6),
         kappa_source="coherence-lemma", kappa=None, kappa2s=None,
-        alpha=8.0, replicates=2,
+        alpha=8.0, margin=3.0, replicates=2,
     )
-    with pytest.raises(ValueError, match="coherence"):
-        run_oracle_experiment(config)
+    with pytest.raises(ValueError, match="replicate 0: .*coherence"):
+        run_selection_experiment(config)
 
 
 def test_finite_variance_experiment_confidence():
