@@ -115,10 +115,18 @@ def nemirovski_check(M, n_vectors, distribution, replicates, seed):
         rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
         if distribution == "gaussian":
             y = rng.standard_normal((size, n_vectors, M))
+            left = np.max(np.abs(np.sum(y, axis=1)), axis=1) ** 2
+            np.abs(y, out=y)
+            right = np.sum(np.max(y, axis=2) ** 2, axis=1)
         else:
-            y = rng.integers(0, 2, size=(size, n_vectors, M)).astype(float) * 2.0 - 1.0
-        left = np.max(np.abs(np.sum(y, axis=1)), axis=1) ** 2
-        right = np.sum(np.max(np.abs(y), axis=2) ** 2, axis=1)
+            # Y_ij = 2 b_ij - 1 with b_ij in {0, 1}, so sum_i Y_ij is the
+            # integer 2 sum_i b_ij - n_vectors and every |Y_ij| is 1.
+            y = rng.integers(0, 2, size=(size, n_vectors, M))
+            sums = 2 * np.sum(y, axis=1) - n_vectors
+            left = np.max(np.abs(sums), axis=1).astype(float) ** 2
+            right = np.full(size, float(n_vectors))
+        # Free this chunk's draws before the next chunk's are made.
+        del y
         diff = left - const * right
         sum_l += float(np.sum(left))
         sum_r += float(np.sum(right))

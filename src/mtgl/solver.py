@@ -6,11 +6,20 @@ S(B) = (1/nT) * sum_t ||X_t B_t - y_t||^2 plus a penalty:
 2 * lam * sum_{t,j} |B_jt| for the entrywise baseline.
 
 Convergence is certified through the first-order optimality residual
-(``kkt_residual``), never through parameter change between sweeps.
+(``kkt_residual``) over all groups, never through parameter change
+between sweeps.
+
+Block-coordinate descent works on a group-contiguous copy of the design
+(shape (M, T, n), so group j's columns are one contiguous block) and
+sweeps a working set: the nonzero groups plus the zero groups whose
+correlation norm exceeds lam.  Every other group already sits at its
+block optimum for the current residual.  The full residual X B and the
+correlations X^T r / (nT) are batched matrix products (BLAS).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +42,8 @@ def block_soft_threshold(v, tau):
     if tau < 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
     v = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(v))
+    flat = v.ravel()
+    norm = math.sqrt(flat @ flat)
     if norm <= tau:
         return np.zeros_like(v)
     return (1.0 - tau / norm) * v
@@ -75,7 +85,8 @@ class SolveResult:
     """Outcome of a solve.
 
     beta_hat        : estimated coefficients, (M, T).
-    iterations      : full sweeps (block-coordinate) or gradient steps.
+    iterations      : sweeps over the working set (block-coordinate) or
+                      gradient steps.
     kkt_residual    : optimality residual at beta_hat.
     objective_trace : objective value before each update and at the end;
                       nonincreasing up to float slack.
@@ -89,10 +100,21 @@ class SolveResult:
     converged: bool
 
 
+def _residual(X, Y, values):
+    """Y - X B as a (T, n) array: task t's row is y_t - X_t B_t."""
+    return Y - np.matmul(X, values.T[:, :, None])[..., 0]
+
+
+def _correlation(X, resid):
+    """(1/nT) X^T r as an (M, T) array: column t is X_t^T r_t / (nT)."""
+    T, n, _ = X.shape
+    return np.matmul(resid[:, None, :], X)[:, 0, :].T / (n * T)
+
+
 def _correlations(data, values):
     """(1/nT) X^T (y - X B) as an (M, T) array."""
-    resid = data.responses - np.einsum("tnm,mt->tn", data.designs, values)
-    return np.einsum("tnm,tn->mt", data.designs, resid) / (data.n * data.T)
+    X = data.designs
+    return _correlation(X, _residual(X, data.responses, values))
 
 
 def _group_kkt(corr, values, lam):
@@ -154,10 +176,16 @@ def _initial_values(data, config):
 def solve_group_lasso(data, config):
     """Minimise S(B) + 2 * lam * ||B||_{2,1}.
 
-    The block-coordinate algorithm cycles j = 0..M-1; with unit-diagonal
-    Grams the exact row update is block_soft_threshold(z_j, lam*T) where
-    z_j is the partial-residual correlation row.  Proximal gradient uses
-    the fixed step T / (2*phi_max) and works on any design.
+    The block-coordinate algorithm copies the design once into a
+    group-contiguous (M, T, n) layout.  Before each sweep it forms the
+    full correlation X^T r / (nT) and takes as working set the nonzero
+    groups and the zero groups whose correlation norm exceeds lam; it
+    updates those in increasing j.  With unit-diagonal Grams the exact
+    row update is block_soft_threshold(z_j, lam*T) where z_j is the
+    partial-residual correlation row.  Both algorithms stop on the KKT
+    residual over all M groups, computed from a residual rebuilt from
+    scratch after every sweep or step.  Proximal gradient uses the fixed
+    step T / (2*phi_max) and works on any design.
     """
     if config.algorithm == "block-coordinate":
         if not data.unit_diagonal:
@@ -175,35 +203,45 @@ def _solve_block_coordinate(data, config):
     n, T = data.n, data.T
     lam = config.lam
     thresh = lam * T
+    # G[j] is group j's (T, n) block of columns, contiguous in memory.
+    G = np.ascontiguousarray(X.transpose(2, 0, 1))
 
     values = _initial_values(data, config)
-    resid = Y - np.einsum("tnm,mt->tn", X, values)
+    resid = _residual(X, Y, values)
     trace = [_objective_from_resid(resid, values, lam, n, T)]
 
     iterations = 0
     converged = False
-    kkt = _group_kkt(np.einsum("tnm,tn->mt", X, resid) / (n * T), values, lam)
+    corr = _correlation(X, resid)
+    kkt = _group_kkt(corr, values, lam)
     while True:
         if kkt <= config.kkt_tolerance:
             converged = True
             break
         if iterations >= config.max_iterations:
             break
-        for j in range(data.M):
-            cols = X[:, :, j]                              # (T, n)
+        # A zero group with ||corr_j|| <= lam is at its block optimum for
+        # the current residual, so the sweep skips it.  The set is empty
+        # only when kkt is 0, which already stopped the loop.
+        working = np.flatnonzero(
+            np.any(values != 0.0, axis=1) | (np.linalg.norm(corr, axis=1) > lam)
+        )
+        for j in working:
+            cols = G[j]                                    # (T, n)
             z = np.einsum("tn,tn->t", cols, resid) / n + values[j]
             new_row = block_soft_threshold(z, thresh)
             delta = new_row - values[j]
-            if np.any(delta):
+            if np.count_nonzero(delta):
                 resid -= cols * delta[:, None]
             values[j] = new_row
         iterations += 1
         # Recompute the residual from scratch so incremental drift never
         # contaminates the convergence certificate.
-        resid = Y - np.einsum("tnm,mt->tn", X, values)
+        resid = _residual(X, Y, values)
         trace.append(_objective_from_resid(resid, values, lam, n, T))
         _check_descent(trace)
-        kkt = _group_kkt(np.einsum("tnm,tn->mt", X, resid) / (n * T), values, lam)
+        corr = _correlation(X, resid)
+        kkt = _group_kkt(corr, values, lam)
 
     return SolveResult(
         beta_hat=GroupCoefficients(values),
@@ -230,12 +268,12 @@ def _solve_proximal_gradient(data, config):
     prox_tau = step * 2.0 * lam
 
     values = _initial_values(data, config)
-    resid = Y - np.einsum("tnm,mt->tn", X, values)
+    resid = _residual(X, Y, values)
     trace = [_objective_from_resid(resid, values, lam, n, T)]
 
     iterations = 0
     converged = False
-    corr = np.einsum("tnm,tn->mt", X, resid) / (n * T)
+    corr = _correlation(X, resid)
     kkt = _group_kkt(corr, values, lam)
     while True:
         if kkt <= config.kkt_tolerance:
@@ -246,10 +284,10 @@ def _solve_proximal_gradient(data, config):
         # Gradient of S is -2 * corr, so the forward step adds 2*step*corr.
         values = _prox_l21(values + 2.0 * step * corr, prox_tau)
         iterations += 1
-        resid = Y - np.einsum("tnm,mt->tn", X, values)
+        resid = _residual(X, Y, values)
         trace.append(_objective_from_resid(resid, values, lam, n, T))
         _check_descent(trace)
-        corr = np.einsum("tnm,tn->mt", X, resid) / (n * T)
+        corr = _correlation(X, resid)
         kkt = _group_kkt(corr, values, lam)
 
     return SolveResult(
@@ -294,7 +332,7 @@ def solve_lasso_baseline(data, lam, max_iterations=1000, kkt_tolerance=1e-8):
 
     iterations = 0
     converged = False
-    kkt = _lasso_kkt(np.einsum("tnm,tn->mt", X, resid) / (n * T), values, lam)
+    kkt = _lasso_kkt(_correlation(X, resid), values, lam)
     while True:
         if kkt <= kkt_tolerance:
             converged = True
@@ -316,10 +354,10 @@ def solve_lasso_baseline(data, lam, max_iterations=1000, kkt_tolerance=1e-8):
                     rt -= col * delta
                     values[j, t] = new
         iterations += 1
-        resid = Y - np.einsum("tnm,mt->tn", X, values)
+        resid = _residual(X, Y, values)
         trace.append(_lasso_objective(resid, values, lam, n, T))
         _check_descent(trace)
-        kkt = _lasso_kkt(np.einsum("tnm,tn->mt", X, resid) / (n * T), values, lam)
+        kkt = _lasso_kkt(_correlation(X, resid), values, lam)
 
     return SolveResult(
         beta_hat=GroupCoefficients(values),

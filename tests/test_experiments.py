@@ -209,7 +209,7 @@ def test_kappa_from_coherence_lemma():
     assert report.bound("prediction").rhs == pytest.approx(expected, rel=1e-12)
 
 
-def test_coherence_prepass_rejects_correlated_design():
+def test_certification_rejects_correlated_design():
     # AR(1) with rho=0.6 violates max coherence <= 1/(7*alpha*s) by a mile;
     # every thread count names the same, lowest failing replicate
     messages = []

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from mtgl.model import MultiTaskDataset
 from mtgl.probability import (
+    TailCheckReport,
     chi_square_tail_bound,
     chi_square_tail_empirical,
     nemirovski_check,
@@ -95,6 +97,51 @@ def test_nemirovski_deterministic():
     a = nemirovski_check(10, 20, "gaussian", 3000, seed=5)
     b = nemirovski_check(10, 20, "gaussian", 3000, seed=5)
     assert a == b
+
+
+def _nemirovski_reference(M, n_vectors, distribution, replicates, seed):
+    """The check's plain float formulas over the same per-chunk streams."""
+    const = 2.0 * math.e * math.log(M) - math.e
+    sum_l = sum_r = sum_d = sum_d2 = 0.0
+    start, index = 0, 0
+    while start < replicates:
+        size = min(4096, replicates - start)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+        if distribution == "gaussian":
+            y = rng.standard_normal((size, n_vectors, M))
+        else:
+            y = rng.integers(0, 2, size=(size, n_vectors, M)).astype(float) * 2.0 - 1.0
+        left = np.max(np.abs(np.sum(y, axis=1)), axis=1) ** 2
+        right = np.sum(np.max(np.abs(y), axis=2) ** 2, axis=1)
+        diff = left - const * right
+        sum_l += float(np.sum(left))
+        sum_r += float(np.sum(right))
+        sum_d += float(np.sum(diff))
+        sum_d2 += float(np.sum(diff * diff))
+        start += size
+        index += 1
+    mean_d = sum_d / replicates
+    var_d = max(0.0, (sum_d2 - replicates * mean_d * mean_d) / (replicates - 1))
+    se = math.sqrt(var_d / replicates)
+    return TailCheckReport(
+        analytic_bound=float(const * (sum_r / replicates)),
+        empirical_frequency=float(sum_l / replicates),
+        replicates=replicates,
+        standard_error=float(se),
+        passed=bool(mean_d <= 3.0 * se),
+    )
+
+
+@pytest.mark.parametrize("distribution", ["rademacher", "gaussian"])
+@pytest.mark.parametrize("M", [3, 100])
+def test_nemirovski_matches_float_reference_bit_for_bit(distribution, M):
+    # 5000 replicates span two chunks, so per-chunk streams and the
+    # release of each chunk's draws are both exercised.
+    report = nemirovski_check(M, 7, distribution, 5000, seed=11)
+    expected = _nemirovski_reference(M, 7, distribution, 5000, seed=11)
+    for field in dataclasses.fields(TailCheckReport):
+        got, want = getattr(report, field.name), getattr(expected, field.name)
+        assert type(got) is type(want) and got == want, field.name
 
 
 def _noise_test_dataset(seed=4):

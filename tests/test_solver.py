@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtgl.model import GroupCoefficients, MultiTaskDataset, group_support, objective
 from mtgl.solver import (
@@ -12,6 +14,7 @@ from mtgl.solver import (
     solve_group_lasso,
     solve_lasso_baseline,
 )
+from mtgl.synth import DesignSpec, NoiseSpec, SignalSpec, generate_dataset
 
 # Shrinkage of v=(3,4) at tau=2: scale factor 1 - 2/5 = 0.6.  Frozen after
 # checking against numeric minimization of 0.5*||u-v||^2 + tau*||u||
@@ -220,6 +223,173 @@ def test_block_coordinate_requires_unit_diagonal():
         data, SolverConfig(lam=0.3, algorithm="proximal-gradient", max_iterations=5000)
     )
     assert res.converged
+
+
+# ---------------------------------------------------------------------------
+# working-set block-coordinate descent against a full-cyclic reference
+
+def _full_cyclic_bcd(data, lam, kkt_tolerance=1e-8, max_sweeps=5000):
+    """Plain group BCD: every sweep updates all M groups, einsum products,
+    and stops on the group KKT residual of a residual rebuilt per sweep."""
+    X, Y = data.designs, data.responses
+    n, T, M = data.n, data.T, data.M
+    values = np.zeros((M, T))
+    resid = Y.copy()
+    for _ in range(max_sweeps):
+        corr = np.einsum("tnm,tn->mt", X, resid) / (n * T)
+        norms = np.linalg.norm(values, axis=1)
+        safe = np.where(norms > 0, norms, 1.0)
+        active_gap = np.linalg.norm(corr - lam * values / safe[:, None], axis=1)
+        zero_gap = np.maximum(np.linalg.norm(corr, axis=1) - lam, 0.0)
+        if np.max(np.where(norms > 0, active_gap, zero_gap)) <= kkt_tolerance:
+            return values
+        for j in range(M):
+            z = np.einsum("tn,tn->t", X[:, :, j], resid) / n + values[j]
+            norm = np.linalg.norm(z)
+            new_row = (1.0 - lam * T / norm) * z if norm > lam * T else np.zeros(T)
+            resid -= X[:, :, j] * (new_row - values[j])[:, None]
+            values[j] = new_row
+        resid = Y - np.einsum("tnm,mt->tn", X, values)
+    raise AssertionError("reference BCD did not converge")
+
+
+def _ar1_dataset(seed=0):
+    # Correlated columns with M > n, so many groups stay zero and the
+    # working set is a strict subset of the M groups.
+    design = DesignSpec(kind="ar1", n=30, M=60, T=3, rho=0.6)
+    data, _ = generate_dataset(
+        design, SignalSpec(s=6, amplitude="gaussian"), NoiseSpec(), seed
+    )
+    return data
+
+
+def _lam_max(data):
+    corr = np.einsum("tnm,tn->mt", data.designs, data.responses)
+    return float(np.max(np.linalg.norm(corr, axis=1))) / (data.n * data.T)
+
+
+@pytest.mark.parametrize("fraction", [0.5, 0.2, 0.08])
+def test_working_set_matches_full_cyclic_reference(fraction):
+    data = _ar1_dataset()
+    lam = fraction * _lam_max(data)
+    expected = _full_cyclic_bcd(data, lam)
+    res = solve_group_lasso(data, SolverConfig(lam=lam, max_iterations=5000))
+    assert res.converged and res.kkt_residual <= 1e-8
+    np.testing.assert_allclose(
+        np.linalg.norm(res.beta_hat.values, axis=1),
+        np.linalg.norm(expected, axis=1),
+        rtol=0,
+        atol=1e-7,
+    )
+    assert objective(data, res.beta_hat, lam) == pytest.approx(
+        objective(data, GroupCoefficients(expected), lam), rel=1e-9
+    )
+
+
+def test_warm_start_group_outside_support_ends_at_zero():
+    data = _ar1_dataset()
+    lam = 0.2 * _lam_max(data)
+    solved = solve_group_lasso(data, SolverConfig(lam=lam)).beta_hat.values
+    j = int(np.flatnonzero(np.linalg.norm(solved, axis=1) == 0)[0])
+    start = solved.copy()
+    start[j] = 1.0
+    res = solve_group_lasso(
+        data, SolverConfig(lam=lam, initial=GroupCoefficients(start))
+    )
+    assert res.converged
+    assert not np.any(res.beta_hat.values[j])
+    np.testing.assert_allclose(
+        np.linalg.norm(res.beta_hat.values, axis=1),
+        np.linalg.norm(solved, axis=1),
+        rtol=0,
+        atol=1e-7,
+    )
+
+
+def test_single_sweep_budget_on_correlated_design():
+    data = _ar1_dataset()
+    lam = 0.08 * _lam_max(data)
+    res = solve_group_lasso(data, SolverConfig(lam=lam, max_iterations=1))
+    assert res.iterations <= 1
+    assert not res.converged
+    assert len(res.objective_trace) == res.iterations + 1
+
+
+@pytest.mark.parametrize("algorithm", ["block-coordinate", "proximal-gradient"])
+def test_solve_leaves_designs_untouched(algorithm):
+    data = _ar1_dataset()
+    names = ("c_contiguous", "f_contiguous", "owndata", "writeable", "aligned")
+    before = data.designs.tobytes()
+    flags = [getattr(data.designs.flags, name) for name in names]
+    solve_group_lasso(
+        data, SolverConfig(lam=0.2 * _lam_max(data), algorithm=algorithm)
+    )
+    assert data.designs.tobytes() == before
+    assert [getattr(data.designs.flags, name) for name in names] == flags
+    assert data.designs.shape == (data.T, data.n, data.M)
+
+
+# ---------------------------------------------------------------------------
+# properties on small random unit-diagonal designs
+
+_PROPERTY_SETTINGS = settings(derandomize=True, max_examples=20, deadline=None)
+
+
+@st.composite
+def _problems(draw, T=None):
+    seed = draw(st.integers(0, 2**32 - 1))
+    T = draw(st.integers(1, 3)) if T is None else T
+    n = draw(st.integers(10, 25))
+    M = draw(st.integers(2, 8))
+    fraction = draw(st.floats(0.1, 0.9))
+    data = _dataset(np.random.default_rng(seed), T=T, n=n, M=M)
+    return data, fraction * _lam_max(data)
+
+
+@_PROPERTY_SETTINGS
+@given(_problems())
+def test_property_bcd_and_pg_agree_in_objective(problem):
+    data, lam = problem
+    bcd = solve_group_lasso(data, SolverConfig(lam=lam, max_iterations=5000))
+    pg = solve_group_lasso(
+        data,
+        SolverConfig(lam=lam, algorithm="proximal-gradient", max_iterations=50000),
+    )
+    assert bcd.converged and pg.converged
+    assert objective(data, bcd.beta_hat, lam) == pytest.approx(
+        objective(data, pg.beta_hat, lam), rel=1e-9
+    )
+
+
+@_PROPERTY_SETTINGS
+@given(_problems(T=1))
+def test_property_single_task_group_bcd_is_lasso(problem):
+    data, lam = problem
+    group = solve_group_lasso(
+        data, SolverConfig(lam=lam, kkt_tolerance=1e-12, max_iterations=20000)
+    )
+    plain = solve_lasso_baseline(data, lam, max_iterations=20000, kkt_tolerance=1e-12)
+    assert group.converged and plain.converged
+    np.testing.assert_allclose(
+        group.beta_hat.values, plain.beta_hat.values, rtol=0, atol=1e-7
+    )
+
+
+@_PROPERTY_SETTINGS
+@given(_problems(), st.sampled_from(["block-coordinate", "proximal-gradient"]))
+def test_property_warm_start_at_solution_takes_no_sweep(problem, algorithm):
+    data, lam = problem
+    config = SolverConfig(lam=lam, algorithm=algorithm, max_iterations=50000)
+    first = solve_group_lasso(data, config)
+    assert first.converged
+    again = solve_group_lasso(
+        data,
+        SolverConfig(
+            lam=lam, algorithm=algorithm, max_iterations=50000, initial=first.beta_hat
+        ),
+    )
+    assert again.iterations == 0 and again.converged
+    np.testing.assert_array_equal(again.beta_hat.values, first.beta_hat.values)
 
 
 def test_solver_config_validation():
