@@ -102,12 +102,17 @@ def gram_diagnostics(data):
     )
 
 
-def coherence_admissible(report, s, alpha):
-    """True iff diagonals are unit and coherence is at most 1/(7*alpha*s)."""
+def validate_sparsity_and_slack(s, alpha):
+    """Raise ValueError unless s >= 1 and alpha > 1."""
     if s < 1:
         raise ValueError(f"sparsity s must be >= 1, got {s}")
     if not alpha > 1:
         raise ValueError(f"coherence slack alpha must exceed 1, got {alpha}")
+
+
+def coherence_admissible(report, s, alpha):
+    """True iff diagonals are unit and coherence is at most 1/(7*alpha*s)."""
+    validate_sparsity_and_slack(s, alpha)
     if report.unit_diagonal_max_deviation > UNIT_DIAGONAL_TOL:
         return False
     return report.max_coherence <= 1.0 / (7.0 * alpha * s)
@@ -128,6 +133,35 @@ def _quotient(data, values, support_idx):
     return num / den
 
 
+def _least_squares_completion(X_o, X_s, K, u):
+    """Per task, the minimum-norm w_t minimising ||u_t + X_o,t w_t||;
+    returns w with shape (others, T).
+
+    One batched solve on the smaller Gram of the off-support block X_o
+    (T, n, others).  A wide block (others >= n) solves
+    (X_o X_o^T) z = -u, with X_o X_o^T = K - X_s X_s^T downdated from
+    K = X X^T by the support columns X_s, and takes w = X_o^T z; a tall
+    block solves (X_o^T X_o) w = -X_o^T u.  Both are the least-squares
+    solution when X_o has full rank.  A singular block (LinAlgError or
+    a non-finite w) falls back to LAPACK's SVD least squares per task.
+    """
+    rhs = -u[..., None]
+    X_oT = X_o.transpose(0, 2, 1)
+    try:
+        if X_o.shape[2] >= X_o.shape[1]:
+            gram = K - np.matmul(X_s, X_s.transpose(0, 2, 1))
+            w = np.matmul(X_oT, np.linalg.solve(gram, rhs))
+        else:
+            w = np.linalg.solve(np.matmul(X_oT, X_o), np.matmul(X_oT, rhs))
+        if np.all(np.isfinite(w)):
+            return w[..., 0].T
+    except np.linalg.LinAlgError:
+        pass
+    return np.column_stack(
+        [np.linalg.lstsq(x, r, rcond=None)[0] for x, r in zip(X_o, -u)]
+    )
+
+
 def minimize_re_quotient(data, s, samples, seed):
     """Search cone-feasible probes for a small RE quotient.
 
@@ -140,6 +174,13 @@ def minimize_re_quotient(data, s, samples, seed):
     resolve of the off-support block scaled back into the cone.  Returns
     the best probe found; the minimum over sizes makes the estimate
     nonincreasing in s for a fixed seed.
+
+    The least-squares resolve is one batched solve over all T tasks on
+    the smaller Gram of the off-support block X_o (see
+    ``_least_squares_completion``), which costs s * samples such solves
+    in all; only a block whose solve fails (a singular Gram or a
+    non-finite solution) falls back to LAPACK's SVD least squares, task
+    by task.
     """
     M, T = data.M, data.T
     if not 1 <= s <= M:
@@ -148,6 +189,8 @@ def minimize_re_quotient(data, s, samples, seed):
         raise ValueError(f"samples must be >= 1, got {samples}")
     X = data.designs
     n = data.n
+    # X_t X_t^T for every task, downdated per probe when X_o is wide
+    K = np.matmul(X, X.transpose(0, 2, 1)) if M > n else None
 
     best_ratio = np.inf
     best_values = None
@@ -162,7 +205,8 @@ def minimize_re_quotient(data, s, samples, seed):
             l21_sup = float(np.sum(np.linalg.norm(d_sup, axis=1)))
             if l21_sup == 0.0:
                 continue
-            u = np.einsum("tnj,jt->tn", X[:, :, support], d_sup)
+            X_s = X[:, :, support]
+            u = np.einsum("tnj,jt->tn", X_s, d_sup)
             a = float(np.sum(u * u))
             den = float(np.linalg.norm(d_sup))
 
@@ -173,7 +217,8 @@ def minimize_re_quotient(data, s, samples, seed):
                 l21_off = float(np.sum(np.linalg.norm(g, axis=1)))
                 if l21_off > 0.0:
                     g = g * (factor * l21_sup / l21_off)
-                v = np.einsum("tnj,jt->tn", X[:, :, others], g)
+                X_o = X[:, :, others]
+                v = np.einsum("tnj,jt->tn", X_o, g)
                 b = float(np.sum(u * v))
                 dq = float(np.sum(v * v))
                 if dq > 0.0:
@@ -184,14 +229,11 @@ def minimize_re_quotient(data, s, samples, seed):
 
                 # Least-squares polish: best off-support completion for
                 # this D_J, pulled back into the cone if it overshoots.
-                w = np.empty((others.size, T))
-                for t in range(data.T):
-                    sol, *_ = np.linalg.lstsq(X[t][:, others], -u[t], rcond=None)
-                    w[:, t] = sol
+                w = _least_squares_completion(X_o, X_s, K, u)
                 l21_w = float(np.sum(np.linalg.norm(w, axis=1)))
                 if l21_w > 0.0:
                     rho = min(1.0, 3.0 * l21_sup / l21_w)
-                    vw = np.einsum("tnj,jt->tn", X[:, :, others], w)
+                    vw = np.einsum("tnj,jt->tn", X_o, w)
                     diff = u + rho * vw
                     q_val = float(np.sum(diff * diff))
                     candidates.append(

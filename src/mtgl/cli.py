@@ -29,6 +29,7 @@ from .assumptions import (
     gram_diagnostics,
     re_lower_bound_from_coherence,
     re_upper_estimate,
+    validate_sparsity_and_slack,
 )
 from .dataio import (
     ParseError,
@@ -101,11 +102,14 @@ def _threads():
     return threads
 
 
-def _write_run_manifest(out_dir, subcommand, settings, inputs, outputs, started):
+def _write_run_manifest(
+    out_dir, subcommand, settings, inputs, outputs, started, timings=()
+):
     pairs = [("subcommand", subcommand), ("version", __version__)]
     pairs += [(f"config_{key}", _fmt(value)) for key, value in settings]
     pairs += [(f"input_{i}", path) for i, path in enumerate(inputs)]
     pairs += [(f"output_{i}", path) for i, path in enumerate(outputs)]
+    pairs += [(key, f"{seconds:.3f}") for key, seconds in timings]
     pairs.append(("duration_s", f"{time.monotonic() - started:.3f}"))
     path = os.path.join(out_dir, "run_manifest.txt")
     write_keyvalue(path, pairs)
@@ -306,7 +310,13 @@ def _cmd_select(args):
 
 def _cmd_check(args):
     started = time.monotonic()
+    validate_sparsity_and_slack(args.s, args.alpha)
+    if args.re_samples < 0:
+        raise ValueError(
+            f"--re-samples must be >= 0 (0 skips the estimate), got {args.re_samples}"
+        )
     dataset = read_dataset(args.data)
+    read_done = time.monotonic()
     report = gram_diagnostics(dataset)
     pairs = [
         ("unit_diagonal_max_deviation", report.unit_diagonal_max_deviation),
@@ -317,9 +327,15 @@ def _cmd_check(args):
         ("admissible", coherence_admissible(report, args.s, args.alpha)),
         ("kappa_lower", re_lower_bound_from_coherence(args.alpha)),
     ]
+    diagnose_done = time.monotonic()
     if args.re_samples > 0:
         estimate = re_upper_estimate(dataset, args.s, args.re_samples, args.seed)
         pairs.append(("kappa_upper_estimate", estimate))
+    timings = [
+        ("read_s", read_done - started),
+        ("diagnose_s", diagnose_done - read_done),
+        ("re_probe_s", time.monotonic() - diagnose_done),
+    ]
     _print_pairs(pairs)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -330,7 +346,7 @@ def _cmd_check(args):
             ("re_samples", args.re_samples), ("seed", args.seed),
         ]
         _write_run_manifest(
-            args.out, "check", settings, [args.data], [report_path], started
+            args.out, "check", settings, [args.data], [report_path], started, timings
         )
     return 0
 

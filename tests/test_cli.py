@@ -263,6 +263,61 @@ def test_check_reports_orthogonal_design(tmp_path, capsys):
     assert float(pairs["kappa_upper_estimate"]) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--s", "0", "error: sparsity s must be >= 1, got 0"),
+        ("--alpha", "0", "error: coherence slack alpha must exceed 1, got 0.0"),
+        ("--alpha", "1", "error: coherence slack alpha must exceed 1, got 1.0"),
+        ("--re-samples", "-5", "error: --re-samples must be >= 0"),
+    ],
+)
+def test_check_rejects_bad_settings(tmp_path, capsys, flag, value, message):
+    config = _write(tmp_path / "gen.cfg", GEN_CONFIG)
+    data_dir = tmp_path / "data"
+    _run(capsys, "gen", "--config", config, "--out", str(data_dir))
+    settings = {"--s": "2", "--alpha": "2", "--re-samples": "5"}
+    settings[flag] = value
+    argv = [item for pair in settings.items() for item in pair]
+    code, out, err = _run(
+        capsys, "check", "--data", str(data_dir / "manifest.txt"), *argv
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith(message)
+
+
+def test_check_zero_re_samples_skips_estimate(tmp_path, capsys):
+    config = _write(tmp_path / "gen.cfg", GEN_CONFIG)
+    data_dir = tmp_path / "data"
+    _run(capsys, "gen", "--config", config, "--out", str(data_dir))
+    code, out, _ = _run(
+        capsys, "check", "--data", str(data_dir / "manifest.txt"),
+        "--s", "2", "--alpha", "2", "--re-samples", "0",
+    )
+    assert code == 0
+    pairs = _stdout_pairs(out)
+    assert "kappa_lower" in pairs and "kappa_upper_estimate" not in pairs
+
+
+def test_check_manifest_records_stage_timings(tmp_path, capsys):
+    config = _write(tmp_path / "gen.cfg", GEN_CONFIG)
+    data_dir = tmp_path / "data"
+    _run(capsys, "gen", "--config", config, "--out", str(data_dir))
+    code, out, _ = _run(
+        capsys, "check", "--data", str(data_dir / "manifest.txt"),
+        "--s", "2", "--alpha", "2", "--re-samples", "10",
+        "--out", str(tmp_path / "chk"),
+    )
+    assert code == 0
+    manifest = read_keyvalue(str(tmp_path / "chk" / "run_manifest.txt"))
+    for key in ("read_s", "diagnose_s", "re_probe_s"):
+        assert float(manifest[key]) >= 0.0
+    # the timings go to the manifest only; the report is the stdout
+    assert (tmp_path / "chk" / "report.txt").read_text() == out
+    assert "read_s" not in out
+
+
 def test_verify_lemmas_small_run(tmp_path, capsys):
     code, out, _ = _run(
         capsys, "verify-lemmas", "--chi-replicates", "1000",
