@@ -162,6 +162,11 @@ def _least_squares_completion(X_o, X_s, K, u):
     )
 
 
+def _validate_sparsity_range(s, M):
+    if not 1 <= s <= M:
+        raise ValueError(f"sparsity s must be in 1..M={M}, got {s}")
+
+
 def minimize_re_quotient(data, s, samples, seed):
     """Search cone-feasible probes for a small RE quotient.
 
@@ -183,8 +188,7 @@ def minimize_re_quotient(data, s, samples, seed):
     by task.
     """
     M, T = data.M, data.T
-    if not 1 <= s <= M:
-        raise ValueError(f"sparsity s must be in 1..M={M}, got {s}")
+    _validate_sparsity_range(s, M)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     X = data.designs

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .assumptions import (
+    _validate_sparsity_range,
     coherence_admissible,
     gram_diagnostics,
     re_lower_bound_from_coherence,
@@ -316,6 +317,7 @@ def _cmd_check(args):
             f"--re-samples must be >= 0 (0 skips the estimate), got {args.re_samples}"
         )
     dataset = read_dataset(args.data)
+    _validate_sparsity_range(args.s, dataset.M)
     read_done = time.monotonic()
     report = gram_diagnostics(dataset)
     pairs = [

@@ -405,24 +405,32 @@ def _run_replicates(config, worker):
     return [worker(r) for r in range(config.replicates)]
 
 
+def _frequency_check(name, rhs, holds, required):
+    """BoundCheck for the per-replicate outcomes ``holds``: it passes when
+    their frequency is at least ``required`` minus three standard errors."""
+    n = len(holds)
+    coverage = sum(holds) / n
+    se = math.sqrt(coverage * (1.0 - coverage) / n)
+    return BoundCheck(
+        name=name,
+        rhs=rhs,
+        coverage=coverage,
+        required_confidence=required,
+        standard_error=se,
+        passed=bool(coverage >= required - 3.0 * se),
+    )
+
+
 def _coverage_checks(names, rows, p_values, required, rhs_max):
-    checks = []
-    n = len(rows)
-    for name in names:
-        holds = [bool(_bound_lhs(name, m, p_values) <= rhs[name]) for m, rhs in rows]
-        coverage = sum(holds) / n
-        se = math.sqrt(coverage * (1.0 - coverage) / n)
-        checks.append(
-            BoundCheck(
-                name=name,
-                rhs=rhs_max[name],
-                coverage=coverage,
-                required_confidence=required,
-                standard_error=se,
-                passed=bool(coverage >= required - 3.0 * se),
-            )
+    return [
+        _frequency_check(
+            name,
+            rhs_max[name],
+            [bool(_bound_lhs(name, m, p_values) <= rhs[name]) for m, rhs in rows],
+            required,
         )
-    return checks
+        for name in names
+    ]
 
 
 def _required_confidence(config, metrics):
@@ -524,23 +532,11 @@ def run_selection_experiment(config):
     required, vacuous = _required_confidence(config, metrics)
     checks = _coverage_checks(names, rows, config.p_values, required, rhs_max)
 
-    n = len(metrics)
-    for label, values in (
+    for name, holds in (
         ("support_recovery", [m.support_exact for m in metrics]),
         ("sign_recovery", [m.sign_exact for m in metrics]),
     ):
-        freq = sum(values) / n
-        se = math.sqrt(freq * (1.0 - freq) / n)
-        checks.append(
-            BoundCheck(
-                name=label,
-                rhs=None,
-                coverage=freq,
-                required_confidence=required,
-                standard_error=se,
-                passed=bool(freq >= required - 3.0 * se),
-            )
-        )
+        checks.append(_frequency_check(name, None, holds, required))
     return ExperimentReport(
         kind="selection",
         replicates=config.replicates,

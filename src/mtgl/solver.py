@@ -3,18 +3,25 @@
 Both estimators minimise the average squared residual
 S(B) = (1/nT) * sum_t ||X_t B_t - y_t||^2 plus a penalty:
 2 * lam * ||B||_{2,1} for the group estimator and
-2 * lam * sum_{t,j} |B_jt| for the entrywise baseline.
+2 * lam * sum_{t,j} |B_jt| for the entrywise baseline.  The entrywise
+penalty is the group penalty with groups of width 1 instead of T, so
+both share one objective and one optimality residual, evaluated on the
+(M, T) coefficients viewed as rows of ``width`` entries.
 
-Convergence is certified through the first-order optimality residual
-(``kkt_residual``) over all groups, never through parameter change
-between sweeps.
+All three solvers (block-coordinate descent, proximal gradient and the
+baseline) run one descent driver and differ only in its step.  After
+every sweep or step the driver rebuilds the residual from scratch,
+records the objective and aborts if it rose.  Convergence is certified
+through the first-order optimality residual (``kkt_residual``) over all
+groups, never through parameter change between sweeps.
 
-Block-coordinate descent works on a group-contiguous copy of the design
-(shape (M, T, n), so group j's columns are one contiguous block) and
-sweeps a working set: the nonzero groups plus the zero groups whose
-correlation norm exceeds lam.  Every other group already sits at its
-block optimum for the current residual.  The full residual X B and the
-correlations X^T r / (nT) are batched matrix products (BLAS).
+Block-coordinate descent and the baseline share one sweep.  It works on
+a group-contiguous copy of the design (shape (M, T, n), so row j's
+columns are one contiguous block) and visits a working set: the nonzero
+rows plus the zero rows holding a group whose correlation norm exceeds
+lam.  Every other row already sits at its optimum for the current
+residual.  The two differ only in the row update.  The full residual
+X B and the correlations X^T r / (nT) are batched matrix products (BLAS).
 """
 
 from __future__ import annotations
@@ -111,15 +118,12 @@ def _correlation(X, resid):
     return np.matmul(resid[:, None, :], X)[:, 0, :].T / (n * T)
 
 
-def _correlations(data, values):
-    """(1/nT) X^T (y - X B) as an (M, T) array."""
-    X = data.designs
-    return _correlation(X, _residual(X, data.responses, values))
-
-
-def _group_kkt(corr, values, lam):
-    # Active groups must align the correlation with lam * B_j/||B_j||;
+def _group_kkt(corr, values, lam, width):
+    # Groups are runs of `width` entries along a row of B: the whole row
+    # for the group penalty, single entries for the entrywise one.
+    # Active groups must align the correlation with lam * B_g/||B_g||;
     # zero groups must keep the correlation norm at or below lam.
+    corr, values = corr.reshape(-1, width), values.reshape(-1, width)
     norms = np.linalg.norm(values, axis=1)
     active = norms > 0
     worst = 0.0
@@ -133,12 +137,7 @@ def _group_kkt(corr, values, lam):
     return worst
 
 
-def kkt_residual(data, beta, lam):
-    """First-order optimality residual of the group objective at beta.
-
-    Zero (up to tolerance) if and only if beta minimises the objective.
-    Rows whose norm is exactly zero are treated as inactive.
-    """
+def _kkt(data, beta, lam, width):
     if not lam > 0:
         raise ValueError(f"penalty level must be positive, got {lam}")
     values = beta.values
@@ -146,12 +145,29 @@ def kkt_residual(data, beta, lam):
         raise ValueError(
             f"coefficients {values.shape} do not match dataset (M={data.M}, T={data.T})"
         )
-    return _group_kkt(_correlations(data, values), values, lam)
+    X = data.designs
+    corr = _correlation(X, _residual(X, data.responses, values))
+    return _group_kkt(corr, values, lam, width)
 
 
-def _objective_from_resid(resid, values, lam, n, T):
-    fit = float(np.sum(resid * resid) / (n * T))
-    return fit + 2.0 * lam * float(np.sum(np.linalg.norm(values, axis=1)))
+def kkt_residual(data, beta, lam):
+    """First-order optimality residual of the group objective at beta.
+
+    Zero (up to tolerance) if and only if beta minimises the objective.
+    Rows whose norm is exactly zero are treated as inactive.
+    """
+    return _kkt(data, beta, lam, data.T)
+
+
+def lasso_kkt_residual(data, beta, lam):
+    """Entrywise optimality residual for the plain-Lasso objective."""
+    return _kkt(data, beta, lam, 1)
+
+
+def _objective_from_resid(resid, values, lam, width):
+    fit = float(np.sum(resid * resid) / resid.size)
+    groups = values.reshape(-1, width)
+    return fit + 2.0 * lam * float(np.sum(np.linalg.norm(groups, axis=1)))
 
 
 def _check_descent(trace):
@@ -173,130 +189,120 @@ def _initial_values(data, config):
     return values
 
 
-def solve_group_lasso(data, config):
-    """Minimise S(B) + 2 * lam * ||B||_{2,1}.
+def _descend(data, config, width, step):
+    """Iterate ``step`` from the warm start until the optimality residual
+    over all groups of ``width`` entries is within config.kkt_tolerance
+    or config.max_iterations steps are spent.
 
-    The block-coordinate algorithm copies the design once into a
-    group-contiguous (M, T, n) layout.  Before each sweep it forms the
-    full correlation X^T r / (nT) and takes as working set the nonzero
-    groups and the zero groups whose correlation norm exceeds lam; it
-    updates those in increasing j.  With unit-diagonal Grams the exact
-    row update is block_soft_threshold(z_j, lam*T) where z_j is the
-    partial-residual correlation row.  Both algorithms stop on the KKT
-    residual over all M groups, computed from a residual rebuilt from
-    scratch after every sweep or step.  Proximal gradient uses the fixed
-    step T / (2*phi_max) and works on any design.
+    step(values, resid, corr) returns the next (M, T) iterate and may
+    update values and resid in place.  The residual is recomputed from
+    scratch after every step so incremental drift never contaminates
+    the convergence certificate.
     """
-    if config.algorithm == "block-coordinate":
-        if not data.unit_diagonal:
-            raise ValueError(
-                "block-coordinate updates need unit-diagonal Grams "
-                "((1/n)||x_tj||^2 = 1 for every column); normalise the design "
-                "or use algorithm='proximal-gradient'"
-            )
-        return _solve_block_coordinate(data, config)
-    return _solve_proximal_gradient(data, config)
-
-
-def _solve_block_coordinate(data, config):
     X, Y = data.designs, data.responses
-    n, T = data.n, data.T
     lam = config.lam
-    thresh = lam * T
-    # G[j] is group j's (T, n) block of columns, contiguous in memory.
-    G = np.ascontiguousarray(X.transpose(2, 0, 1))
-
     values = _initial_values(data, config)
-    resid = _residual(X, Y, values)
-    trace = [_objective_from_resid(resid, values, lam, n, T)]
-
+    trace = []
     iterations = 0
-    converged = False
-    corr = _correlation(X, resid)
-    kkt = _group_kkt(corr, values, lam)
     while True:
-        if kkt <= config.kkt_tolerance:
-            converged = True
-            break
-        if iterations >= config.max_iterations:
-            break
-        # A zero group with ||corr_j|| <= lam is at its block optimum for
-        # the current residual, so the sweep skips it.  The set is empty
-        # only when kkt is 0, which already stopped the loop.
-        working = np.flatnonzero(
-            np.any(values != 0.0, axis=1) | (np.linalg.norm(corr, axis=1) > lam)
-        )
-        for j in working:
-            cols = G[j]                                    # (T, n)
-            z = np.einsum("tn,tn->t", cols, resid) / n + values[j]
-            new_row = block_soft_threshold(z, thresh)
-            delta = new_row - values[j]
-            if np.count_nonzero(delta):
-                resid -= cols * delta[:, None]
-            values[j] = new_row
-        iterations += 1
-        # Recompute the residual from scratch so incremental drift never
-        # contaminates the convergence certificate.
         resid = _residual(X, Y, values)
-        trace.append(_objective_from_resid(resid, values, lam, n, T))
-        _check_descent(trace)
+        trace.append(_objective_from_resid(resid, values, lam, width))
+        if iterations:
+            _check_descent(trace)
         corr = _correlation(X, resid)
-        kkt = _group_kkt(corr, values, lam)
+        kkt = _group_kkt(corr, values, lam, width)
+        if kkt <= config.kkt_tolerance or iterations >= config.max_iterations:
+            break
+        values = step(values, resid, corr)
+        iterations += 1
 
     return SolveResult(
         beta_hat=GroupCoefficients(values),
         iterations=iterations,
-        kkt_residual=float(kkt),
+        kkt_residual=kkt,
         objective_trace=tuple(trace),
-        converged=converged,
+        converged=kkt <= config.kkt_tolerance,
     )
 
 
-def _solve_proximal_gradient(data, config):
-    from .assumptions import largest_gram_eigenvalue
+def _working_set_sweep(data, lam, width, row_update):
+    """A descent step that updates, in increasing j, every row j of B
+    that is nonzero or holds a group whose correlation norm exceeds lam.
 
-    X, Y = data.designs, data.responses
-    n, T = data.n, data.T
-    lam = config.lam
+    A zero row without such a group is at its optimum for the current
+    residual, so the sweep skips it; the set is empty only when the KKT
+    residual is 0, which already stopped the driver.  row_update(j, c,
+    row) returns row j's new value from c = X_j^T r / n, the correlation
+    of its columns with the current residual, and its old value.
+    """
+    M, n = data.M, data.n
+    # G[j] is row j's (T, n) block of columns, contiguous in memory.
+    G = np.ascontiguousarray(data.designs.transpose(2, 0, 1))
+
+    def sweep(values, resid, corr):
+        violated = np.linalg.norm(corr.reshape(-1, width), axis=1) > lam
+        working = np.flatnonzero(
+            (values != 0.0).any(axis=1) | violated.reshape(M, -1).any(axis=1)
+        )
+        for j in working:
+            cols = G[j]                                    # (T, n)
+            c = np.einsum("tn,tn->t", cols, resid) / n
+            new_row = row_update(j, c, values[j])
+            delta = new_row - values[j]
+            if np.count_nonzero(delta):
+                resid -= cols * delta[:, None]
+            values[j] = new_row
+        return values
+
+    return sweep
+
+
+def solve_group_lasso(data, config):
+    """Minimise S(B) + 2 * lam * ||B||_{2,1}.
+
+    The block-coordinate algorithm runs the working-set sweep it shares
+    with ``solve_lasso_baseline``; with unit-diagonal Grams the exact
+    row update is block_soft_threshold(z_j, lam*T), where z_j is the
+    partial-residual correlation row.  Proximal gradient uses the fixed
+    step T / (2*phi_max) and works on any design.  Both run the shared
+    descent driver, which stops on the KKT residual over all M groups,
+    computed from a residual rebuilt from scratch after every sweep or
+    step.
+    """
+    if config.algorithm == "proximal-gradient":
+        return _solve_proximal_gradient(data, config)
+    if not data.unit_diagonal:
+        raise ValueError(
+            "block-coordinate updates need unit-diagonal Grams "
+            "((1/n)||x_tj||^2 = 1 for every column); normalise the design "
+            "or use algorithm='proximal-gradient'"
+        )
+    thresh = config.lam * data.T
+
+    def block_update(j, c, row):
+        return block_soft_threshold(c + row, thresh)
+
+    sweep = _working_set_sweep(data, config.lam, data.T, block_update)
+    return _descend(data, config, data.T, sweep)
+
+
+def _solve_proximal_gradient(data, config):
+    # Imported at call time: perfbench's tracer wraps this module attribute.
+    from .assumptions import largest_gram_eigenvalue
 
     phi_max = largest_gram_eigenvalue(data)
     if not phi_max > 0:
         raise ValueError("design is degenerate (largest Gram eigenvalue is zero)")
     # grad S has Lipschitz constant 2 * phi_max / T, so this step size
     # guarantees monotone descent.
-    step = T / (2.0 * phi_max)
-    prox_tau = step * 2.0 * lam
+    step = data.T / (2.0 * phi_max)
+    prox_tau = step * 2.0 * config.lam
 
-    values = _initial_values(data, config)
-    resid = _residual(X, Y, values)
-    trace = [_objective_from_resid(resid, values, lam, n, T)]
-
-    iterations = 0
-    converged = False
-    corr = _correlation(X, resid)
-    kkt = _group_kkt(corr, values, lam)
-    while True:
-        if kkt <= config.kkt_tolerance:
-            converged = True
-            break
-        if iterations >= config.max_iterations:
-            break
+    def forward_backward(values, resid, corr):
         # Gradient of S is -2 * corr, so the forward step adds 2*step*corr.
-        values = _prox_l21(values + 2.0 * step * corr, prox_tau)
-        iterations += 1
-        resid = _residual(X, Y, values)
-        trace.append(_objective_from_resid(resid, values, lam, n, T))
-        _check_descent(trace)
-        corr = _correlation(X, resid)
-        kkt = _group_kkt(corr, values, lam)
+        return _prox_l21(values + 2.0 * step * corr, prox_tau)
 
-    return SolveResult(
-        beta_hat=GroupCoefficients(values),
-        iterations=iterations,
-        kkt_residual=float(kkt),
-        objective_trace=tuple(trace),
-        converged=converged,
-    )
+    return _descend(data, config, data.T, forward_backward)
 
 
 def _prox_l21(values, tau):
@@ -310,96 +316,27 @@ def _prox_l21(values, tau):
 def solve_lasso_baseline(data, lam, max_iterations=1000, kkt_tolerance=1e-8):
     """Entrywise-L1 baseline: minimise S(B) + 2 * lam * sum |B_jt|.
 
-    Cyclic coordinate descent, one scalar soft-threshold per coefficient.
-    On block-diagonal problems this decomposes into T single-task Lassos.
+    The descent driver and working-set sweep of block-coordinate descent,
+    with groups of width 1.  The row update soft-thresholds each entry of
+    z_j = X_j^T r / n + d_j * B_j at lam*T and divides it by the Gram
+    diagonal d_jt = (1/n)||x_tj||^2, so columns may be unnormalised; an
+    all-zero column (d_jt = 0) keeps B_jt = 0.  Tasks do not interact,
+    so each task's coordinates are updated in increasing j, as in T
+    separate single-task Lassos.
     """
-    if not lam > 0:
-        raise ValueError(f"penalty level must be positive, got {lam}")
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
-    if not kkt_tolerance > 0:
-        raise ValueError(f"kkt_tolerance must be positive, got {kkt_tolerance}")
-
-    X, Y = data.designs, data.responses
-    n, T, M = data.n, data.T, data.M
-    thresh = lam * T
-    # Per-column Gram diagonal (1/n)||x_tj||^2; columns may be unnormalised.
-    diag = np.einsum("tnm,tnm->tm", X, X) / n
-
-    values = np.zeros((M, T))
-    resid = Y.copy()
-    trace = [_lasso_objective(resid, values, lam, n, T)]
-
-    iterations = 0
-    converged = False
-    kkt = _lasso_kkt(_correlation(X, resid), values, lam)
-    while True:
-        if kkt <= kkt_tolerance:
-            converged = True
-            break
-        if iterations >= max_iterations:
-            break
-        for t in range(T):
-            Xt = X[t]
-            rt = resid[t]
-            for j in range(M):
-                d = diag[t, j]
-                if d == 0.0:
-                    continue
-                col = Xt[:, j]
-                z = col @ rt / n + d * values[j, t]
-                new = _soft(z, thresh) / d
-                delta = new - values[j, t]
-                if delta != 0.0:
-                    rt -= col * delta
-                    values[j, t] = new
-        iterations += 1
-        resid = _residual(X, Y, values)
-        trace.append(_lasso_objective(resid, values, lam, n, T))
-        _check_descent(trace)
-        kkt = _lasso_kkt(_correlation(X, resid), values, lam)
-
-    return SolveResult(
-        beta_hat=GroupCoefficients(values),
-        iterations=iterations,
-        kkt_residual=float(kkt),
-        objective_trace=tuple(trace),
-        converged=converged,
+    config = SolverConfig(
+        lam=lam, max_iterations=max_iterations, kkt_tolerance=kkt_tolerance
     )
+    thresh = lam * data.T
+    diag = np.einsum("tnm,tnm->mt", data.designs, data.designs) / data.n
+    # An all-zero column has c = 0 and d = 0, so z = 0, and dividing by 1
+    # in place of d keeps its coefficient at 0.
+    divisor = np.where(diag > 0, diag, 1.0)
 
+    def entrywise_update(j, c, row):
+        z = c + diag[j] * row
+        # z minus its clip to [-thresh, thresh] is the soft threshold.
+        return (z - np.minimum(np.maximum(z, -thresh), thresh)) / divisor[j]
 
-def _soft(z, tau):
-    if z > tau:
-        return z - tau
-    if z < -tau:
-        return z + tau
-    return 0.0
-
-
-def _lasso_objective(resid, values, lam, n, T):
-    fit = float(np.sum(resid * resid) / (n * T))
-    return fit + 2.0 * lam * float(np.sum(np.abs(values)))
-
-
-def _lasso_kkt(corr, values, lam):
-    active = values != 0.0
-    worst = 0.0
-    if np.any(active):
-        gap = np.abs(corr[active] - lam * np.sign(values[active]))
-        worst = float(np.max(gap))
-    if np.any(~active):
-        slack = np.abs(corr[~active]) - lam
-        worst = max(worst, float(np.max(np.maximum(slack, 0.0))))
-    return worst
-
-
-def lasso_kkt_residual(data, beta, lam):
-    """Entrywise optimality residual for the plain-Lasso objective."""
-    if not lam > 0:
-        raise ValueError(f"penalty level must be positive, got {lam}")
-    values = beta.values
-    if values.shape != (data.M, data.T):
-        raise ValueError(
-            f"coefficients {values.shape} do not match dataset (M={data.M}, T={data.T})"
-        )
-    return _lasso_kkt(_correlations(data, values), values, lam)
+    sweep = _working_set_sweep(data, lam, 1, entrywise_update)
+    return _descend(data, config, 1, sweep)

@@ -287,6 +287,22 @@ def test_check_rejects_bad_settings(tmp_path, capsys, flag, value, message):
     assert err.startswith(message)
 
 
+@pytest.mark.parametrize("re_samples", ["0", "5"])
+def test_check_rejects_sparsity_above_M(tmp_path, capsys, re_samples):
+    config = _write(tmp_path / "gen.cfg", GEN_CONFIG)
+    data_dir = tmp_path / "data"
+    _run(capsys, "gen", "--config", config, "--out", str(data_dir))
+    code, out, err = _run(
+        capsys, "check", "--data", str(data_dir / "manifest.txt"),
+        "--s", "9", "--alpha", "2", "--re-samples", re_samples,
+        "--out", str(tmp_path / "chk"),
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: sparsity s must be in 1..M=8, got 9")
+    assert not (tmp_path / "chk" / "report.txt").exists()
+
+
 def test_check_zero_re_samples_skips_estimate(tmp_path, capsys):
     config = _write(tmp_path / "gen.cfg", GEN_CONFIG)
     data_dir = tmp_path / "data"

@@ -463,6 +463,75 @@ def test_lasso_handles_unnormalized_columns():
     assert lasso_kkt_residual(data, res.beta_hat, 0.1) <= 1e-8
 
 
+def _cyclic_entrywise_reference(data, lam, kkt_tolerance=1e-8, max_sweeps=5000):
+    """Plain entrywise-Lasso coordinate descent: for each task t, every
+    sweep updates all M coordinates with one scalar soft-threshold each,
+    dividing by the column's Gram diagonal and skipping zero columns; it
+    stops on the entrywise KKT residual of a residual rebuilt per sweep."""
+    X, Y = data.designs, data.responses
+    n, T, M = data.n, data.T, data.M
+    thresh = lam * T
+    diag = np.einsum("tnm,tnm->tm", X, X) / n
+    values = np.zeros((M, T))
+    resid = Y.copy()
+    for _ in range(max_sweeps):
+        corr = np.einsum("tnm,tn->mt", X, resid) / (n * T)
+        active_gap = np.abs(corr - lam * np.sign(values))
+        zero_gap = np.maximum(np.abs(corr) - lam, 0.0)
+        if np.max(np.where(values != 0.0, active_gap, zero_gap)) <= kkt_tolerance:
+            return values
+        for t in range(T):
+            rt = resid[t]
+            for j in range(M):
+                d = diag[t, j]
+                if d == 0.0:
+                    continue
+                col = X[t, :, j]
+                z = col @ rt / n + d * values[j, t]
+                if z > thresh:
+                    new = (z - thresh) / d
+                elif z < -thresh:
+                    new = (z + thresh) / d
+                else:
+                    new = 0.0
+                delta = new - values[j, t]
+                if delta != 0.0:
+                    rt -= col * delta
+                    values[j, t] = new
+        resid = Y - np.einsum("tnm,mt->tn", X, values)
+    raise AssertionError("reference entrywise descent did not converge")
+
+
+def _lasso_objective(data, values, lam):
+    fits = np.einsum("tnm,mt->tn", data.designs, values)
+    fit = np.sum((fits - data.responses) ** 2) / (data.n * data.T)
+    return float(fit + 2.0 * lam * np.sum(np.abs(values)))
+
+
+@pytest.mark.parametrize("T", [1, 3])
+@pytest.mark.parametrize("fraction", [0.5, 0.2, 0.08])
+def test_lasso_matches_cyclic_reference_with_scaled_and_zero_columns(T, fraction):
+    rng = np.random.default_rng(12)
+    X = _normalized_design(rng, T, 30, 12)
+    X[:, :, 2] *= 4.0          # d_jt = 16
+    # d_jt = 0 in the last task only, so at T = 3 the sweep visits row 7
+    # for the other tasks and the zero column's coefficient must stay 0.
+    X[-1, :, 7] = 0.0
+    data = MultiTaskDataset(X, rng.standard_normal((T, 30)))
+    corr = np.einsum("tnm,tn->mt", data.designs, data.responses) / (data.n * T)
+    lam = fraction * float(np.max(np.abs(corr)))
+    expected = _cyclic_entrywise_reference(data, lam)
+    res = solve_lasso_baseline(data, lam, max_iterations=5000)
+    assert res.converged
+    assert res.beta_hat.values[7, -1] == 0.0
+    assert np.any(res.beta_hat.values[2])
+    np.testing.assert_allclose(res.beta_hat.values, expected, rtol=0, atol=1e-7)
+    assert _lasso_objective(data, res.beta_hat.values, lam) == pytest.approx(
+        _lasso_objective(data, expected, lam), rel=1e-9
+    )
+    assert lasso_kkt_residual(data, res.beta_hat, lam) <= 1e-8
+
+
 def test_solution_support_is_sane():
     rng = np.random.default_rng(10)
     data = _dataset(rng, T=4, n=40, M=12, orthogonal=True)
