@@ -133,6 +133,11 @@ def _quotient(data, values, support_idx):
     return num / den
 
 
+# Relative tolerance of the rank checks in _least_squares_completion:
+# past it a normal-equation solve has lost half of its digits.
+_RANK_TOL = float(np.sqrt(np.finfo(float).eps))
+
+
 def _least_squares_completion(X_o, X_s, K, u):
     """Per task, the minimum-norm w_t minimising ||u_t + X_o,t w_t||;
     returns w with shape (others, T).
@@ -142,8 +147,15 @@ def _least_squares_completion(X_o, X_s, K, u):
     (X_o X_o^T) z = -u, with X_o X_o^T = K - X_s X_s^T downdated from
     K = X X^T by the support columns X_s, and takes w = X_o^T z; a tall
     block solves (X_o^T X_o) w = -X_o^T u.  Both are the least-squares
-    solution when X_o has full rank.  A singular block (LinAlgError or
-    a non-finite w) falls back to LAPACK's SVD least squares per task.
+    solution when X_o has full rank, and the solve is trusted only when
+    X_o numerically has it.  A wide block of full row rank leaves no
+    residual, so u + X_o w must vanish to within sqrt(eps) * ||u||.  A
+    tall block's Gram must have Cholesky pivots L_ii^2 of at least
+    sqrt(eps) times its largest diagonal entry; a pivot bounds the
+    smallest eigenvalue from above, so a small one certifies
+    near-collinear columns.  An untrusted block, a singular Gram
+    (LinAlgError) or a non-finite w falls back to LAPACK's SVD least
+    squares per task.
     """
     rhs = -u[..., None]
     X_oT = X_o.transpose(0, 2, 1)
@@ -151,9 +163,17 @@ def _least_squares_completion(X_o, X_s, K, u):
         if X_o.shape[2] >= X_o.shape[1]:
             gram = K - np.matmul(X_s, X_s.transpose(0, 2, 1))
             w = np.matmul(X_oT, np.linalg.solve(gram, rhs))
+            residual = u + np.matmul(X_o, w)[..., 0]
+            trusted = np.all(
+                np.linalg.norm(residual, axis=1) <= _RANK_TOL * np.linalg.norm(u, axis=1)
+            )
         else:
-            w = np.linalg.solve(np.matmul(X_oT, X_o), np.matmul(X_oT, rhs))
-        if np.all(np.isfinite(w)):
+            gram = np.matmul(X_oT, X_o)
+            pivots = np.diagonal(np.linalg.cholesky(gram), axis1=1, axis2=2) ** 2
+            scale = np.diagonal(gram, axis1=1, axis2=2).max(axis=1)
+            trusted = np.all(pivots.min(axis=1) >= _RANK_TOL * scale)
+            w = np.linalg.solve(gram, np.matmul(X_oT, rhs))
+        if trusted and np.all(np.isfinite(w)):
             return w[..., 0].T
     except np.linalg.LinAlgError:
         pass
@@ -183,9 +203,9 @@ def minimize_re_quotient(data, s, samples, seed):
     The least-squares resolve is one batched solve over all T tasks on
     the smaller Gram of the off-support block X_o (see
     ``_least_squares_completion``), which costs s * samples such solves
-    in all; only a block whose solve fails (a singular Gram or a
-    non-finite solution) falls back to LAPACK's SVD least squares, task
-    by task.
+    in all; only a block whose solve fails or cannot be trusted (a
+    numerically rank-deficient block, a singular Gram or a non-finite
+    solution) falls back to LAPACK's SVD least squares, task by task.
     """
     M, T = data.M, data.T
     _validate_sparsity_range(s, M)

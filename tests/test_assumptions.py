@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mtgl.assumptions import (
+    _least_squares_completion,
     _quotient,
     coherence_admissible,
     gram_diagnostics,
@@ -466,6 +467,36 @@ def test_re_probe_matches_lstsq_reference_on_duplicate_columns(monkeypatch):
     )
     assert calls > 0
     assert probe.ratio == pytest.approx(reference[0], rel=0.0, abs=1e-14)
+
+
+def _near_collinear_design(n, M, T, delta, seed):
+    """Unit-column Gaussian design whose columns 0 and 1 differ by delta."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((T, n, M))
+    X[:, :, 1] = X[:, :, 0] + delta * rng.standard_normal((T, n))
+    return X * (math.sqrt(n) / np.linalg.norm(X, axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("n, others, delta", [
+    (40, 10, 1e-6),   # tall block: X_o^T X_o has a pivot of about delta^2
+    (40, 10, 1e-9),   # tall block whose Gram is numerically indefinite
+    (20, 20, 1e-9),   # square block: X_o X_o^T is numerically singular
+    (20, 20, 0.0),    # exact duplicates whose Gram LU meets no zero pivot
+])
+def test_completion_falls_back_on_near_collinear_off_support_columns(
+    n, others, delta, monkeypatch
+):
+    X = _near_collinear_design(n, others + 2, 3, delta, 1)
+    X_o, X_s = X[:, :, :others], X[:, :, others:]
+    u = np.random.default_rng(2).standard_normal((3, n))
+    K = np.matmul(X, X.transpose(0, 2, 1))
+    reference = np.column_stack(
+        [np.linalg.lstsq(x, -r, rcond=None)[0] for x, r in zip(X_o, u)]
+    )
+    calls = _count_lstsq(monkeypatch)
+    w = _least_squares_completion(X_o, X_s, K, u)
+    assert len(calls) == 3
+    np.testing.assert_allclose(w, reference, rtol=1e-12, atol=0.0)
 
 
 @st.composite
