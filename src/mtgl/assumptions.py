@@ -140,7 +140,7 @@ _RANK_TOL = float(np.sqrt(np.finfo(float).eps))
 
 def _least_squares_completion(X_o, X_s, K, u):
     """Per task, the minimum-norm w_t minimising ||u_t + X_o,t w_t||;
-    returns w with shape (others, T).
+    returns w with shape (others, T) and the products X_o,t w_t, (T, n).
 
     One batched solve on the smaller Gram of the off-support block X_o
     (T, n, others).  A wide block (others >= n) solves
@@ -163,9 +163,9 @@ def _least_squares_completion(X_o, X_s, K, u):
         if X_o.shape[2] >= X_o.shape[1]:
             gram = K - np.matmul(X_s, X_s.transpose(0, 2, 1))
             w = np.matmul(X_oT, np.linalg.solve(gram, rhs))
-            residual = u + np.matmul(X_o, w)[..., 0]
+            image = np.matmul(X_o, w)[..., 0]
             trusted = np.all(
-                np.linalg.norm(residual, axis=1) <= _RANK_TOL * np.linalg.norm(u, axis=1)
+                np.linalg.norm(u + image, axis=1) <= _RANK_TOL * np.linalg.norm(u, axis=1)
             )
         else:
             gram = np.matmul(X_oT, X_o)
@@ -173,13 +173,15 @@ def _least_squares_completion(X_o, X_s, K, u):
             scale = np.diagonal(gram, axis1=1, axis2=2).max(axis=1)
             trusted = np.all(pivots.min(axis=1) >= _RANK_TOL * scale)
             w = np.linalg.solve(gram, np.matmul(X_oT, rhs))
+            image = np.matmul(X_o, w)[..., 0]
         if trusted and np.all(np.isfinite(w)):
-            return w[..., 0].T
+            return w[..., 0].T, image
     except np.linalg.LinAlgError:
         pass
-    return np.column_stack(
+    w = np.column_stack(
         [np.linalg.lstsq(x, r, rcond=None)[0] for x, r in zip(X_o, -u)]
     )
+    return w, np.einsum("tnj,jt->tn", X_o, w)
 
 
 def _validate_sparsity_range(s, M):
@@ -253,11 +255,10 @@ def minimize_re_quotient(data, s, samples, seed):
 
                 # Least-squares polish: best off-support completion for
                 # this D_J, pulled back into the cone if it overshoots.
-                w = _least_squares_completion(X_o, X_s, K, u)
+                w, vw = _least_squares_completion(X_o, X_s, K, u)
                 l21_w = float(np.sum(np.linalg.norm(w, axis=1)))
                 if l21_w > 0.0:
                     rho = min(1.0, 3.0 * l21_sup / l21_w)
-                    vw = np.einsum("tnj,jt->tn", X_o, w)
                     diff = u + rho * vw
                     q_val = float(np.sum(diff * diff))
                     candidates.append(

@@ -2,11 +2,13 @@
 error bounds, the support-recovery guarantees, and the single-task
 baseline comparison.
 
-Replicate r of a run seeded with ``seed`` draws everything from streams
-derived from (seed, r), and results are aggregated in replicate order,
-so reports are bit-for-bit reproducible no matter how many worker
-threads execute the replicates.  Replicates whose solver fails to
-converge are reported as such, never dropped.
+Every replicate draws from its own streams: oracle replicate r from
+(seed, r), selection replicate r its data from (seed, r, 0) and its truth
+from (seed, r, 1), and comparison replicate r at T tasks from
+(seed, T, r).  Results are aggregated in that key order, so reports are
+bit-for-bit reproducible no matter how many worker threads execute the
+replicates.  Replicates whose solver fails to converge are reported as
+such, never dropped.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .assumptions import (
     gram_diagnostics,
     re_lower_bound_from_coherence,
 )
-from .model import group_support
+from .model import GroupCoefficients, group_support, mixed_norm
 from .regularization import (
     FINITE_VARIANCE,
     GAUSSIAN,
@@ -294,19 +296,23 @@ def _bound_lhs(name, metrics, p_values):
     raise KeyError(name)
 
 
+def _prediction_error(X, diff):
+    """(1/(nT)) * sum_t ||X_t d_t||^2 for the coefficient error d, and
+    the fits X_t d_t it is computed from."""
+    fits = np.einsum("tnm,mt->tn", X, diff)
+    return float(np.sum(fits * fits) / fits.size), fits
+
+
 def _error_metrics(r, dataset, beta_star, result, config, diag):
     X = dataset.designs
-    n, T = dataset.n, dataset.T
     diff = result.beta_hat.values - beta_star.values
-    fits = np.einsum("tnm,mt->tn", X, diff)
-    prediction = float(np.sum(fits * fits) / (n * T))
+    prediction, fits = _prediction_error(X, diff)
     row_norms = np.linalg.norm(diff, axis=1)
-    rt = math.sqrt(T)
-    gram_rows = np.einsum("tnm,tn->mt", X, fits) / (n * T)
+    rt = math.sqrt(dataset.T)
+    gram_rows = np.einsum("tnm,tn->mt", X, fits) / fits.size
     correlation = float(np.max(np.linalg.norm(gram_rows, axis=1)))
-    err2p = tuple(
-        float(np.sum(row_norms**p) ** (1.0 / p)) / rt for p in config.p_values
-    )
+    diff_groups = GroupCoefficients(diff)
+    err2p = tuple(mixed_norm(diff_groups, p) / rt for p in config.p_values)
     m_hat = len(group_support(result.beta_hat, _MHAT_TOL[config.algorithm]))
     return ReplicateMetrics(
         replicate=r,
@@ -359,9 +365,9 @@ def _resolve_kappas(config):
     return config.kappa, config.kappa2s
 
 
-def _solver_config(config):
+def _solver_config(config, lam):
     return SolverConfig(
-        lam=config.plan.lam,
+        lam=lam,
         algorithm=config.algorithm,
         max_iterations=config.max_iterations,
         kkt_tolerance=config.kkt_tolerance,
@@ -398,11 +404,12 @@ def _diagnose(config, r, dataset, certify):
     return diag
 
 
-def _run_replicates(config, worker):
+def _run_replicates(config, keys, worker):
+    """worker(key) for every key, in key order, on config.threads threads."""
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            return list(pool.map(worker, range(config.replicates)))
-    return [worker(r) for r in range(config.replicates)]
+            return list(pool.map(worker, keys))
+    return [worker(key) for key in keys]
 
 
 def _frequency_check(name, rhs, holds, required):
@@ -421,18 +428,6 @@ def _frequency_check(name, rhs, holds, required):
     )
 
 
-def _coverage_checks(names, rows, p_values, required, rhs_max):
-    return [
-        _frequency_check(
-            name,
-            rhs_max[name],
-            [bool(_bound_lhs(name, m, p_values) <= rhs[name]) for m, rhs in rows],
-            required,
-        )
-        for name in names
-    ]
-
-
 def _required_confidence(config, metrics):
     plan = config.plan
     if plan.regime == GAUSSIAN:
@@ -441,34 +436,44 @@ def _required_confidence(config, metrics):
     return finite_variance_confidence(plan.M, plan.delta, worst_c_prime)
 
 
-def run_oracle_experiment(config):
-    """Coverage of the estimation-error bounds over fresh replicates."""
-    plan = config.plan
-    s = config.signal.s
-    if s < 1:
-        raise ValueError("oracle experiments need at least one active group")
-    kappa, kappa2s = _resolve_kappas(config)
-    certify = config.kappa_source == "coherence-lemma"
-    solver_cfg = _solver_config(config)
+def _run_bound_experiment(kind, config, kappas, certify, draw, score=None):
+    """Monte Carlo runner of the oracle and selection runs.  Replicate r
+    draws ``(dataset, beta_star) = draw(r)`` and is diagnosed, solved and
+    scored; a selection run's ``score(metrics, beta_star, result)`` adds
+    the support and sign outcomes, whose recovery rates are checked too."""
+    kappa, kappa2s = kappas
+    solver_cfg = _solver_config(config, config.plan.lam)
 
     def worker(r):
-        dataset, beta_star = generate_dataset(
-            config.design, config.signal, config.noise, [config.seed, r]
-        )
+        dataset, beta_star = draw(r)
         diag = _diagnose(config, r, dataset, certify)
         result = solve_group_lasso(dataset, solver_cfg)
         metrics = _error_metrics(r, dataset, beta_star, result, config, diag)
+        if score is not None:
+            metrics = score(metrics, beta_star, result)
         phi = config.phi_max if config.phi_max is not None else diag.phi_max
         return metrics, _replicate_rhs(config, metrics, phi, kappa, kappa2s)
 
-    rows = _run_replicates(config, worker)
+    rows = _run_replicates(config, range(config.replicates), worker)
     metrics = tuple(m for m, _ in rows)
-    names = list(rows[0][1].keys())
-    rhs_max = {name: max(rhs[name] for _, rhs in rows) for name in names}
     required, vacuous = _required_confidence(config, metrics)
-    checks = _coverage_checks(names, rows, config.p_values, required, rhs_max)
+    checks = [
+        _frequency_check(
+            name,
+            max(rhs[name] for _, rhs in rows),
+            [bool(_bound_lhs(name, m, config.p_values) <= rhs[name]) for m, rhs in rows],
+            required,
+        )
+        for name in rows[0][1]
+    ]
+    if score is not None:
+        for name, holds in (
+            ("support_recovery", [m.support_exact for m in metrics]),
+            ("sign_recovery", [m.sign_exact for m in metrics]),
+        ):
+            checks.append(_frequency_check(name, None, holds, required))
     return ExperimentReport(
-        kind="oracle",
+        kind=kind,
         replicates=config.replicates,
         metrics=metrics,
         bounds=tuple(checks),
@@ -478,30 +483,36 @@ def run_oracle_experiment(config):
     )
 
 
+def run_oracle_experiment(config):
+    """Coverage of the estimation-error bounds over fresh replicates."""
+    if config.signal.s < 1:
+        raise ValueError("oracle experiments need at least one active group")
+
+    kappas = _resolve_kappas(config)
+
+    def draw(r):
+        return generate_dataset(
+            config.design, config.signal, config.noise, [config.seed, r]
+        )
+
+    certify = config.kappa_source == "coherence-lemma"
+    return _run_bound_experiment("oracle", config, kappas, certify, draw)
+
+
 def run_selection_experiment(config):
     """Support and sign recovery with the thresholded selector."""
     plan = config.plan
-    s = config.signal.s
     if config.alpha is None or not config.alpha > 1:
         raise ValueError("selection experiments need alpha > 1 for the threshold")
     if config.margin is None or not config.margin > 2:
         raise ValueError(
             f"selection experiments need a beta-min margin > 2, got {config.margin}"
         )
-    kappa, kappa2s = _resolve_kappas(config)
+    kappas = _resolve_kappas(config)
     c = threshold_constant_c(config.alpha, plan.sigma, plan.regime)
-    tau = selection_threshold(
-        c, plan.n, plan.M, plan.T, plan.A, plan.regime, plan.delta
-    )
+    tau = selection_threshold(c, plan.n, plan.M, plan.T, plan.A, plan.regime, plan.delta)
 
-    # Orthogonal designs satisfy the coherence condition for every alpha;
-    # anything else must be certified before solving.
-    certify = (
-        config.design.kind != "orthogonal" and config.kappa_source == "coherence-lemma"
-    )
-    solver_cfg = _solver_config(config)
-
-    def worker(r):
+    def draw(r):
         beta_star = generate_beta_for_selection(
             config.signal, tau, config.margin, plan.M, plan.T, [config.seed, r, 1]
         )
@@ -509,43 +520,24 @@ def run_selection_experiment(config):
             config.design, config.signal, config.noise, [config.seed, r, 0],
             beta_star=beta_star,
         )
-        diag = _diagnose(config, r, dataset, certify)
-        result = solve_group_lasso(dataset, solver_cfg)
-        metrics = _error_metrics(r, dataset, beta_star, result, config, diag)
+        return dataset, beta_star
 
+    def score(metrics, beta_star, result):
         truth_pattern = group_support(beta_star, 0.0)
         selected = select_support(result.beta_hat, tau, truth_pattern)
         exact, _, _ = score_selection(selected)
         averages = average_sign_estimate(result.beta_hat, tau)
         true_signs = tuple(int(x) for x in np.sign(np.mean(beta_star.values, axis=1)))
-        metrics = replace(
+        return replace(
             metrics, support_exact=exact, sign_exact=averages.signs == true_signs
         )
 
-        phi = config.phi_max if config.phi_max is not None else diag.phi_max
-        return metrics, _replicate_rhs(config, metrics, phi, kappa, kappa2s)
-
-    rows = _run_replicates(config, worker)
-    metrics = tuple(m for m, _ in rows)
-    names = list(rows[0][1].keys())
-    rhs_max = {name: max(rhs[name] for _, rhs in rows) for name in names}
-    required, vacuous = _required_confidence(config, metrics)
-    checks = _coverage_checks(names, rows, config.p_values, required, rhs_max)
-
-    for name, holds in (
-        ("support_recovery", [m.support_exact for m in metrics]),
-        ("sign_recovery", [m.sign_exact for m in metrics]),
-    ):
-        checks.append(_frequency_check(name, None, holds, required))
-    return ExperimentReport(
-        kind="selection",
-        replicates=config.replicates,
-        metrics=metrics,
-        bounds=tuple(checks),
-        n_converged=sum(m.converged for m in metrics),
-        required_confidence=required,
-        confidence_vacuous=vacuous,
+    # Orthogonal designs satisfy the coherence condition for every alpha;
+    # anything else must be certified before solving.
+    certify = (
+        config.design.kind != "orthogonal" and config.kappa_source == "coherence-lemma"
     )
+    return _run_bound_experiment("selection", config, kappas, certify, draw, score)
 
 
 def run_lasso_comparison(config, T_grid):
@@ -553,7 +545,8 @@ def run_lasso_comparison(config, T_grid):
 
     The grid must be increasing; the group estimator is expected to pull
     ahead as tasks accumulate (nonincreasing mean-error ratio, and a win
-    rate of at least 90% at the largest T).
+    rate of at least 90% at the largest T).  Every (T, replicate) pair
+    is one job of the same pool.
     """
     grid = [int(T) for T in T_grid]
     if not grid or any(T < 1 for T in grid):
@@ -569,77 +562,58 @@ def run_lasso_comparison(config, T_grid):
     if plan.regime != GAUSSIAN:
         raise ValueError("the baseline comparison is defined for the gaussian regime")
 
-    rows = []
-    summaries = []
+    # per T: the design, the group solver's config and the plain-Lasso lambda
+    setups = {}
     for T in grid:
-        design_t = replace(config.design, T=T)
         plan_t = RegularizationPlan.gaussian(
             plan.sigma, plan.n, T, plan.M, plan.A,
             allow_outside_theory=plan.outside_theory,
         )
-        lam_plain = (
-            config.lasso_constant
-            * plan.sigma
-            * math.sqrt(math.log(plan.M * T) / (plan.n * T))
+        lam_plain = config.lasso_constant * plan.sigma * math.sqrt(
+            math.log(plan.M * T) / (plan.n * T)
         )
-        group_cfg = SolverConfig(
-            lam=plan_t.lam,
-            algorithm=config.algorithm,
+        design_t = replace(config.design, T=T)
+        setups[T] = (design_t, _solver_config(config, plan_t.lam), lam_plain)
+
+    def worker(key):
+        T, r = key
+        design_t, group_cfg, lam_plain = setups[T]
+        dataset, beta_star = generate_dataset(
+            design_t, config.signal, config.noise, [config.seed, T, r]
+        )
+        group = solve_group_lasso(dataset, group_cfg)
+        plain = solve_lasso_baseline(
+            dataset, lam_plain,
             max_iterations=config.max_iterations,
             kkt_tolerance=config.kkt_tolerance,
         )
+        X = dataset.designs
+        errors = [
+            _prediction_error(X, fit.beta_hat.values - beta_star.values)[0]
+            for fit in (group, plain)
+        ]
+        return ComparisonReplicate(T, r, *errors, group.converged, plain.converged)
 
-        def worker(r, design_t=design_t, group_cfg=group_cfg, lam_plain=lam_plain, T=T):
-            dataset, beta_star = generate_dataset(
-                design_t, config.signal, config.noise, [config.seed, T, r]
-            )
-            group = solve_group_lasso(dataset, group_cfg)
-            plain = solve_lasso_baseline(
-                dataset, lam_plain,
-                max_iterations=config.max_iterations,
-                kkt_tolerance=config.kkt_tolerance,
-            )
-            X = dataset.designs
-            scale = dataset.n * T
-
-            def pred_err(beta_hat):
-                diff = beta_hat.values - beta_star.values
-                fit = np.einsum("tnm,mt->tn", X, diff)
-                return float(np.sum(fit * fit) / scale)
-
-            return ComparisonReplicate(
-                T=T,
-                replicate=r,
-                group_error=pred_err(group.beta_hat),
-                plain_error=pred_err(plain.beta_hat),
-                group_converged=group.converged,
-                plain_converged=plain.converged,
-            )
-
-        results = _run_replicates(config, worker)
-        rows.extend(results)
-        mean_group = sum(row.group_error for row in results) / len(results)
-        mean_plain = sum(row.plain_error for row in results) / len(results)
+    R = config.replicates
+    rows = _run_replicates(config, [(T, r) for T in grid for r in range(R)], worker)
+    summaries = []
+    for i, T in enumerate(grid):
+        results = rows[i * R:(i + 1) * R]
+        _, group_cfg, lam_plain = setups[T]
+        mean_group = sum(row.group_error for row in results) / R
+        mean_plain = sum(row.plain_error for row in results) / R
         wins = sum(row.group_error <= row.plain_error for row in results)
-        summaries.append(
-            ComparisonRow(
-                T=T,
-                lam_group=plan_t.lam,
-                lam_plain=lam_plain,
-                mean_group_error=mean_group,
-                mean_plain_error=mean_plain,
-                ratio=mean_group / mean_plain,
-                win_rate=wins / len(results),
-            )
-        )
+        summaries.append(ComparisonRow(
+            T, group_cfg.lam, lam_plain, mean_group, mean_plain,
+            mean_group / mean_plain, wins / R,
+        ))
 
-    converged = sum(row.group_converged and row.plain_converged for row in rows)
     return ExperimentReport(
         kind="lasso-comparison",
-        replicates=config.replicates,
+        replicates=R,
         metrics=(),
         bounds=(),
         comparison=tuple(summaries),
         comparison_rows=tuple(rows),
-        n_converged=converged,
+        n_converged=sum(row.group_converged and row.plain_converged for row in rows),
     )

@@ -494,9 +494,10 @@ def test_completion_falls_back_on_near_collinear_off_support_columns(
         [np.linalg.lstsq(x, -r, rcond=None)[0] for x, r in zip(X_o, u)]
     )
     calls = _count_lstsq(monkeypatch)
-    w = _least_squares_completion(X_o, X_s, K, u)
+    w, image = _least_squares_completion(X_o, X_s, K, u)
     assert len(calls) == 3
     np.testing.assert_allclose(w, reference, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(image, np.einsum("tnj,jt->tn", X_o, w), rtol=1e-12, atol=0.0)
 
 
 @st.composite

@@ -392,8 +392,35 @@ def test_experiment_unknown_kind_and_key(tmp_path, capsys):
     assert code == 1 and "T_grid" in err  # only lasso-comparison reads T_grid
 
 
-def test_experiment_thread_count_does_not_change_outputs(tmp_path, capsys, monkeypatch):
-    config = _write(tmp_path / "exp.cfg", ORACLE_CONFIG)
+SELECTION_CONFIG = ORACLE_CONFIG.replace("kind=oracle", "kind=selection") + """\
+alpha=8
+margin=2.5
+p_values=1,2,4
+"""
+
+COMPARISON_CONFIG = """\
+kind=lasso-comparison
+design_kind=gaussian-iid
+n=40
+M=8
+T=1
+signal_s=2
+A=9
+replicates=3
+seed=0
+T_grid=1,4
+"""
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(ORACLE_CONFIG, id="oracle"),
+    pytest.param(SELECTION_CONFIG, id="selection"),
+    pytest.param(COMPARISON_CONFIG, id="lasso-comparison"),
+])
+def test_experiment_thread_count_does_not_change_outputs(
+    text, tmp_path, capsys, monkeypatch
+):
+    config = _write(tmp_path / "exp.cfg", text)
     outputs = {}
     for threads in ("1", "2"):
         monkeypatch.setenv("MTGL_THREADS", threads)

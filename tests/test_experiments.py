@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from mtgl import experiments
@@ -14,7 +15,8 @@ from mtgl.experiments import (
     run_selection_experiment,
 )
 from mtgl.regularization import RegularizationPlan
-from mtgl.synth import DesignSpec, NoiseSpec, SignalSpec
+from mtgl.solver import SolverConfig, solve_group_lasso
+from mtgl.synth import DesignSpec, NoiseSpec, SignalSpec, generate_dataset
 
 # Oracle for the frozen values below: direct evaluation of the stated
 # closed-form right sides (sigma=1, n=64, M=32, T=9, A=9, s=4, all
@@ -162,6 +164,16 @@ def test_oracle_experiment_noiseless_coverage():
         assert m.correlation_stat == pytest.approx(lam, rel=1e-10)
         assert m.err_21 == pytest.approx(2 * lam * math.sqrt(config.plan.T), rel=1e-10)
     assert all(check.coverage == 1.0 for check in report.bounds)
+
+
+def test_err2p_at_infinity_is_the_supnorm_error():
+    # p = inf is the largest group error, not the limit of the finite-p
+    # formula sum(g**p)**(1/p), which reads 1/sqrt(T) whatever the estimate
+    report = run_oracle_experiment(_small_config(p_values=(2.0, math.inf)))
+    for m in report.metrics:
+        assert m.err_2p[1] == m.err_2inf
+        assert m.err_2p[0] == pytest.approx(m.err_2, rel=1e-12)
+    assert report.metrics[0].err_2inf != 1.0 / math.sqrt(4)
 
 
 def test_oracle_experiment_deterministic_and_thread_invariant():
@@ -330,6 +342,29 @@ def test_comparison_runs_and_reports():
     assert report.n_converged == 10
     # rerun is bit-identical
     assert run_lasso_comparison(config, (1, 4)) == report
+
+
+def test_comparison_replicates_draw_from_task_count_keyed_streams():
+    config = _small_config(
+        design=DesignSpec(kind="gaussian-iid", n=40, M=8, T=1),
+        plan=RegularizationPlan.gaussian(1.0, 40, 1, 8, 9.0),
+        replicates=3,
+        seed=5,
+        threads=2,
+    )
+    report = run_lasso_comparison(config, (1, 4))
+    assert [(row.T, row.replicate) for row in report.comparison_rows] == [
+        (T, r) for T in (1, 4) for r in range(3)
+    ]
+    row = report.comparison_rows[4]
+    dataset, beta_star = generate_dataset(
+        DesignSpec(kind="gaussian-iid", n=40, M=8, T=4), config.signal,
+        config.noise, [5, 4, 1],
+    )
+    lam = report.comparison[1].lam_group
+    beta_hat = solve_group_lasso(dataset, SolverConfig(lam=lam)).beta_hat
+    fits = np.einsum("tnm,mt->tn", dataset.designs, beta_hat.values - beta_star.values)
+    assert row.group_error == np.sum(fits * fits) / (40 * 4)
 
 
 def _comparison_report(rows):
