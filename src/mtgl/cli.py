@@ -228,14 +228,13 @@ def _cmd_gen(args):
 
 def _cmd_solve(args):
     started = time.monotonic()
-    dataset = read_dataset(args.data)
     config = SolverConfig(
         lam=args.lam,
         algorithm=args.algorithm,
         max_iterations=args.max_iter,
         kkt_tolerance=args.tol,
     )
-    result = solve_group_lasso(dataset, config)
+    result = solve_group_lasso(read_dataset(args.data), config)
 
     os.makedirs(args.out, exist_ok=True)
     beta_path = os.path.join(args.out, "beta_hat.csv")
@@ -264,6 +263,13 @@ def _cmd_solve(args):
     return 0
 
 
+def _threshold(args):
+    """(c, tau) from the flags that ``_add_threshold_flags`` registers."""
+    c = threshold_constant_c(args.alpha, args.sigma, args.regime)
+    tau = selection_threshold(c, args.n, args.M, args.T, args.A, args.regime, args.delta)
+    return c, tau
+
+
 def _resolve_tau(args):
     if args.tau is not None:
         if not args.tau > 0:
@@ -275,10 +281,7 @@ def _resolve_tau(args):
             "pass --tau directly, or --sigma --alpha --n --M "
             "(plus --T and --A for the gaussian regime, --delta for finite-variance)"
         )
-    c = threshold_constant_c(args.alpha, args.sigma, args.regime)
-    return selection_threshold(
-        c, args.n, args.M, args.T, args.A, args.regime, args.delta
-    )
+    return _threshold(args)[1]
 
 
 def _cmd_select(args):
@@ -354,6 +357,8 @@ def _cmd_check(args):
 
 
 def _cmd_bounds(args):
+    if args.p and args.regime != GAUSSIAN:
+        raise ValueError("--p: the c1 constants are defined for the gaussian regime only")
     pairs = []
     if args.regime == GAUSSIAN:
         if args.A is None:
@@ -371,10 +376,7 @@ def _cmd_bounds(args):
             )
             pairs += [("confidence", confidence), ("confidence_vacuous", vacuous)]
     if args.alpha is not None:
-        c = threshold_constant_c(args.alpha, args.sigma, args.regime)
-        tau = selection_threshold(
-            c, args.n, args.M, args.T, args.A, args.regime, args.delta
-        )
+        c, tau = _threshold(args)
         pairs += [("c", c), ("tau", tau)]
         for p in args.p:
             pairs.append((f"c1_{p:g}", norm_bound_constant_c1(args.alpha, p)))
@@ -596,6 +598,19 @@ def _cmd_experiment(args):
 # ---------------------------------------------------------------------------
 # parser
 
+def _add_threshold_flags(p, required):
+    """The flags ``select`` and ``bounds`` share; ``bounds`` requires the
+    noise level and problem sizes."""
+    p.add_argument("--regime", default=GAUSSIAN, choices=list(REGIMES))
+    p.add_argument("--sigma", type=float, required=required)
+    p.add_argument("--n", type=int, required=required)
+    p.add_argument("--T", type=int, required=required)
+    p.add_argument("--M", type=int, required=required)
+    p.add_argument("--A", type=float)
+    p.add_argument("--delta", type=float)
+    p.add_argument("--alpha", type=float)
+
+
 def _build_parser():
     parser = _Parser(prog="mtgl", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -621,14 +636,7 @@ def _build_parser():
     p = sub.add_parser("select", help="threshold a coefficient file")
     p.add_argument("--beta", required=True)
     p.add_argument("--tau", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--M", type=int)
-    p.add_argument("--T", type=int)
-    p.add_argument("--A", type=float)
-    p.add_argument("--regime", default=GAUSSIAN, choices=list(REGIMES))
-    p.add_argument("--delta", type=float)
+    _add_threshold_flags(p, required=False)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_select)
 
@@ -642,14 +650,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("bounds", help="print tuning constants and thresholds")
-    p.add_argument("--regime", default=GAUSSIAN, choices=list(REGIMES))
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--T", type=int, required=True)
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--A", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--alpha", type=float)
+    _add_threshold_flags(p, required=True)
     p.add_argument("--c-prime", type=float)
     p.add_argument("--p", type=_parse_float_list, default=())
     p.set_defaults(func=_cmd_bounds)

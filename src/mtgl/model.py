@@ -34,7 +34,7 @@ class MultiTaskDataset:
 
     ``unit_diagonal`` records whether every column of every task design
     satisfies (1/n) * ||x_tj||^2 = 1 within UNIT_DIAGONAL_TOL; the
-    block-coordinate solver requires it.  Arrays are marked read-only,
+    noise-event lemma requires it.  Arrays are marked read-only,
     so instances are safe to share across threads.
     """
 
@@ -90,11 +90,6 @@ class MultiTaskDataset:
     @property
     def M(self):
         return self.designs.shape[2]
-
-    @property
-    def tasks(self):
-        """Ordered list of (X_t, y_t) views."""
-        return [(self.designs[t], self.responses[t]) for t in range(self.T)]
 
 
 @dataclass(frozen=True, eq=False)

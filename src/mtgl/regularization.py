@@ -14,8 +14,8 @@ All formulas use natural logarithms.  Two noise regimes are covered:
   statistic (1/nT) * sum_{t,i} max_j (x_ti)_j^2.
 
 Constant validity windows (A > 8, alpha > 1, and so on) are enforced;
-pass ``allow_outside_theory=True`` to experiment beyond them, which
-marks the resulting plan as outside the guarantee regime.
+the gaussian penalty takes ``allow_outside_theory=True`` to go below
+A = 8, which marks the resulting plan as outside the guarantee regime.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def finite_variance_confidence(M, delta, c_prime):
     return raw, False
 
 
-def threshold_constant_c(alpha, sigma, regime=GAUSSIAN, allow_outside_theory=False):
+def threshold_constant_c(alpha, sigma, regime=GAUSSIAN):
     """Sup-norm constant c for the selection threshold.
 
     gaussian:        c = (3 + 32/(7*(alpha-1))) * sigma
@@ -98,7 +98,7 @@ def threshold_constant_c(alpha, sigma, regime=GAUSSIAN, allow_outside_theory=Fal
         raise ValueError(f"unknown regime {regime!r}, expected one of {REGIMES}")
     if not sigma > 0:
         raise ValueError(f"noise level sigma must be positive, got {sigma}")
-    if not alpha > 1 and not allow_outside_theory:
+    if not alpha > 1:
         raise ValueError(f"coherence slack alpha must exceed 1, got {alpha}")
     if regime == GAUSSIAN:
         return (3.0 + 32.0 / (7.0 * (alpha - 1.0))) * sigma
@@ -110,7 +110,8 @@ def norm_bound_constant_c1(alpha, p):
 
     c1 = (32*alpha/(alpha-1))^(1/p) * (3 + 32/(7*(alpha-1)))^(1-1/p),
     from combining the (2,1) bound (via kappa^2 = 1 - 1/alpha) with the
-    (2,inf) bound at constant c.
+    (2,inf) bound at constant c.  Both are the gaussian-regime bounds;
+    no finite-variance c1 is defined.
     """
     if not alpha > 1:
         raise ValueError(f"coherence slack alpha must exceed 1, got {alpha}")

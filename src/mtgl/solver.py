@@ -15,13 +15,10 @@ records the objective and aborts if it rose.  Convergence is certified
 through the first-order optimality residual (``kkt_residual``) over all
 groups, never through parameter change between sweeps.
 
-Block-coordinate descent and the baseline share one sweep.  It works on
-a group-contiguous copy of the design (shape (M, T, n), so row j's
-columns are one contiguous block) and visits a working set: the nonzero
-rows plus the zero rows holding a group whose correlation norm exceeds
-lam.  Every other row already sits at its optimum for the current
-residual.  The two differ only in the row update.  The full residual
-X B and the correlations X^T r / (nT) are batched matrix products (BLAS).
+Block-coordinate descent and the baseline share one prox-linear
+coordinate sweep over a working set; they differ only in the group
+width.  The full residual X B and the correlations X^T r / (nT) are
+batched matrix products (BLAS).
 """
 
 from __future__ import annotations
@@ -56,15 +53,21 @@ def block_soft_threshold(v, tau):
     return (1.0 - tau / norm) * v
 
 
+def _check_positive(name, value):
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Settings for ``solve_group_lasso``.
 
-    lam            : penalty level, > 0.
-    algorithm      : "block-coordinate" (needs unit-diagonal Grams) or
-                     "proximal-gradient" (any design).
+    lam            : penalty level, finite and > 0.
+    algorithm      : "block-coordinate" or "proximal-gradient"; both
+                     work on any design.
     max_iterations : sweep / step budget.
-    kkt_tolerance  : stop once the optimality residual falls below this.
+    kkt_tolerance  : stop once the optimality residual falls below this;
+                     finite and > 0.
     initial        : optional warm start; defaults to all zeros.
     """
 
@@ -75,16 +78,14 @@ class SolverConfig:
     initial: GroupCoefficients | None = None
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"penalty level must be positive, got {self.lam}")
+        _check_positive("penalty level", self.lam)
         if self.algorithm not in _ALGORITHMS:
             raise ValueError(
                 f"unknown algorithm {self.algorithm!r}, expected one of {_ALGORITHMS}"
             )
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not self.kkt_tolerance > 0:
-            raise ValueError(f"kkt_tolerance must be positive, got {self.kkt_tolerance}")
+        _check_positive("kkt_tolerance", self.kkt_tolerance)
 
 
 @dataclass(frozen=True)
@@ -138,8 +139,7 @@ def _group_kkt(corr, values, lam, width):
 
 
 def _kkt(data, beta, lam, width):
-    if not lam > 0:
-        raise ValueError(f"penalty level must be positive, got {lam}")
+    _check_positive("penalty level", lam)
     values = beta.values
     if values.shape != (data.M, data.T):
         raise ValueError(
@@ -225,19 +225,34 @@ def _descend(data, config, width, step):
     )
 
 
-def _working_set_sweep(data, lam, width, row_update):
-    """A descent step that updates, in increasing j, every row j of B
-    that is nonzero or holds a group whose correlation norm exceeds lam.
+def _coordinate_sweep(data, lam, width):
+    """A descent step that sets, in increasing j, each group of row j of
+    B to shrink(B_g + c_g / L, lam*T / L): c = X_j^T r / n correlates
+    the row's columns with the current residual, L is the group's
+    largest Gram diagonal entry d_tj = (1/n)||x_tj||^2 (1 if all are 0),
+    and shrink is the group's soft threshold.  With equal d in a group
+    (always at width 1; at width T on unit-diagonal designs) this is the
+    exact group minimiser, else the block coordinate gradient step of
+    Tseng & Yun (2009), which descends on any design.
 
-    A zero row without such a group is at its optimum for the current
-    residual, so the sweep skips it; the set is empty only when the KKT
-    residual is 0, which already stopped the driver.  row_update(j, c,
-    row) returns row j's new value from c = X_j^T r / n, the correlation
-    of its columns with the current residual, and its old value.
+    Only nonzero rows and zero rows holding a group whose correlation
+    norm exceeds lam are visited: every other group has ||c|| <= lam*T
+    and would stay 0.  That set is empty only at KKT residual 0, which
+    already stopped the driver.
     """
     M, n = data.M, data.n
     # G[j] is row j's (T, n) block of columns, contiguous in memory.
     G = np.ascontiguousarray(data.designs.transpose(2, 0, 1))
+    curvature = (np.einsum("jtn,jtn->jt", G, G) / n).reshape(M, -1, width).max(axis=2)
+    step = 1.0 / np.where(curvature > 0, curvature, 1.0)
+    thresh = lam * data.T * step
+    scale = step / n    # turns X_j^T r into the gradient step c_j / L
+    if width == 1:
+        shrink = _soft_threshold
+    else:
+        # One step per row, as Python floats: cheaper than 0-d arrays.
+        scale, thresh = scale[:, 0].tolist(), thresh[:, 0].tolist()
+        shrink = block_soft_threshold
 
     def sweep(values, resid, corr):
         violated = np.linalg.norm(corr.reshape(-1, width), axis=1) > lam
@@ -245,45 +260,36 @@ def _working_set_sweep(data, lam, width, row_update):
             (values != 0.0).any(axis=1) | violated.reshape(M, -1).any(axis=1)
         )
         for j in working:
-            cols = G[j]                                    # (T, n)
-            c = np.einsum("tn,tn->t", cols, resid) / n
-            new_row = row_update(j, c, values[j])
-            delta = new_row - values[j]
+            cols, row = G[j], values[j]                    # (T, n), (T,)
+            gradient_step = np.einsum("tn,tn->t", cols, resid) * scale[j]
+            new_row = shrink(row + gradient_step, thresh[j])
+            delta = new_row - row
             if np.count_nonzero(delta):
                 resid -= cols * delta[:, None]
-            values[j] = new_row
+            row[:] = new_row
         return values
 
     return sweep
 
 
-def solve_group_lasso(data, config):
-    """Minimise S(B) + 2 * lam * ||B||_{2,1}.
+def _soft_threshold(v, tau):
+    # v minus its clip to [-tau, tau], entry by entry.
+    return v - np.minimum(np.maximum(v, -tau), tau)
 
-    The block-coordinate algorithm runs the working-set sweep it shares
-    with ``solve_lasso_baseline``; with unit-diagonal Grams the exact
-    row update is block_soft_threshold(z_j, lam*T), where z_j is the
-    partial-residual correlation row.  Proximal gradient uses the fixed
-    step T / (2*phi_max) and works on any design.  Both run the shared
-    descent driver, which stops on the KKT residual over all M groups,
-    computed from a residual rebuilt from scratch after every sweep or
-    step.
+
+def solve_group_lasso(data, config):
+    """Minimise S(B) + 2 * lam * ||B||_{2,1} on any design.
+
+    The block-coordinate algorithm runs the prox-linear coordinate
+    sweep it shares with ``solve_lasso_baseline``, with groups of width
+    T.  Proximal gradient uses the fixed step T / (2*phi_max).  Both run
+    the shared descent driver, which stops on the KKT residual over all
+    M groups, computed from a residual rebuilt from scratch after every
+    sweep or step.
     """
     if config.algorithm == "proximal-gradient":
         return _solve_proximal_gradient(data, config)
-    if not data.unit_diagonal:
-        raise ValueError(
-            "block-coordinate updates need unit-diagonal Grams "
-            "((1/n)||x_tj||^2 = 1 for every column); normalise the design "
-            "or use algorithm='proximal-gradient'"
-        )
-    thresh = config.lam * data.T
-
-    def block_update(j, c, row):
-        return block_soft_threshold(c + row, thresh)
-
-    sweep = _working_set_sweep(data, config.lam, data.T, block_update)
-    return _descend(data, config, data.T, sweep)
+    return _descend(data, config, data.T, _coordinate_sweep(data, config.lam, data.T))
 
 
 def _solve_proximal_gradient(data, config):
@@ -316,27 +322,14 @@ def _prox_l21(values, tau):
 def solve_lasso_baseline(data, lam, max_iterations=1000, kkt_tolerance=1e-8):
     """Entrywise-L1 baseline: minimise S(B) + 2 * lam * sum |B_jt|.
 
-    The descent driver and working-set sweep of block-coordinate descent,
-    with groups of width 1.  The row update soft-thresholds each entry of
-    z_j = X_j^T r / n + d_j * B_j at lam*T and divides it by the Gram
-    diagonal d_jt = (1/n)||x_tj||^2, so columns may be unnormalised; an
-    all-zero column (d_jt = 0) keeps B_jt = 0.  Tasks do not interact,
-    so each task's coordinates are updated in increasing j, as in T
-    separate single-task Lassos.
+    The descent driver and coordinate sweep of block-coordinate descent,
+    with groups of width 1: each entry is soft-thresholded with its own
+    step 1/d_jt, the exact coordinate minimiser, so columns may be
+    unnormalised and an all-zero column keeps B_jt = 0.  Tasks do not
+    interact, so each task's coordinates are updated in increasing j, as
+    in T separate single-task Lassos.
     """
     config = SolverConfig(
         lam=lam, max_iterations=max_iterations, kkt_tolerance=kkt_tolerance
     )
-    thresh = lam * data.T
-    diag = np.einsum("tnm,tnm->mt", data.designs, data.designs) / data.n
-    # An all-zero column has c = 0 and d = 0, so z = 0, and dividing by 1
-    # in place of d keeps its coefficient at 0.
-    divisor = np.where(diag > 0, diag, 1.0)
-
-    def entrywise_update(j, c, row):
-        z = c + diag[j] * row
-        # z minus its clip to [-thresh, thresh] is the soft threshold.
-        return (z - np.minimum(np.maximum(z, -thresh), thresh)) / divisor[j]
-
-    sweep = _working_set_sweep(data, lam, 1, entrywise_update)
-    return _descend(data, config, 1, sweep)
+    return _descend(data, config, 1, _coordinate_sweep(data, lam, 1))

@@ -117,6 +117,17 @@ def test_bounds_finite_variance(capsys):
     assert "confidence" in pairs and pairs["confidence_vacuous"] in ("true", "false")
 
 
+def test_bounds_rejects_p_in_finite_variance_regime(capsys):
+    # The c1 constants come from the gaussian (2,1) and (2,inf) bounds.
+    code, out, err = _run(
+        capsys, "bounds", "--regime", "finite-variance", "--sigma", "1",
+        "--n", "100", "--T", "4", "--M", "10", "--delta", "3",
+        "--alpha", "8", "--p", "1,2",
+    )
+    assert code == 1 and out == ""
+    assert "--p" in err and "gaussian" in err
+
+
 def test_gen_writes_dataset_and_manifest(tmp_path, capsys):
     config = _write(tmp_path / "gen.cfg", GEN_CONFIG)
     out_dir = tmp_path / "data"
@@ -225,6 +236,58 @@ def test_select_rejects_non_finite_coefficients(tmp_path, capsys):
         code, out, err = _run(capsys, "select", "--beta", str(beta_path), "--tau", "1")
         assert code == 1 and "non-finite" in err
         assert out == ""
+
+
+@pytest.mark.parametrize("flags", [
+    ("--lambda", "inf"),
+    ("--lambda", "nan"),
+    ("--lambda", "0.1", "--tol", "inf"),
+    ("--lambda", "0.1", "--tol", "nan"),
+])
+def test_solve_rejects_non_finite_settings(tmp_path, capsys, flags):
+    config = _write(tmp_path / "gen.cfg", GEN_CONFIG)
+    _run(capsys, "gen", "--config", config, "--out", str(tmp_path / "data"))
+    fit_dir = tmp_path / "fit"
+    code, out, err = _run(
+        capsys, "solve", "--data", str(tmp_path / "data" / "manifest.txt"),
+        *flags, "--out", str(fit_dir),
+    )
+    assert code == 1 and out == ""
+    assert "finite" in err
+    assert not (fit_dir / "beta_hat.csv").exists()
+
+
+def test_experiment_rejects_non_finite_solver_tol(tmp_path, capsys):
+    config = _write(tmp_path / "exp.cfg", ORACLE_CONFIG + "solver_tol=inf\n")
+    out_dir = tmp_path / "exp"
+    code, out, err = _run(capsys, "experiment", "--config", config, "--out", str(out_dir))
+    assert code == 1 and out == ""
+    assert "kkt_tolerance" in err
+    assert not out_dir.exists()
+
+
+def test_solve_runs_on_unnormalized_dataset(tmp_path, capsys):
+    config = _write(
+        tmp_path / "gen.cfg",
+        GEN_CONFIG.replace("orthogonal", "gaussian-iid") + "normalize=false\n",
+    )
+    _run(capsys, "gen", "--config", config, "--out", str(tmp_path / "data"))
+    manifest = str(tmp_path / "data" / "manifest.txt")
+    assert not read_dataset(manifest).unit_diagonal
+    objectives = {}
+    for algorithm in ("block-coordinate", "proximal-gradient"):
+        code, out, _ = _run(
+            capsys, "solve", "--data", manifest, "--lambda", "0.1",
+            "--algorithm", algorithm, "--max-iter", "20000",
+            "--out", str(tmp_path / algorithm),
+        )
+        assert code == 0
+        pairs = _stdout_pairs(out)
+        assert pairs["converged"] == "true"
+        objectives[algorithm] = float(pairs["objective"])
+    assert objectives["block-coordinate"] == pytest.approx(
+        objectives["proximal-gradient"], rel=1e-9
+    )
 
 
 def test_solve_rejects_malformed_dataset(tmp_path, capsys):

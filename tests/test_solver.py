@@ -211,18 +211,28 @@ def test_warm_start_and_iteration_cap():
     assert full.converged
 
 
-def test_block_coordinate_requires_unit_diagonal():
-    rng = np.random.default_rng(5)
-    X = rng.standard_normal((2, 10, 4)) * 3.0
-    data = MultiTaskDataset(X, rng.standard_normal((2, 10)))
-    assert not data.unit_diagonal
-    with pytest.raises(ValueError):
-        solve_group_lasso(data, SolverConfig(lam=0.3))
-    # proximal gradient accepts the same design
-    res = solve_group_lasso(
-        data, SolverConfig(lam=0.3, algorithm="proximal-gradient", max_iterations=5000)
-    )
-    assert res.converged
+def test_block_coordinate_converges_on_unnormalized_design():
+    # Per-task column scales in [0.2, 5], so a group's Gram diagonal
+    # entries differ by up to 625x; column 5 is zero in every task and
+    # column 9 only in the first.
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((3, 40, 30)) * rng.uniform(0.2, 5.0, size=(3, 1, 30))
+    X[:, :, 5] = 0.0
+    X[0, :, 9] = 0.0
+    data = MultiTaskDataset(X, rng.standard_normal((3, 40)))
+    for fraction in (0.5, 0.1):
+        lam = fraction * _lam_max(data)
+        bcd = solve_group_lasso(data, SolverConfig(lam=lam, max_iterations=5000))
+        pg = solve_group_lasso(
+            data,
+            SolverConfig(lam=lam, algorithm="proximal-gradient", max_iterations=50000),
+        )
+        assert bcd.converged and pg.converged
+        assert kkt_residual(data, bcd.beta_hat, lam) <= 1e-8
+        assert not np.any(bcd.beta_hat.values[5])
+        assert objective(data, bcd.beta_hat, lam) == pytest.approx(
+            objective(data, pg.beta_hat, lam), rel=1e-9
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +340,7 @@ def test_solve_leaves_designs_untouched(algorithm):
 
 
 # ---------------------------------------------------------------------------
-# properties on small random unit-diagonal designs
+# properties on small random designs
 
 _PROPERTY_SETTINGS = settings(derandomize=True, max_examples=20, deadline=None)
 
@@ -392,9 +402,42 @@ def test_property_warm_start_at_solution_takes_no_sweep(problem, algorithm):
     np.testing.assert_array_equal(again.beta_hat.values, first.beta_hat.values)
 
 
+@_PROPERTY_SETTINGS
+@given(_problems(), st.floats(0.25, 4.0))
+def test_property_design_scaling(problem, c):
+    # Scaling X by c and lam by c maps the minimiser B to B / c at the
+    # same objective; c*X is not unit-diagonal unless c = 1.
+    data, lam = problem
+    scaled = MultiTaskDataset(c * data.designs, data.responses)
+    config = dict(kkt_tolerance=1e-12, max_iterations=20000)
+    base = solve_group_lasso(data, SolverConfig(lam=lam, **config))
+    other = solve_group_lasso(scaled, SolverConfig(lam=c * lam, **config))
+    assert base.converged and other.converged
+    assert objective(scaled, other.beta_hat, c * lam) == pytest.approx(
+        objective(data, base.beta_hat, lam), rel=1e-9
+    )
+    np.testing.assert_allclose(
+        c * other.beta_hat.values, base.beta_hat.values, rtol=0, atol=1e-7
+    )
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(lam=0.0)
+    data = _dataset(np.random.default_rng(3), T=2, n=12, M=4)
+    zero = GroupCoefficients.zeros(4, 2)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SolverConfig(lam=bad)
+        with pytest.raises(ValueError, match="finite and positive"):
+            SolverConfig(lam=1.0, kkt_tolerance=bad)
+        with pytest.raises(ValueError, match="finite and positive"):
+            solve_lasso_baseline(data, bad)
+        with pytest.raises(ValueError, match="finite and positive"):
+            solve_lasso_baseline(data, 0.1, kkt_tolerance=bad)
+        for residual in (kkt_residual, lasso_kkt_residual):
+            with pytest.raises(ValueError, match="finite and positive"):
+                residual(data, zero, bad)
     with pytest.raises(ValueError):
         SolverConfig(lam=1.0, algorithm="newton")
     with pytest.raises(ValueError):
