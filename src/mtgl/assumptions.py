@@ -15,7 +15,10 @@ Computing it exactly is infeasible, so this module brackets it instead:
 * a certified LOWER bound sqrt(1 - 1/alpha), valid whenever all Grams
   have unit diagonal and pairwise coherence at most 1/(7*alpha*s);
 * a sampled UPPER estimate, the smallest quotient seen over random
-  cone-feasible probes plus local refinement.
+  cone-feasible probes plus local refinement.  On a wide design the
+  refinement inverts every X_t X_t^T once per search and updates that
+  inverse by the probe's m support columns (Woodbury), so a probe
+  solves only m x m systems.
 
 Neither bracket ever substitutes for the other in theoretical bounds.
 """
@@ -138,46 +141,82 @@ def _quotient(data, values, support_idx):
 _RANK_TOL = float(np.sqrt(np.finfo(float).eps))
 
 
-def _least_squares_completion(X_o, X_s, K, u):
-    """Per task, the minimum-norm w_t minimising ||u_t + X_o,t w_t||;
-    returns w with shape (others, T) and the products X_o,t w_t, (T, n).
+def _row_gram_inverse(X):
+    """(X_t X_t^T)^-1 for every task of a wide design (M > n), from one
+    batched LAPACK inverse; None for a tall design, or when some X_t X_t^T
+    is singular.  Then X_t has rank below n, so does every wide
+    off-support block X_o,t, and each completion falls back to least
+    squares."""
+    n, M = X.shape[1:]
+    if M <= n:
+        return None
+    try:
+        return np.linalg.inv(np.matmul(X, X.transpose(0, 2, 1)))
+    except np.linalg.LinAlgError:
+        return None
 
-    One batched solve on the smaller Gram of the off-support block X_o
-    (T, n, others).  A wide block (others >= n) solves
-    (X_o X_o^T) z = -u, with X_o X_o^T = K - X_s X_s^T downdated from
-    K = X X^T by the support columns X_s, and takes w = X_o^T z; a tall
-    block solves (X_o^T X_o) w = -X_o^T u.  Both are the least-squares
+
+def _off_support_image(X, others, rows):
+    """X_o,t w_t for every task, (T, n), with X_o = X[:, :, others] and
+    the (others, T) rows w zero-padded to (M, T), so X_o is not copied."""
+    padded = np.zeros((X.shape[2], X.shape[0]))
+    padded[others] = rows
+    return np.matmul(X, padded.T[..., None])[..., 0]
+
+
+def _least_squares_completion(X, X_s, others, K_inv, u):
+    """Per task, the minimum-norm w_t minimising ||u_t + X_o,t w_t|| over
+    the off-support block X_o = X[:, :, others]; returns w with shape
+    (others, T) and the products X_o,t w_t, (T, n).
+
+    A wide block (others >= n) solves (X_o X_o^T) z = -u and takes
+    w = X_o^T z.  X_o X_o^T = K - X_s X_s^T is K = X X^T downdated by the
+    m support columns X_s, so with K_inv = K^-1 (``_row_gram_inverse``,
+    once per search) the Woodbury identity
+    (K - X_s X_s^T)^-1 = K^-1 + K^-1 X_s (I_m - X_s^T K^-1 X_s)^-1 X_s^T K^-1
+    leaves one m x m solve per task; X^T z and ``_off_support_image``
+    give w and X_o w without a copy of X_o.  A tall block solves
+    (X_o^T X_o) w = -X_o^T u.  Both are the least-squares
     solution when X_o has full rank, and the solve is trusted only when
     X_o numerically has it.  A wide block of full row rank leaves no
     residual, so u + X_o w must vanish to within sqrt(eps) * ||u||.  A
     tall block's Gram must have Cholesky pivots L_ii^2 of at least
     sqrt(eps) times its largest diagonal entry; a pivot bounds the
     smallest eigenvalue from above, so a small one certifies
-    near-collinear columns.  An untrusted block, a singular Gram
-    (LinAlgError) or a non-finite w falls back to LAPACK's SVD least
-    squares per task.
+    near-collinear columns.  An untrusted block, a singular K or m x m
+    system (LinAlgError) or a non-finite w falls back to LAPACK's SVD
+    least squares per task.
     """
     rhs = -u[..., None]
-    X_oT = X_o.transpose(0, 2, 1)
     try:
-        if X_o.shape[2] >= X_o.shape[1]:
-            gram = K - np.matmul(X_s, X_s.transpose(0, 2, 1))
-            w = np.matmul(X_oT, np.linalg.solve(gram, rhs))
-            image = np.matmul(X_o, w)[..., 0]
+        if others.size >= X.shape[1]:
+            if K_inv is None:
+                raise np.linalg.LinAlgError("X X^T is singular")
+            X_sT = X_s.transpose(0, 2, 1)
+            k_u = np.matmul(K_inv, rhs)
+            k_s = np.matmul(K_inv, X_s)
+            inner = np.eye(X_s.shape[2]) - np.matmul(X_sT, k_s)
+            z = k_u + np.matmul(k_s, np.linalg.solve(inner, np.matmul(X_sT, k_u)))
+            w = np.matmul(X.transpose(0, 2, 1), z)[:, others, 0].T
+            image = _off_support_image(X, others, w)
             trusted = np.all(
                 np.linalg.norm(u + image, axis=1) <= _RANK_TOL * np.linalg.norm(u, axis=1)
             )
         else:
+            X_o = X[:, :, others]
+            X_oT = X_o.transpose(0, 2, 1)
             gram = np.matmul(X_oT, X_o)
             pivots = np.diagonal(np.linalg.cholesky(gram), axis1=1, axis2=2) ** 2
             scale = np.diagonal(gram, axis1=1, axis2=2).max(axis=1)
             trusted = np.all(pivots.min(axis=1) >= _RANK_TOL * scale)
             w = np.linalg.solve(gram, np.matmul(X_oT, rhs))
             image = np.matmul(X_o, w)[..., 0]
+            w = w[..., 0].T
         if trusted and np.all(np.isfinite(w)):
-            return w[..., 0].T, image
+            return w, image
     except np.linalg.LinAlgError:
         pass
+    X_o = X[:, :, others]
     w = np.column_stack(
         [np.linalg.lstsq(x, r, rcond=None)[0] for x, r in zip(X_o, -u)]
     )
@@ -202,12 +241,15 @@ def minimize_re_quotient(data, s, samples, seed):
     the best probe found; the minimum over sizes makes the estimate
     nonincreasing in s for a fixed seed.
 
-    The least-squares resolve is one batched solve over all T tasks on
-    the smaller Gram of the off-support block X_o (see
-    ``_least_squares_completion``), which costs s * samples such solves
-    in all; only a block whose solve fails or cannot be trusted (a
-    numerically rank-deficient block, a singular Gram or a non-finite
-    solution) falls back to LAPACK's SVD least squares, task by task.
+    The least-squares resolve is batched over all T tasks (see
+    ``_least_squares_completion``).  On a wide design (M > n) the search
+    inverts every X_t X_t^T once, and a probe whose off-support block is
+    wide pays a rank-m Woodbury update of that inverse, an m x m solve,
+    and products with the full design, never a copy of the block; a
+    tall block solves on its own Gram X_o^T X_o.  Only a block whose
+    solve fails or cannot be trusted (a numerically rank-deficient
+    block, a singular Gram or a non-finite solution) falls back to
+    LAPACK's SVD least squares, task by task.
     """
     M, T = data.M, data.T
     _validate_sparsity_range(s, M)
@@ -215,8 +257,8 @@ def minimize_re_quotient(data, s, samples, seed):
         raise ValueError(f"samples must be >= 1, got {samples}")
     X = data.designs
     n = data.n
-    # X_t X_t^T for every task, downdated per probe when X_o is wide
-    K = np.matmul(X, X.transpose(0, 2, 1)) if M > n else None
+    # (X_t X_t^T)^-1 for every task, updated per probe when X_o is wide
+    K_inv = _row_gram_inverse(X)
 
     best_ratio = np.inf
     best_values = None
@@ -243,8 +285,7 @@ def minimize_re_quotient(data, s, samples, seed):
                 l21_off = float(np.sum(np.linalg.norm(g, axis=1)))
                 if l21_off > 0.0:
                     g = g * (factor * l21_sup / l21_off)
-                X_o = X[:, :, others]
-                v = np.einsum("tnj,jt->tn", X_o, g)
+                v = _off_support_image(X, others, g)
                 b = float(np.sum(u * v))
                 dq = float(np.sum(v * v))
                 if dq > 0.0:
@@ -255,7 +296,7 @@ def minimize_re_quotient(data, s, samples, seed):
 
                 # Least-squares polish: best off-support completion for
                 # this D_J, pulled back into the cone if it overshoots.
-                w, vw = _least_squares_completion(X_o, X_s, K, u)
+                w, vw = _least_squares_completion(X, X_s, others, K_inv, u)
                 l21_w = float(np.sum(np.linalg.norm(w, axis=1)))
                 if l21_w > 0.0:
                     rho = min(1.0, 3.0 * l21_sup / l21_w)

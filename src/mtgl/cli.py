@@ -359,6 +359,8 @@ def _cmd_check(args):
 def _cmd_bounds(args):
     if args.p and args.regime != GAUSSIAN:
         raise ValueError("--p: the c1 constants are defined for the gaussian regime only")
+    if args.p and args.alpha is None:
+        raise ValueError("--p: the c1 constants need --alpha")
     pairs = []
     if args.regime == GAUSSIAN:
         if args.A is None:

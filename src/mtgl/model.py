@@ -196,8 +196,8 @@ def residual_error(data, beta):
 
 def objective(data, beta, lam):
     """Group-Lasso objective: residual_error + 2 * lam * mixed_norm(beta, 1)."""
-    if not lam > 0:
-        raise ValueError(f"penalty level must be positive, got {lam}")
+    if not (lam > 0 and np.isfinite(lam)):
+        raise ValueError(f"penalty level must be finite and positive, got {lam}")
     return residual_error(data, beta) + 2.0 * lam * mixed_norm(beta, 1)
 
 

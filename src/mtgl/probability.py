@@ -10,11 +10,15 @@ Three checks, each returning a TailCheckReport:
 
 Every check draws from streams derived from (seed, chunk index) with a
 fixed chunk size and aggregates in chunk order, so results are
-reproducible bit for bit regardless of how the work is scheduled.
+reproducible bit for bit regardless of how the work is scheduled.  The
+chi-square checks at one T share their draws: only the cutoff T + x
+differs, so the per-replicate statistics are drawn once and kept for
+the next offset.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -71,17 +75,37 @@ def chi_square_tail_bound(T, x):
     return math.exp(-min(x, x * x / T) / 8.0)
 
 
+def _hashable_seed(seed):
+    # SeedSequence flattens nested sequences, so a tuple seeds as a list does
+    if isinstance(seed, (list, tuple)):
+        return tuple(_hashable_seed(part) for part in seed)
+    return seed
+
+
+@functools.lru_cache(maxsize=1)
+def _chi_square_statistics(T, replicates, seed):
+    """Read-only array of ``replicates`` chi-square(T) draws, each the sum
+    of T squared standard normals, chunk by chunk from the streams
+    (seed, chunk index).  The last (T, replicates, seed) is cached, so
+    the checks at several offsets x for one T draw once."""
+    stats = np.empty(replicates)
+    start = 0
+    for index, size in _chunks(replicates):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+        draws = rng.standard_normal((size, T))
+        stats[start:start + size] = np.sum(draws * draws, axis=1)
+        start += size
+    stats.flags.writeable = False
+    return stats
+
+
 def chi_square_tail_empirical(T, x, replicates, seed):
     """Simulate Pr(chi2_T > T + x) and compare with the analytic bound."""
     if replicates < 1000:
         raise ValueError(f"need at least 1000 replicates, got {replicates}")
     bound = chi_square_tail_bound(T, x)
-    count = 0
-    for index, size in _chunks(replicates):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-        draws = rng.standard_normal((size, T))
-        count += int(np.count_nonzero(np.sum(draws * draws, axis=1) > T + x))
-    return _freq_report(count, replicates, bound)
+    stats = _chi_square_statistics(T, replicates, _hashable_seed(seed))
+    return _freq_report(int(np.count_nonzero(stats > T + x)), replicates, bound)
 
 
 _DISTRIBUTIONS = ("rademacher", "gaussian")
@@ -179,7 +203,8 @@ def noise_correlation_violation_rate(data, sigma, lam, replicates, seed):
     for index, size in _chunks(replicates):
         rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
         w = sigma * rng.standard_normal((size, T, n))
-        corr = np.einsum("tnm,ktn->ktm", X, w)
-        stat = np.max(np.sqrt(np.sum(corr * corr, axis=1)), axis=1) / (n * T)
+        # (T, size, M): task t's block is W_t X_t for the chunk's draws
+        corr = np.matmul(w.transpose(1, 0, 2), X)
+        stat = np.max(np.sqrt(np.sum(corr * corr, axis=0)), axis=1) / (n * T)
         count += int(np.count_nonzero(stat > cutoff))
     return _freq_report(count, replicates, bound)

@@ -247,26 +247,33 @@ def _coordinate_sweep(data, lam, width):
     step = 1.0 / np.where(curvature > 0, curvature, 1.0)
     thresh = lam * data.T * step
     scale = step / n    # turns X_j^T r into the gradient step c_j / L
-    if width == 1:
-        shrink = _soft_threshold
-    else:
+    if width > 1:
         # One step per row, as Python floats: cheaper than 0-d arrays.
         scale, thresh = scale[:, 0].tolist(), thresh[:, 0].tolist()
-        shrink = block_soft_threshold
 
     def sweep(values, resid, corr):
         violated = np.linalg.norm(corr.reshape(-1, width), axis=1) > lam
-        working = np.flatnonzero(
-            (values != 0.0).any(axis=1) | violated.reshape(M, -1).any(axis=1)
-        )
-        for j in working:
+        nonzero = (values != 0.0).any(axis=1)
+        working = np.flatnonzero(nonzero | violated.reshape(M, -1).any(axis=1))
+        # Each row is visited once, so nonzero[j] still holds when j is.
+        for j in working.tolist():
             cols, row = G[j], values[j]                    # (T, n), (T,)
-            gradient_step = np.einsum("tn,tn->t", cols, resid) * scale[j]
-            new_row = shrink(row + gradient_step, thresh[j])
-            delta = new_row - row
+            v = row + np.vecdot(cols, resid) * scale[j]
+            if width == 1:
+                v = _soft_threshold(v, thresh[j])
+            else:
+                # block_soft_threshold inlined: the call cost more than the work
+                norm = math.sqrt(v.dot(v))
+                if norm > thresh[j]:
+                    v *= 1.0 - thresh[j] / norm
+                elif nonzero[j]:
+                    v[:] = 0.0
+                else:
+                    continue                # a zero row that stays zero
+            delta = v - row
             if np.count_nonzero(delta):
                 resid -= cols * delta[:, None]
-            row[:] = new_row
+                row[:] = v
         return values
 
     return sweep

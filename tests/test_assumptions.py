@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mtgl.assumptions import (
     _least_squares_completion,
     _quotient,
+    _row_gram_inverse,
     coherence_admissible,
     gram_diagnostics,
     largest_gram_eigenvalue,
@@ -469,6 +470,24 @@ def test_re_probe_matches_lstsq_reference_on_duplicate_columns(monkeypatch):
     assert probe.ratio == pytest.approx(reference[0], rel=0.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("delta", [
+    0.0,     # X_t X_t^T is exactly singular: its inverse raises
+    1e-10,   # numerically singular: its inverse is garbage
+])
+def test_re_probe_matches_lstsq_reference_when_row_gram_is_singular(
+    delta, monkeypatch
+):
+    # rows 0 and 1 of every task differ by delta, so each wide off-support
+    # block is numerically rank deficient and must fall back
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((2, 20, 30))
+    X[:, 1] = X[:, 0] + delta * rng.standard_normal((2, 30))
+    data = MultiTaskDataset(X, np.zeros((2, 20)))
+    probe, reference, calls = _probe_with_reference(data, 2, 10, 1, monkeypatch)
+    _assert_same_probe(probe, reference)
+    assert calls > 0
+
+
 def _near_collinear_design(n, M, T, delta, seed):
     """Unit-column Gaussian design whose columns 0 and 1 differ by delta."""
     rng = np.random.default_rng(seed)
@@ -489,12 +508,12 @@ def test_completion_falls_back_on_near_collinear_off_support_columns(
     X = _near_collinear_design(n, others + 2, 3, delta, 1)
     X_o, X_s = X[:, :, :others], X[:, :, others:]
     u = np.random.default_rng(2).standard_normal((3, n))
-    K = np.matmul(X, X.transpose(0, 2, 1))
     reference = np.column_stack(
         [np.linalg.lstsq(x, -r, rcond=None)[0] for x, r in zip(X_o, u)]
     )
+    K_inv = _row_gram_inverse(X)
     calls = _count_lstsq(monkeypatch)
-    w, image = _least_squares_completion(X_o, X_s, K, u)
+    w, image = _least_squares_completion(X, X_s, np.arange(others), K_inv, u)
     assert len(calls) == 3
     np.testing.assert_allclose(w, reference, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(image, np.einsum("tnj,jt->tn", X_o, w), rtol=1e-12, atol=0.0)

@@ -128,6 +128,16 @@ def test_bounds_rejects_p_in_finite_variance_regime(capsys):
     assert "--p" in err and "gaussian" in err
 
 
+def test_bounds_rejects_p_without_alpha(capsys):
+    # c1 is built from alpha, so --p alone would be ignored
+    code, out, err = _run(
+        capsys, "bounds", "--sigma", "1", "--n", "100", "--T", "4",
+        "--M", "10", "--A", "9", "--p", "1,2",
+    )
+    assert code == 1 and out == ""
+    assert "--p" in err and "--alpha" in err
+
+
 def test_gen_writes_dataset_and_manifest(tmp_path, capsys):
     config = _write(tmp_path / "gen.cfg", GEN_CONFIG)
     out_dir = tmp_path / "data"

@@ -174,6 +174,14 @@ def test_objective_composes_residual_and_penalty():
         objective(data, beta, 0.0)
 
 
+def test_objective_rejects_non_finite_lam():
+    data = _random_dataset(np.random.default_rng(0))
+    zero = GroupCoefficients.zeros(5, 3)
+    for lam in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            objective(data, zero, lam)
+
+
 def test_task_order_invariance():
     rng = np.random.default_rng(5)
     designs = rng.standard_normal((3, 7, 4))

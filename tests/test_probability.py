@@ -70,6 +70,37 @@ def test_chi_square_empirical_deterministic():
     assert a == b
 
 
+def _chi_square_reference(T, x, replicates, seed):
+    """The tail check with fresh draws from the same per-chunk streams."""
+    count, start, index = 0, 0, 0
+    while start < replicates:
+        size = min(4096, replicates - start)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+        draws = rng.standard_normal((size, T))
+        count += int(np.count_nonzero(np.sum(draws * draws, axis=1) > T + x))
+        start += size
+        index += 1
+    freq = count / replicates
+    se = math.sqrt(freq * (1.0 - freq) / replicates)
+    return TailCheckReport(
+        analytic_bound=chi_square_tail_bound(T, x),
+        empirical_frequency=freq,
+        replicates=replicates,
+        standard_error=se,
+        passed=freq <= chi_square_tail_bound(T, x) + 3.0 * se,
+    )
+
+
+def test_chi_square_shared_draws_match_fresh_draws():
+    # the draws of one (T, replicates, seed) are kept for the next offset;
+    # switching seed or T and back must never hand out stale draws
+    calls = [(4, 0, 2.0), (4, 0, 4.0), (4, 1, 2.0), (4, 0, 16.0), (6, 0, 3.0),
+             (4, 0, 2.0), (4, [0, 9], 2.0), (4, (0, 9), 4.0), (4, [[0, 9]], 4.0)]
+    for T, seed, x in calls:
+        report = chi_square_tail_empirical(T, x, 5000, seed)
+        assert report == _chi_square_reference(T, x, 5000, seed), (T, seed, x)
+
+
 def test_nemirovski_single_rademacher_vector():
     # n=1, Rademacher: max_j |Y_j|^2 = 1 deterministically on both sides,
     # so the check reduces to 1 <= 2e*ln(3) - e
