@@ -387,12 +387,14 @@ def _cmd_bounds(args):
 
 
 def _cmd_verify_lemmas(args):
+    started = time.monotonic()
     lines = []
     failures = 0
 
     for T in (4, 16):
-        for x in (T / 2.0, float(T), 4.0 * T):
-            report = chi_square_tail_empirical(T, x, args.chi_replicates, args.seed)
+        offsets = (T / 2.0, float(T), 4.0 * T)
+        reports = chi_square_tail_empirical(T, offsets, args.chi_replicates, args.seed)
+        for x, report in zip(offsets, reports):
             failures += not report.passed
             lines.append(
                 [("check", "chi-square-tail"), ("T", T), ("x", x)]
@@ -411,9 +413,8 @@ def _cmd_verify_lemmas(args):
     signal = SignalSpec(s=0)
     noise = NoiseSpec(kind="gaussian", sigma=1.0)
     dataset, _ = generate_dataset(design, signal, noise, args.seed)
-    lam, _, _ = lambda_gaussian(1.0, 64, 16, 8, 9.0)
     report = noise_correlation_violation_rate(
-        dataset, 1.0, lam, args.event_replicates, args.seed
+        dataset, 1.0, 9.0, args.event_replicates, args.seed
     )
     failures += not report.passed
     lines.append(
@@ -427,8 +428,18 @@ def _cmd_verify_lemmas(args):
     print("\n".join(text))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "lemma_checks.txt"), "w") as handle:
+        checks_path = os.path.join(args.out, "lemma_checks.txt")
+        with open(checks_path, "w") as handle:
             handle.write("\n".join(text) + "\n")
+        settings = [
+            ("seed", args.seed),
+            ("chi_replicates", args.chi_replicates),
+            ("nem_replicates", args.nem_replicates),
+            ("event_replicates", args.event_replicates),
+        ]
+        _write_run_manifest(
+            args.out, "verify-lemmas", settings, [], [checks_path], started
+        )
     return 2 if failures else 0
 
 

@@ -92,14 +92,12 @@ class ExperimentConfig:
                 f"unknown kappa_source {self.kappa_source!r}, "
                 f"expected one of {KAPPA_SOURCES}"
             )
-        if self.kappa is not None and not self.kappa > 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if self.alpha is not None and not self.alpha > 1:
-            raise ValueError(f"alpha must exceed 1, got {self.alpha}")
-        if self.kappa2s is not None and not self.kappa2s > 0:
-            raise ValueError(f"kappa2s must be positive, got {self.kappa2s}")
-        if self.phi_max is not None and not self.phi_max > 0:
-            raise ValueError(f"phi_max must be positive, got {self.phi_max}")
+        for name in ("kappa", "kappa2s", "phi_max"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.alpha is not None and not 1 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and exceed 1, got {self.alpha}")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
         if any(not p >= 1 for p in self.p_values):
@@ -212,20 +210,20 @@ class ExperimentReport:
 def oracle_bounds_rhs(plan, s, kappa, kappa2s=None, phi_max=None, alpha=None, p_values=()):
     """Right sides of the finite-sample bounds, keyed by bound name.
 
-    gaussian regime (growth = 1 + A*log(M)/sqrt(T)):
-      prediction  : 64*sigma^2*s*growth / (kappa^2*n)
-      err21       : 32*sigma*s*sqrt(growth) / (kappa^2*sqrt(n))
-      err2        : 8*sqrt(10)*sigma*sqrt(s/n)*sqrt(growth) / kappa2s^2
-      supnorm     : (c/sqrt(n)) * sqrt(growth)            [needs alpha]
-      err2p_<p>   : c1*sigma*s^(1/p)*sqrt(growth)/sqrt(n) [needs alpha]
+    gaussian regime (rate = plan.rate = 1 + A*log(M)/sqrt(T)):
+      prediction  : 64*sigma^2*s*rate / (kappa^2*n)
+      err21       : 32*sigma*s*sqrt(rate) / (kappa^2*sqrt(n))
+      err2        : 8*sqrt(10)*sigma*sqrt(s/n)*sqrt(rate) / kappa2s^2
+      supnorm     : (c/sqrt(n)) * sqrt(rate)              [needs alpha]
+      err2p_<p>   : c1*sigma*s^(1/p)*sqrt(rate)/sqrt(n)   [needs alpha]
       sparsity    : 64*phi_max*s / kappa^2                [needs phi_max]
       correlation : 1.5*lam
 
-    finite-variance regime (power = (log M)^(1+delta)):
-      prediction  : 16*sigma^2*s*power / (kappa^2*n)
-      err21       : 16*sigma*s*sqrt(power/n) / kappa^2
-      err2_sq     : 160*sigma^2*s*power / (kappa2s^4*n)
-      supnorm     : c * sqrt(power/n)                     [needs alpha]
+    finite-variance regime (rate = plan.rate = (log M)^(1+delta)):
+      prediction  : 16*sigma^2*s*rate / (kappa^2*n)
+      err21       : 16*sigma*s*sqrt(rate/n) / kappa^2
+      err2_sq     : 160*sigma^2*s*rate / (kappa2s^4*n)
+      supnorm     : c * sqrt(rate/n)                      [needs alpha]
       sparsity    : 64*phi_max*s / kappa^2                [needs phi_max]
 
     Bounds whose optional ingredient (kappa2s, phi_max, alpha) is absent
@@ -239,37 +237,35 @@ def oracle_bounds_rhs(plan, s, kappa, kappa2s=None, phi_max=None, alpha=None, p_
         raise ValueError(f"kappa2s must be positive, got {kappa2s}")
     if phi_max is not None and not phi_max > 0:
         raise ValueError(f"phi_max must be positive, got {phi_max}")
-    sigma, n, T, M = plan.sigma, plan.n, plan.T, plan.M
+    sigma, n, rate = plan.sigma, plan.n, plan.rate
     out = {}
     if plan.regime == GAUSSIAN:
-        growth = 1.0 + plan.A * math.log(M) / math.sqrt(T)
-        out["prediction"] = 64.0 * sigma**2 * s * growth / (kappa**2 * n)
-        out["err21"] = 32.0 * sigma * s * math.sqrt(growth) / (kappa**2 * math.sqrt(n))
+        out["prediction"] = 64.0 * sigma**2 * s * rate / (kappa**2 * n)
+        out["err21"] = 32.0 * sigma * s * math.sqrt(rate) / (kappa**2 * math.sqrt(n))
         if kappa2s is not None:
             out["err2"] = (
-                8.0 * math.sqrt(10.0) * sigma * math.sqrt(s / n) * math.sqrt(growth)
+                8.0 * math.sqrt(10.0) * sigma * math.sqrt(s / n) * math.sqrt(rate)
                 / kappa2s**2
             )
         if alpha is not None:
             c = threshold_constant_c(alpha, sigma, GAUSSIAN)
-            out["supnorm"] = (c / math.sqrt(n)) * math.sqrt(growth)
+            out["supnorm"] = (c / math.sqrt(n)) * math.sqrt(rate)
             for p in p_values:
                 c1 = norm_bound_constant_c1(alpha, p)
                 out[f"err2p_{p:g}"] = (
-                    c1 * sigma * s ** (1.0 / p) * math.sqrt(growth) / math.sqrt(n)
+                    c1 * sigma * s ** (1.0 / p) * math.sqrt(rate) / math.sqrt(n)
                 )
         if phi_max is not None:
             out["sparsity"] = 64.0 * phi_max * s / kappa**2
         out["correlation"] = 1.5 * plan.lam
     else:
-        power = math.log(M) ** (1.0 + plan.delta)
-        out["prediction"] = 16.0 * sigma**2 * s * power / (kappa**2 * n)
-        out["err21"] = 16.0 * sigma * s * math.sqrt(power / n) / kappa**2
+        out["prediction"] = 16.0 * sigma**2 * s * rate / (kappa**2 * n)
+        out["err21"] = 16.0 * sigma * s * math.sqrt(rate / n) / kappa**2
         if kappa2s is not None:
-            out["err2_sq"] = 160.0 * sigma**2 * s * power / (kappa2s**4 * n)
+            out["err2_sq"] = 160.0 * sigma**2 * s * rate / (kappa2s**4 * n)
         if alpha is not None:
             c = threshold_constant_c(alpha, sigma, FINITE_VARIANCE)
-            out["supnorm"] = c * math.sqrt(power / n)
+            out["supnorm"] = c * math.sqrt(rate / n)
         if phi_max is not None:
             out["sparsity"] = 64.0 * phi_max * s / kappa**2
     return out
@@ -565,10 +561,7 @@ def run_lasso_comparison(config, T_grid):
     # per T: the design, the group solver's config and the plain-Lasso lambda
     setups = {}
     for T in grid:
-        plan_t = RegularizationPlan.gaussian(
-            plan.sigma, plan.n, T, plan.M, plan.A,
-            allow_outside_theory=plan.outside_theory,
-        )
+        plan_t = RegularizationPlan.gaussian(plan.sigma, plan.n, T, plan.M, plan.A)
         lam_plain = config.lasso_constant * plan.sigma * math.sqrt(
             math.log(plan.M * T) / (plan.n * T)
         )

@@ -8,21 +8,22 @@ Three checks, each returning a TailCheckReport:
 * the noise-correlation event behind the gaussian penalty: the rate of
   (1/nT) max_j sqrt(sum_t (x_tj . W_t)^2) > lam/2 is at most M^(1-q).
 
-Every check draws from streams derived from (seed, chunk index) with a
-fixed chunk size and aggregates in chunk order, so results are
-reproducible bit for bit regardless of how the work is scheduled.  The
-chi-square checks at one T share their draws: only the cutoff T + x
-differs, so the per-replicate statistics are drawn once and kept for
-the next offset.
+The moment constant, lam and q come from ``regularization``.  Every
+check draws from streams derived from (seed, chunk index) with a fixed
+chunk size and aggregates in chunk order, so results are reproducible
+bit for bit regardless of how the work is scheduled.  The chi-square
+check takes every offset x at one T in one call, so one sample serves
+them all: only the cutoff T + x differs.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .regularization import lambda_gaussian, moment_constant
 
 _CHUNK = 4096
 
@@ -75,19 +76,17 @@ def chi_square_tail_bound(T, x):
     return math.exp(-min(x, x * x / T) / 8.0)
 
 
-def _hashable_seed(seed):
-    # SeedSequence flattens nested sequences, so a tuple seeds as a list does
-    if isinstance(seed, (list, tuple)):
-        return tuple(_hashable_seed(part) for part in seed)
-    return seed
+def chi_square_tail_empirical(T, offsets, replicates, seed):
+    """Simulate Pr(chi2_T > T + x) for each offset x and compare each with
+    the analytic bound; returns one report per offset.
 
-
-@functools.lru_cache(maxsize=1)
-def _chi_square_statistics(T, replicates, seed):
-    """Read-only array of ``replicates`` chi-square(T) draws, each the sum
-    of T squared standard normals, chunk by chunk from the streams
-    (seed, chunk index).  The last (T, replicates, seed) is cached, so
-    the checks at several offsets x for one T draw once."""
+    One sample of ``replicates`` chi-square(T) draws, each the sum of T
+    squared standard normals drawn chunk by chunk from the streams
+    (seed, chunk index), serves every offset.
+    """
+    if replicates < 1000:
+        raise ValueError(f"need at least 1000 replicates, got {replicates}")
+    bounds = [chi_square_tail_bound(T, x) for x in offsets]
     stats = np.empty(replicates)
     start = 0
     for index, size in _chunks(replicates):
@@ -95,17 +94,10 @@ def _chi_square_statistics(T, replicates, seed):
         draws = rng.standard_normal((size, T))
         stats[start:start + size] = np.sum(draws * draws, axis=1)
         start += size
-    stats.flags.writeable = False
-    return stats
-
-
-def chi_square_tail_empirical(T, x, replicates, seed):
-    """Simulate Pr(chi2_T > T + x) and compare with the analytic bound."""
-    if replicates < 1000:
-        raise ValueError(f"need at least 1000 replicates, got {replicates}")
-    bound = chi_square_tail_bound(T, x)
-    stats = _chi_square_statistics(T, replicates, _hashable_seed(seed))
-    return _freq_report(int(np.count_nonzero(stats > T + x)), replicates, bound)
+    return [
+        _freq_report(int(np.count_nonzero(stats > T + x)), replicates, bound)
+        for x, bound in zip(offsets, bounds)
+    ]
 
 
 _DISTRIBUTIONS = ("rademacher", "gaussian")
@@ -129,7 +121,7 @@ def nemirovski_check(M, n_vectors, distribution, replicates, seed):
         raise ValueError(
             f"unknown distribution {distribution!r}, expected one of {_DISTRIBUTIONS}"
         )
-    const = 2.0 * math.e * math.log(M) - math.e
+    const = moment_constant(M)
 
     sum_l = 0.0
     sum_r = 0.0
@@ -171,30 +163,19 @@ def nemirovski_check(M, n_vectors, distribution, replicates, seed):
     )
 
 
-def noise_correlation_violation_rate(data, sigma, lam, replicates, seed):
+def noise_correlation_violation_rate(data, sigma, A, replicates, seed):
     """Rate at which gaussian noise pushes the groupwise correlation
     statistic (1/nT) max_j sqrt(sum_t (x_tj . W_t)^2) above lam/2.
 
-    ``lam`` should come from the gaussian penalty rule with the same
-    sigma; the implied tuning constant A is recovered from lam to
-    evaluate the analytic rate bound M^(1-q), q = min(8 log M,
-    A sqrt(T)/8).
+    lam and q are the gaussian penalty rule's at (sigma, A) and the
+    data's sizes; the analytic rate bound is M^(1-q).
     """
     if not data.unit_diagonal:
         raise ValueError("the correlation event is stated for unit-diagonal designs")
-    if not sigma > 0:
-        raise ValueError(f"noise level sigma must be positive, got {sigma}")
-    if not lam > 0:
-        raise ValueError(f"penalty level must be positive, got {lam}")
     if replicates < 1000:
         raise ValueError(f"need at least 1000 replicates, got {replicates}")
     n, T, M = data.n, data.T, data.M
-    if M < 2:
-        raise ValueError(f"need M >= 2, got M={M}")
-    log_m = math.log(M)
-    # Invert lam = (2 sigma / sqrt(nT)) sqrt(1 + A log(M)/sqrt(T)) for A.
-    a_implied = (lam * lam * n * T / (4.0 * sigma * sigma) - 1.0) * math.sqrt(T) / log_m
-    q = min(8.0 * log_m, a_implied * math.sqrt(T) / 8.0)
+    lam, q, _ = lambda_gaussian(sigma, n, T, M, A)
     bound = M ** (1.0 - q)
 
     X = data.designs

@@ -1,21 +1,21 @@
 """Penalty levels, confidence formulas, and selection thresholds.
 
-All formulas use natural logarithms.  Two noise regimes are covered:
+All formulas use natural logarithms.  Each tuning quantity is defined
+here once, as a function of one rate term per noise regime:
 
-* "gaussian": i.i.d. N(0, sigma^2) noise.  The penalty
-  lam = (2*sigma/sqrt(nT)) * sqrt(1 + A*log(M)/sqrt(T)) with A > 8 gives
+* "gaussian": i.i.d. N(0, sigma^2) noise, rate = 1 + A*log(M)/sqrt(T).
+  The penalty lam = (2*sigma/sqrt(nT)) * sqrt(rate) with A > 8 gives
   guarantees holding with probability at least 1 - M^(1-q),
   q = min(8*log M, A*sqrt(T)/8).
 
-* "finite-variance": only a second moment is assumed.  The penalty
-  lam = sigma * sqrt((log M)^(1+delta) / (nT)) with delta > 0, M >= 3
-  gives guarantees holding with probability at least
-  1 - (2e*log M - e) * c' / (log M)^(1+delta), where c' is the design
-  statistic (1/nT) * sum_{t,i} max_j (x_ti)_j^2.
+* "finite-variance": only a second moment is assumed, rate =
+  (log M)^(1+delta).  The penalty lam = sigma * sqrt(rate / (nT)) with
+  delta > 0, M >= 3 gives guarantees holding with probability at least
+  1 - (2e*log M - e) * c' / rate, where c' is the design statistic
+  (1/nT) * sum_{t,i} max_j (x_ti)_j^2.
 
-Constant validity windows (A > 8, alpha > 1, and so on) are enforced;
-the gaussian penalty takes ``allow_outside_theory=True`` to go below
-A = 8, which marks the resulting plan as outside the guarantee regime.
+Constant validity windows (A > 8, alpha > 1, and so on) are enforced,
+and sigma, A, delta, c' and alpha must be finite.
 """
 
 from __future__ import annotations
@@ -28,32 +28,44 @@ FINITE_VARIANCE = "finite-variance"
 REGIMES = (GAUSSIAN, FINITE_VARIANCE)
 
 
+def _check_above(label, value, low=0):
+    if not low < value < math.inf:
+        raise ValueError(f"{label} must be finite and exceed {low}, got {value}")
+
+
 def _check_dims(sigma, n, T, M, min_M=2):
-    if not sigma > 0:
-        raise ValueError(f"noise level sigma must be positive, got {sigma}")
+    _check_above("noise level sigma", sigma)
     if n < 1 or T < 1:
         raise ValueError(f"need n >= 1 and T >= 1, got n={n}, T={T}")
     if M < min_M:
         raise ValueError(f"need at least M >= {min_M} variables, got M={M}")
 
 
-def lambda_gaussian(sigma, n, T, M, A, allow_outside_theory=False):
+def gaussian_rate(A, M, T):
+    """The gaussian regime's rate term 1 + A*log(M)/sqrt(T)."""
+    return 1.0 + A * math.log(M) / math.sqrt(T)
+
+
+def finite_variance_rate(M, delta):
+    """The finite-variance regime's rate term (log M)^(1+delta)."""
+    return math.log(M) ** (1.0 + delta)
+
+
+def moment_constant(M):
+    """2e*log M - e, the multiplier of the sup-norm moment inequality."""
+    return 2.0 * math.e * math.log(M) - math.e
+
+
+def lambda_gaussian(sigma, n, T, M, A):
     """Gaussian-regime penalty level.
 
     Returns (lam, q, confidence) where confidence = 1 - M^(1-q).
-    Requires A > 8 unless ``allow_outside_theory`` is set.
+    Requires a finite A > 8.
     """
     _check_dims(sigma, n, T, M)
-    if not A > 8 and not allow_outside_theory:
-        raise ValueError(
-            f"tuning constant A must exceed 8 for the guarantee to apply, got {A}; "
-            "pass allow_outside_theory=True to compute anyway"
-        )
-    if not A > 0:
-        raise ValueError(f"tuning constant A must be positive, got {A}")
-    log_m = math.log(M)
-    lam = (2.0 * sigma / math.sqrt(n * T)) * math.sqrt(1.0 + A * log_m / math.sqrt(T))
-    q = min(8.0 * log_m, A * math.sqrt(T) / 8.0)
+    _check_above("tuning constant A", A, 8)
+    lam = (2.0 * sigma / math.sqrt(n * T)) * math.sqrt(gaussian_rate(A, M, T))
+    q = min(8.0 * math.log(M), A * math.sqrt(T) / 8.0)
     confidence = 1.0 - M ** (1.0 - q)
     return lam, q, confidence
 
@@ -61,9 +73,8 @@ def lambda_gaussian(sigma, n, T, M, A, allow_outside_theory=False):
 def lambda_finite_variance(sigma, n, T, M, delta):
     """Finite-variance penalty level sigma * sqrt((log M)^(1+delta)/(nT))."""
     _check_dims(sigma, n, T, M, min_M=3)
-    if not delta > 0:
-        raise ValueError(f"tail exponent delta must be positive, got {delta}")
-    return sigma * math.sqrt(math.log(M) ** (1.0 + delta) / (n * T))
+    _check_above("tail exponent delta", delta)
+    return sigma * math.sqrt(finite_variance_rate(M, delta) / (n * T))
 
 
 def finite_variance_confidence(M, delta, c_prime):
@@ -74,12 +85,9 @@ def finite_variance_confidence(M, delta, c_prime):
     """
     if M < 3:
         raise ValueError(f"finite-variance bounds need M >= 3, got M={M}")
-    if not delta > 0:
-        raise ValueError(f"tail exponent delta must be positive, got {delta}")
-    if not c_prime > 0:
-        raise ValueError(f"design statistic c' must be positive, got {c_prime}")
-    log_m = math.log(M)
-    raw = 1.0 - (2.0 * math.e * log_m - math.e) * c_prime / log_m ** (1.0 + delta)
+    _check_above("tail exponent delta", delta)
+    _check_above("design statistic c'", c_prime)
+    raw = 1.0 - moment_constant(M) * c_prime / finite_variance_rate(M, delta)
     if raw < 0.0:
         return 0.0, True
     return raw, False
@@ -96,10 +104,8 @@ def threshold_constant_c(alpha, sigma, regime=GAUSSIAN):
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}, expected one of {REGIMES}")
-    if not sigma > 0:
-        raise ValueError(f"noise level sigma must be positive, got {sigma}")
-    if not alpha > 1:
-        raise ValueError(f"coherence slack alpha must exceed 1, got {alpha}")
+    _check_above("noise level sigma", sigma)
+    _check_above("coherence slack alpha", alpha, 1)
     if regime == GAUSSIAN:
         return (3.0 + 32.0 / (7.0 * (alpha - 1.0))) * sigma
     return (1.5 + 1.0 / (7.0 * (alpha - 1.0))) * sigma
@@ -113,8 +119,7 @@ def norm_bound_constant_c1(alpha, p):
     (2,inf) bound at constant c.  Both are the gaussian-regime bounds;
     no finite-variance c1 is defined.
     """
-    if not alpha > 1:
-        raise ValueError(f"coherence slack alpha must exceed 1, got {alpha}")
+    _check_above("coherence slack alpha", alpha, 1)
     if not p >= 1:
         raise ValueError(f"need p >= 1, got {p}")
     left = 32.0 * alpha / (alpha - 1.0)
@@ -143,14 +148,14 @@ def selection_threshold(c, n, M, T=None, A=None, regime=GAUSSIAN, delta=None):
             raise ValueError("gaussian threshold needs both T and A")
         if T < 1:
             raise ValueError(f"need T >= 1, got {T}")
-        return (c / math.sqrt(n)) * math.sqrt(1.0 + A * math.log(M) / math.sqrt(T))
+        _check_above("tuning constant A", A, 8)
+        return (c / math.sqrt(n)) * math.sqrt(gaussian_rate(A, M, T))
     if M < 3:
         raise ValueError(f"finite-variance threshold needs M >= 3, got {M}")
     if delta is None:
         raise ValueError("finite-variance threshold needs delta")
-    if not delta > 0:
-        raise ValueError(f"tail exponent delta must be positive, got {delta}")
-    return c * math.sqrt(math.log(M) ** (1.0 + delta) / n)
+    _check_above("tail exponent delta", delta)
+    return c * math.sqrt(finite_variance_rate(M, delta) / n)
 
 
 @dataclass(frozen=True)
@@ -160,6 +165,7 @@ class RegularizationPlan:
     ``confidence`` is the guarantee level 1 - M^(1-q) in the gaussian
     regime; in the finite-variance regime it stays None until the design
     statistic c' is known (see ``finite_variance_confidence``).
+    ``rate`` is the regime's rate term that every bound scales with.
     """
 
     regime: str
@@ -172,11 +178,16 @@ class RegularizationPlan:
     delta: float | None = None
     q: float | None = None
     confidence: float | None = None
-    outside_theory: bool = False
+
+    @property
+    def rate(self):
+        if self.regime == GAUSSIAN:
+            return gaussian_rate(self.A, self.M, self.T)
+        return finite_variance_rate(self.M, self.delta)
 
     @classmethod
-    def gaussian(cls, sigma, n, T, M, A, allow_outside_theory=False):
-        lam, q, confidence = lambda_gaussian(sigma, n, T, M, A, allow_outside_theory)
+    def gaussian(cls, sigma, n, T, M, A):
+        lam, q, confidence = lambda_gaussian(sigma, n, T, M, A)
         return cls(
             regime=GAUSSIAN,
             sigma=sigma,
@@ -187,7 +198,6 @@ class RegularizationPlan:
             A=A,
             q=q,
             confidence=confidence,
-            outside_theory=not A > 8,
         )
 
     @classmethod

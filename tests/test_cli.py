@@ -1,5 +1,8 @@
+import importlib
+import importlib.util
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,6 +118,34 @@ def test_bounds_finite_variance(capsys):
     pairs = _stdout_pairs(out)
     assert pairs["lambda"] == "0.40037751159850116"
     assert "confidence" in pairs and pairs["confidence_vacuous"] in ("true", "false")
+
+
+GAUSSIAN_BOUNDS = ("bounds", "--sigma", "1", "--n", "100", "--T", "4", "--M", "10")
+FV_BOUNDS = ("bounds", "--regime", "finite-variance", "--sigma", "1", "--n", "100",
+             "--T", "9", "--M", "32")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("bounds", "--sigma", "inf", "--n", "100", "--T", "4", "--M", "10",
+                  "--A", "9"), id="sigma"),
+    pytest.param(GAUSSIAN_BOUNDS + ("--A", "inf"), id="A"),
+    pytest.param(FV_BOUNDS + ("--delta", "inf"), id="delta"),
+    pytest.param(FV_BOUNDS + ("--delta", "3", "--c-prime", "inf"), id="c-prime"),
+    pytest.param(GAUSSIAN_BOUNDS + ("--A", "9", "--alpha", "inf", "--p", "2"),
+                 id="alpha"),
+])
+def test_bounds_rejects_non_finite_constants(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "finite" in err
+
+
+def test_bounds_allows_p_inf(capsys):
+    code, out, _ = _run(
+        capsys, *GAUSSIAN_BOUNDS, "--A", "9", "--alpha", "2", "--p", "inf"
+    )
+    assert code == 0
+    assert float(_stdout_pairs(out)["c1_inf"]) == threshold_constant_c(2.0, 1.0, "gaussian")
 
 
 def test_bounds_rejects_p_in_finite_variance_regime(capsys):
@@ -424,6 +455,25 @@ def test_verify_lemmas_small_run(tmp_path, capsys):
     assert saved == out.strip()
 
 
+def test_verify_lemmas_writes_run_manifest(tmp_path, capsys):
+    out_dir = tmp_path / "checks"
+    code, _, err = _run(
+        capsys, "verify-lemmas", "--seed", "3", "--chi-replicates", "1000",
+        "--nem-replicates", "1001", "--event-replicates", "1002",
+        "--out", str(out_dir),
+    )
+    assert code == 0
+    assert "run-manifest:" in err
+    manifest = read_keyvalue(str(out_dir / "run_manifest.txt"))
+    assert manifest["subcommand"] == "verify-lemmas"
+    assert manifest["config_seed"] == "3"
+    assert manifest["config_chi_replicates"] == "1000"
+    assert manifest["config_nem_replicates"] == "1001"
+    assert manifest["config_event_replicates"] == "1002"
+    assert manifest["output_0"] == str(out_dir / "lemma_checks.txt")
+    assert float(manifest["duration_s"]) >= 0.0
+
+
 def test_experiment_oracle_passes(tmp_path, capsys):
     config = _write(tmp_path / "exp.cfg", ORACLE_CONFIG)
     out_dir = tmp_path / "exp"
@@ -453,6 +503,17 @@ def test_experiment_failing_bound_exits_2(tmp_path, capsys):
     summary = read_keyvalue(out_dir / "summary.txt")
     assert summary["bound_correlation_coverage"] == "0"
     assert summary["required_pass"] == "false"
+
+
+@pytest.mark.parametrize("key", ["phi_max", "kappa", "kappa2s", "alpha"])
+def test_experiment_rejects_non_finite_constants(tmp_path, capsys, key):
+    lines = [line for line in ORACLE_CONFIG.splitlines() if not line.startswith(key + "=")]
+    config = _write(tmp_path / "exp.cfg", "\n".join(lines + [f"{key}=inf"]) + "\n")
+    out_dir = tmp_path / "exp"
+    code, out, err = _run(capsys, "experiment", "--config", config, "--out", str(out_dir))
+    assert code == 1 and out == ""
+    assert key in err and "finite" in err
+    assert not out_dir.exists()
 
 
 def test_experiment_unknown_kind_and_key(tmp_path, capsys):
@@ -539,3 +600,15 @@ def test_linear_algebra_failure_exits_3(tmp_path, capsys, monkeypatch):
     )
     assert code == 3
     assert err.startswith("internal error: LinAlgError")
+
+
+def test_tracer_hooks_resolve_to_callables():
+    # perfbench/tracer.py wraps these attributes after `import mtgl.cli`;
+    # a rename in the package must fail here, not only in traced rounds
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module_name, attribute in tracer.LAYERS:
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attribute, None)), (module_name, attribute)

@@ -48,7 +48,7 @@ def test_tail_bound_monotonicity():
 
 
 def test_chi_square_empirical_matches_exact_tail():
-    report = chi_square_tail_empirical(4, 4.0, 100_000, seed=0)
+    [report] = chi_square_tail_empirical(4, [4.0], 100_000, seed=0)
     assert report.replicates == 100_000
     # the empirical frequency estimates Pr(chi^2_4 > 8) = 0.09158
     assert report.empirical_frequency == pytest.approx(CHI2_4_ABOVE_8, abs=0.005)
@@ -57,16 +57,16 @@ def test_chi_square_empirical_matches_exact_tail():
 
 
 def test_chi_square_empirical_edge_cases():
-    huge = chi_square_tail_empirical(3, 150.0, 2000, seed=1)
+    [huge] = chi_square_tail_empirical(3, [150.0], 2000, seed=1)
     assert huge.empirical_frequency == 0.0
     assert huge.passed
     with pytest.raises(ValueError):
-        chi_square_tail_empirical(3, 1.0, 999, seed=1)
+        chi_square_tail_empirical(3, [1.0], 999, seed=1)
 
 
 def test_chi_square_empirical_deterministic():
-    a = chi_square_tail_empirical(6, 5.0, 4000, seed=7)
-    b = chi_square_tail_empirical(6, 5.0, 4000, seed=7)
+    a = chi_square_tail_empirical(6, [5.0], 4000, seed=7)
+    b = chi_square_tail_empirical(6, [5.0], 4000, seed=7)
     assert a == b
 
 
@@ -91,14 +91,19 @@ def _chi_square_reference(T, x, replicates, seed):
     )
 
 
-def test_chi_square_shared_draws_match_fresh_draws():
-    # the draws of one (T, replicates, seed) are kept for the next offset;
-    # switching seed or T and back must never hand out stale draws
-    calls = [(4, 0, 2.0), (4, 0, 4.0), (4, 1, 2.0), (4, 0, 16.0), (6, 0, 3.0),
-             (4, 0, 2.0), (4, [0, 9], 2.0), (4, (0, 9), 4.0), (4, [[0, 9]], 4.0)]
-    for T, seed, x in calls:
-        report = chi_square_tail_empirical(T, x, 5000, seed)
-        assert report == _chi_square_reference(T, x, 5000, seed), (T, seed, x)
+def test_chi_square_batched_offsets_match_single_offset_calls():
+    # one call's offsets share a sample; each report must equal the one
+    # a single-offset call gives, and the check on fresh draws, across
+    # interleaved seeds and T values and list, tuple and nested seeds
+    calls = [(4, 0, (2.0, 4.0, 16.0)), (4, 1, (2.0,)), (6, 0, (3.0, 1.0)),
+             (4, 0, (16.0, 2.0)), (4, [0, 9], (2.0, 4.0)), (4, (0, 9), (4.0, 2.0)),
+             (4, [[0, 9]], (4.0,))]
+    for T, seed, offsets in calls:
+        batched = chi_square_tail_empirical(T, offsets, 5000, seed)
+        singles = [chi_square_tail_empirical(T, [x], 5000, seed)[0] for x in offsets]
+        assert batched == singles, (T, seed, offsets)
+        for x, report in zip(offsets, batched):
+            assert report == _chi_square_reference(T, x, 5000, seed), (T, seed, x)
 
 
 def test_nemirovski_single_rademacher_vector():
@@ -185,8 +190,8 @@ def _noise_test_dataset(seed=4):
 
 def test_noise_event_rate_below_bound():
     data = _noise_test_dataset()
-    lam, q, _ = lambda_gaussian(1.0, 64, 16, 8, 9.0)
-    report = noise_correlation_violation_rate(data, 1.0, lam, 4000, seed=6)
+    _, q, _ = lambda_gaussian(1.0, 64, 16, 8, 9.0)
+    report = noise_correlation_violation_rate(data, 1.0, 9.0, 4000, seed=6)
     assert q == 4.5
     assert report.analytic_bound == pytest.approx(8.0 ** (1.0 - 4.5), rel=1e-12)
     assert report.passed
@@ -197,33 +202,42 @@ def test_noise_event_rate_below_bound():
 
 
 def test_noise_event_rate_inflated_lambda():
+    # A = 1100 puts lam above ten times its value at A = 9
     data = _noise_test_dataset()
     lam, _, _ = lambda_gaussian(1.0, 64, 16, 8, 9.0)
-    report = noise_correlation_violation_rate(data, 1.0, lam * 10.0, 2000, seed=8)
+    assert lambda_gaussian(1.0, 64, 16, 8, 1100.0)[0] > lam * 10.0
+    report = noise_correlation_violation_rate(data, 1.0, 1100.0, 2000, seed=8)
     assert report.empirical_frequency == 0.0
     assert report.passed
+
+
+@pytest.mark.parametrize("A", [9.0, 12.5, 40.0])
+def test_noise_event_bound_is_the_rule_q(A):
+    data = _noise_test_dataset()
+    _, q, _ = lambda_gaussian(1.0, 64, 16, 8, A)
+    report = noise_correlation_violation_rate(data, 1.0, A, 1000, seed=12)
+    assert report.analytic_bound == 8 ** (1 - q)
 
 
 def test_noise_event_requires_unit_diagonal():
     rng = np.random.default_rng(9)
     X = rng.standard_normal((2, 10, 3)) * 2.0
     data = MultiTaskDataset(X, np.zeros((2, 10)))
-    with pytest.raises(ValueError):
-        noise_correlation_violation_rate(data, 1.0, 0.5, 2000, seed=0)
+    with pytest.raises(ValueError, match="unit-diagonal"):
+        noise_correlation_violation_rate(data, 1.0, 9.0, 2000, seed=0)
 
 
 def test_noise_event_deterministic():
     data = _noise_test_dataset()
-    lam, _, _ = lambda_gaussian(1.0, 64, 16, 8, 9.0)
-    a = noise_correlation_violation_rate(data, 1.0, lam, 3000, seed=10)
-    b = noise_correlation_violation_rate(data, 1.0, lam, 3000, seed=10)
+    a = noise_correlation_violation_rate(data, 1.0, 9.0, 3000, seed=10)
+    b = noise_correlation_violation_rate(data, 1.0, 9.0, 3000, seed=10)
     assert a == b
 
 
 def test_report_pass_rule():
     # the pass flag is exactly "empirical <= bound + 3*se"
     for seed in range(5):
-        report = chi_square_tail_empirical(4, 2.0, 2000, seed=seed)
+        [report] = chi_square_tail_empirical(4, [2.0], 2000, seed=seed)
         assert report.passed == (
             report.empirical_frequency
             <= report.analytic_bound + 3.0 * report.standard_error

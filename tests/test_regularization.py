@@ -47,13 +47,13 @@ def test_lambda_gaussian_limits_and_scaling():
 
 
 def test_lambda_gaussian_requires_large_A():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as excinfo:
         lambda_gaussian(1.0, 100, 4, 10, 8.0)
-    # explicit override marks exploratory use
-    lam, q, conf = lambda_gaussian(1.0, 100, 4, 10, 4.0, allow_outside_theory=True)
-    assert lam > 0 and q == 1.0 and conf == 0.0
-    with pytest.raises(ValueError):
-        lambda_gaussian(1.0, 100, 4, 10, -1.0, allow_outside_theory=True)
+    assert "exceed 8" in str(excinfo.value)
+    # there is no override: every A <= 8 is refused
+    for A in (4.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            lambda_gaussian(1.0, 100, 4, 10, A)
     with pytest.raises(ValueError):
         lambda_gaussian(1.0, 100, 4, 1, 9.0)  # M >= 2
 
@@ -160,13 +160,47 @@ def test_plan_constructors():
     assert plan.lam == pytest.approx(LAM_G, rel=1e-15)
     assert plan.q == Q_G
     assert plan.confidence == pytest.approx(CONF_G, rel=1e-15)
-    assert not plan.outside_theory
+    assert plan.A == 9.0
 
     fv = RegularizationPlan.finite_variance(1.0, 100, 9, 32, 3.0)
     assert fv.regime == FINITE_VARIANCE
     assert fv.lam == pytest.approx(LAM_FV, rel=1e-15)
     assert fv.confidence is None  # needs a measured c' to price the guarantee
     assert fv.delta == 3.0
+
+
+def test_plan_rate_reproduces_lambda_and_tau_bit_for_bit():
+    sigma, n, T, M, A = 1.3, 77, 5, 12, 10.0
+    plan = RegularizationPlan.gaussian(sigma, n, T, M, A)
+    assert plan.rate == 1.0 + A * math.log(M) / math.sqrt(T)
+    assert plan.lam == (2.0 * sigma / math.sqrt(n * T)) * math.sqrt(plan.rate)
+    c = threshold_constant_c(2.0, sigma, GAUSSIAN)
+    tau = selection_threshold(c, n, M, T=T, A=A, regime=GAUSSIAN)
+    assert tau == (c / math.sqrt(n)) * math.sqrt(plan.rate)
+
+    sigma, n, T, M, delta = 0.7, 64, 3, 9, 1.5
+    fv = RegularizationPlan.finite_variance(sigma, n, T, M, delta)
+    assert fv.rate == math.log(M) ** (1.0 + delta)
+    assert fv.lam == sigma * math.sqrt(fv.rate / (n * T))
+    c = threshold_constant_c(2.0, sigma, FINITE_VARIANCE)
+    tau = selection_threshold(c, n, M, regime=FINITE_VARIANCE, delta=delta)
+    assert tau == c * math.sqrt(fv.rate / n)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: lambda_gaussian(math.inf, 100, 4, 10, 9.0),
+    lambda: lambda_gaussian(1.0, 100, 4, 10, math.inf),
+    lambda: lambda_finite_variance(1.0, 100, 9, 32, math.inf),
+    lambda: finite_variance_confidence(32, math.inf, 1.0),
+    lambda: finite_variance_confidence(32, 3.0, math.inf),
+    lambda: selection_threshold(1.0, 100, 32, regime=FINITE_VARIANCE, delta=math.inf),
+    lambda: threshold_constant_c(math.inf, 1.0, GAUSSIAN),
+    lambda: threshold_constant_c(2.0, math.inf, GAUSSIAN),
+    lambda: norm_bound_constant_c1(math.inf, 2.0),
+])
+def test_constants_must_be_finite(call):
+    with pytest.raises(ValueError, match="finite"):
+        call()
 
 
 def test_formulas_are_deterministic():
