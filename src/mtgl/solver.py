@@ -17,8 +17,12 @@ groups, never through parameter change between sweeps.
 
 Block-coordinate descent and the baseline share one prox-linear
 coordinate sweep over a working set; they differ only in the group
-width.  The full residual X B and the correlations X^T r / (nT) are
-batched matrix products (BLAS).
+width.  Proximal gradient is FISTA (Beck & Teboulle 2009) with a
+function-value restart (O'Donoghue & Candes 2015): an extrapolated
+step is kept only if it does not raise the objective, else the
+momentum is reset and the plain step T/(2*phi_max) is taken, so only
+descending iterates reach the driver.  The full residual X B and the
+correlations X^T r / (nT) are batched matrix products (BLAS).
 """
 
 from __future__ import annotations
@@ -94,7 +98,9 @@ class SolveResult:
 
     beta_hat        : estimated coefficients, (M, T).
     iterations      : sweeps over the working set (block-coordinate) or
-                      gradient steps.
+                      accepted proximal-gradient iterates; an
+                      extrapolated step that would raise the objective
+                      is replaced by the plain step, not counted twice.
     kkt_residual    : optimality residual at beta_hat.
     objective_trace : objective value before each update and at the end;
                       nonincreasing up to float slack.
@@ -251,6 +257,8 @@ def _coordinate_sweep(data, lam, width):
         # One step per row, as Python floats: cheaper than 0-d arrays.
         scale, thresh = scale[:, 0].tolist(), thresh[:, 0].tolist()
 
+    buf = np.empty_like(data.responses)     # (T, n) rank-one update
+
     def sweep(values, resid, corr):
         violated = np.linalg.norm(corr.reshape(-1, width), axis=1) > lam
         nonzero = (values != 0.0).any(axis=1)
@@ -270,10 +278,10 @@ def _coordinate_sweep(data, lam, width):
                     v[:] = 0.0
                 else:
                     continue                # a zero row that stays zero
-            delta = v - row
-            if np.count_nonzero(delta):
-                resid -= cols * delta[:, None]
-                row[:] = v
+            # An unchanged row subtracts zeros: resid stays bit for bit.
+            np.multiply(cols, (v - row)[:, None], out=buf)
+            resid -= buf
+            row[:] = v
         return values
 
     return sweep
@@ -289,10 +297,12 @@ def solve_group_lasso(data, config):
 
     The block-coordinate algorithm runs the prox-linear coordinate
     sweep it shares with ``solve_lasso_baseline``, with groups of width
-    T.  Proximal gradient uses the fixed step T / (2*phi_max).  Both run
-    the shared descent driver, which stops on the KKT residual over all
-    M groups, computed from a residual rebuilt from scratch after every
-    sweep or step.
+    T.  Proximal gradient is restarted FISTA with step T / (2*phi_max):
+    each iteration tries the extrapolated step and keeps it if the
+    objective does not rise, else it resets the momentum and takes the
+    plain proximal step.  Both run the shared descent driver, which
+    stops on the KKT residual over all M groups, computed from a
+    residual rebuilt from scratch after every sweep or step.
     """
     if config.algorithm == "proximal-gradient":
         return _solve_proximal_gradient(data, config)
@@ -310,12 +320,42 @@ def _solve_proximal_gradient(data, config):
     # guarantees monotone descent.
     step = data.T / (2.0 * phi_max)
     prox_tau = step * 2.0 * config.lam
+    X, Y, lam, T = data.designs, data.responses, config.lam, data.T
+    prev = prev_corr = None         # x_{k-1} and its correlation
+    momentum = 0.0                  # t_k
 
-    def forward_backward(values, resid, corr):
-        # Gradient of S is -2 * corr, so the forward step adds 2*step*corr.
-        return _prox_l21(values + 2.0 * step * corr, prox_tau)
+    def accelerated_step(values, resid, corr):
+        # Gradient of S is -2 * corr, so a forward step adds 2*step*corr.
+        nonlocal prev, prev_corr, momentum
+        following = _next_momentum(momentum)
+        beta = (momentum - 1.0) / following
+        candidate = None
+        if beta > 0.0:
+            # corr is affine in B, so at z = x_k + beta*(x_k - x_{k-1})
+            # it is corr_k + beta*(corr_k - corr_{k-1}): no X^T r needed.
+            z = values + beta * (values - prev)
+            z_corr = corr + beta * (corr - prev_corr)
+            candidate = _prox_l21(z + 2.0 * step * z_corr, prox_tau)
+            rises = _objective_from_resid(
+                _residual(X, Y, candidate), candidate, lam, T
+            ) > _objective_from_resid(resid, values, lam, T)
+            if rises:
+                # Restart (O'Donoghue & Candes 2015): go on as if x_k were
+                # the starting point, whose plain step descends by itself.
+                candidate, following = None, _next_momentum(0.0)
+        if candidate is None:
+            candidate = _prox_l21(values + 2.0 * step * corr, prox_tau)
+        prev, prev_corr, momentum = values, corr, following
+        return candidate
 
-    return _descend(data, config, data.T, forward_backward)
+    return _descend(data, config, T, accelerated_step)
+
+
+def _next_momentum(t):
+    # t_{k+1} of Beck & Teboulle (2009).  The step from x_k extrapolates
+    # by beta = (t_k - 1) / t_{k+1}; from t_0 = 0 (so t_1 = 1) the first
+    # two steps are plain, and so are the two after each restart.
+    return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
 
 
 def _prox_l21(values, tau):

@@ -9,6 +9,7 @@ sqrt((nu-2)/nu)), keeping the noise level comparable across kinds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +81,8 @@ class SignalSpec:
                 f"unknown amplitude rule {self.amplitude!r}, "
                 f"expected one of {AMPLITUDE_RULES}"
             )
+        for name in ("mu", "scale"):
+            _check_finite(f"signal {name}", getattr(self, name))
         if self.amplitude == "constant" and self.mu == 0.0:
             raise ValueError("constant amplitude mu must be nonzero")
         if self.amplitude == "gaussian" and not self.scale > 0:
@@ -97,6 +100,9 @@ class NoiseSpec:
             raise ValueError(
                 f"unknown noise kind {self.kind!r}, expected one of {NOISE_KINDS}"
             )
+        _check_finite("noise level sigma", self.sigma)
+        if self.nu is not None:
+            _check_finite("noise nu", self.nu)
         if self.sigma < 0:
             raise ValueError(f"noise level sigma must be >= 0, got {self.sigma}")
         if self.kind == "student-t":
@@ -104,6 +110,13 @@ class NoiseSpec:
                 raise ValueError(
                     f"student-t noise needs nu > 2 for a finite variance, got {self.nu}"
                 )
+
+
+def _check_finite(name, value):
+    # Checked before any draw: an infinite or nan parameter would only
+    # show up later as non-finite data.
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _draw_design(spec, rng):

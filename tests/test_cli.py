@@ -2,6 +2,8 @@ import importlib
 import importlib.util
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -514,6 +516,22 @@ def test_experiment_rejects_non_finite_constants(tmp_path, capsys, key):
     assert code == 1 and out == ""
     assert key in err and "finite" in err
     assert not out_dir.exists()
+
+
+def test_experiment_rejects_infinite_signal_mu_before_drawing(tmp_path):
+    # A fresh process, so numpy's warnings reach stderr as a user sees
+    # them instead of being raised by this suite's warning filter.
+    config = _write(tmp_path / "exp.cfg", ORACLE_CONFIG + "signal_mu=inf\n")
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, MTGL_THREADS="1", PYTHONPATH=package_root)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mtgl.cli", "experiment", "--config", config,
+         "--out", str(tmp_path / "exp")],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "signal mu must be finite" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_experiment_unknown_kind_and_key(tmp_path, capsys):

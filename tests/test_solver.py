@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mtgl.model import GroupCoefficients, MultiTaskDataset, group_support, objective
 from mtgl.solver import (
     SolverConfig,
+    _descend,
     block_soft_threshold,
     kkt_residual,
     lasso_kkt_residual,
@@ -339,6 +340,150 @@ def test_solve_leaves_designs_untouched(algorithm):
     assert data.designs.shape == (data.T, data.n, data.M)
 
 
+def _reference_row_loop_sweep(data, lam, width):
+    """The coordinate sweep with the row update written out plainly: a
+    fresh ``row + c * scale`` vector, a rank update only when some entry
+    changed, and a new ``cols * delta`` product per row."""
+    M, n = data.M, data.n
+    G = np.ascontiguousarray(data.designs.transpose(2, 0, 1))
+    curvature = (np.einsum("jtn,jtn->jt", G, G) / n).reshape(M, -1, width).max(axis=2)
+    step = 1.0 / np.where(curvature > 0, curvature, 1.0)
+    thresh = lam * data.T * step
+    scale = step / n
+    if width > 1:
+        scale, thresh = scale[:, 0].tolist(), thresh[:, 0].tolist()
+
+    def sweep(values, resid, corr):
+        violated = np.linalg.norm(corr.reshape(-1, width), axis=1) > lam
+        nonzero = (values != 0.0).any(axis=1)
+        working = np.flatnonzero(nonzero | violated.reshape(M, -1).any(axis=1))
+        for j in working.tolist():
+            cols, row = G[j], values[j]
+            v = row + np.vecdot(cols, resid) * scale[j]
+            if width == 1:
+                v = v - np.minimum(np.maximum(v, -thresh[j]), thresh[j])
+            else:
+                norm = math.sqrt(v.dot(v))
+                if norm > thresh[j]:
+                    v *= 1.0 - thresh[j] / norm
+                elif nonzero[j]:
+                    v[:] = 0.0
+                else:
+                    continue
+            delta = v - row
+            if np.count_nonzero(delta):
+                resid -= cols * delta[:, None]
+                row[:] = v
+        return values
+
+    return sweep
+
+
+def _unnormalized_dataset_with_zero_column():
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((3, 25, 12)) * rng.uniform(0.2, 5.0, size=(3, 1, 12))
+    X[:, :, 4] = 0.0
+    return MultiTaskDataset(X, rng.standard_normal((3, 25)))
+
+
+@pytest.mark.parametrize("design", ["ar1", "unnormalized"])
+@pytest.mark.parametrize("width", ["group", "entrywise"])
+def test_coordinate_sweep_is_bit_identical_to_plain_row_loop(design, width):
+    data = _ar1_dataset() if design == "ar1" else _unnormalized_dataset_with_zero_column()
+    for fraction in (0.5, 0.2, 0.08):
+        lam = fraction * _lam_max(data)
+        config = SolverConfig(lam=lam, max_iterations=20000)
+        if width == "group":
+            res = solve_group_lasso(data, config)
+            group_width = data.T
+        else:
+            res = solve_lasso_baseline(data, lam, max_iterations=20000)
+            group_width = 1
+        ref = _descend(
+            data, config, group_width, _reference_row_loop_sweep(data, lam, group_width)
+        )
+        assert res.converged and ref.converged
+        assert res.iterations == ref.iterations
+        assert np.array_equal(res.beta_hat.values, ref.beta_hat.values)
+        assert res.objective_trace == ref.objective_trace
+
+
+# ---------------------------------------------------------------------------
+# accelerated proximal gradient
+
+# Fixed-step proximal gradient (step T/(2*phi_max), no momentum) took this
+# many steps on _ar1_dataset() at these fractions of lam_max.
+_FIXED_STEP_COUNTS = {0.2: 462, 0.08: 852}
+
+
+@pytest.mark.parametrize("fraction", sorted(_FIXED_STEP_COUNTS))
+def test_accelerated_pg_converges_monotonically_in_half_the_fixed_steps(fraction):
+    data = _ar1_dataset()
+    lam = fraction * _lam_max(data)
+    pg = solve_group_lasso(
+        data, SolverConfig(lam=lam, algorithm="proximal-gradient", max_iterations=5000)
+    )
+    bcd = solve_group_lasso(data, SolverConfig(lam=lam, max_iterations=5000))
+    assert pg.converged and pg.kkt_residual <= 1e-8
+    trace = np.array(pg.objective_trace)
+    assert len(trace) == pg.iterations + 1
+    assert np.all(np.diff(trace) <= 1e-12 * trace[:-1])
+    assert objective(data, pg.beta_hat, lam) == pytest.approx(
+        objective(data, bcd.beta_hat, lam), rel=1e-9
+    )
+    assert pg.iterations <= _FIXED_STEP_COUNTS[fraction] // 2
+
+
+def _restarted_fista_reference(data, lam, steps):
+    """FISTA (Beck & Teboulle 2009) written out plainly, with t_1 = 1 and
+    y_1 = x_0: x_k = pg(y_k), y_{k+1} = x_k + (t_k - 1)/t_{k+1} (x_k - x_{k-1}),
+    the gradient at y computed from its own residual.  An extrapolated
+    x_k whose objective exceeds that of x_{k-1} is replaced by pg(x_{k-1})
+    and the method starts afresh from x_{k-1} (O'Donoghue & Candes 2015).
+    Returns the objective of x_0 and of each step, and the restarts."""
+    X, Y, n, T = data.designs, data.responses, data.n, data.T
+    phi_max = max(np.linalg.eigvalsh(X[t].T @ X[t] / n)[-1] for t in range(T))
+    step = T / (2.0 * phi_max)
+
+    def pg(B):
+        resid = Y - np.einsum("tnm,mt->tn", X, B)
+        forward = B + 2.0 * step * np.einsum("tnm,tn->mt", X, resid) / (n * T)
+        norms = np.linalg.norm(forward, axis=1, keepdims=True)
+        shrink = np.maximum(1.0 - 2.0 * step * lam / np.maximum(norms, 1e-300), 0.0)
+        return forward * shrink
+
+    def F(B):
+        return objective(data, GroupCoefficients(B), lam)
+
+    x = y = np.zeros((data.M, T))
+    t, extrapolated = 1.0, False
+    trace, restarts = [F(x)], 0
+    for _ in range(steps):
+        x_next = pg(y)
+        if extrapolated and F(x_next) > trace[-1]:
+            restarts += 1
+            x_next, t = pg(x), 1.0
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        y = x_next + (t - 1.0) / t_next * (x_next - x)
+        x, t, extrapolated = x_next, t_next, t > 1.0
+        trace.append(F(x))
+    return trace, restarts
+
+
+def test_accelerated_pg_follows_restarted_fista_reference():
+    data = _ar1_dataset()
+    lam = 0.2 * _lam_max(data)
+    steps = 60
+    expected, restarts = _restarted_fista_reference(data, lam, steps)
+    assert restarts >= 2
+    pg = solve_group_lasso(
+        data,
+        SolverConfig(lam=lam, algorithm="proximal-gradient", max_iterations=steps),
+    )
+    assert pg.iterations == steps
+    np.testing.assert_allclose(pg.objective_trace, expected, rtol=1e-12, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # properties on small random designs
 
@@ -370,6 +515,27 @@ def test_property_bcd_and_pg_agree_in_objective(problem):
         objective(data, pg.beta_hat, lam), rel=1e-9
     )
 
+
+@_PROPERTY_SETTINGS
+@given(_problems(), st.integers(0, 2**32 - 1))
+def test_property_pg_and_bcd_agree_on_unnormalized_designs(problem, seed):
+    # Per-task column scales from U(0.2, 5): the Gram diagonal is far
+    # from 1 and PG's momentum restarts on a badly conditioned problem.
+    data, fraction_lam = problem
+    scales = np.random.default_rng(seed).uniform(0.2, 5.0, size=(data.T, 1, data.M))
+    scaled = MultiTaskDataset(data.designs * scales, data.responses)
+    lam = fraction_lam / _lam_max(data) * _lam_max(scaled)
+    bcd = solve_group_lasso(scaled, SolverConfig(lam=lam, max_iterations=50000))
+    pg = solve_group_lasso(
+        scaled,
+        SolverConfig(lam=lam, algorithm="proximal-gradient", max_iterations=50000),
+    )
+    assert bcd.converged and pg.converged
+    trace = np.array(pg.objective_trace)
+    assert np.all(np.diff(trace) <= 1e-12 * trace[:-1])
+    assert objective(scaled, pg.beta_hat, lam) == pytest.approx(
+        objective(scaled, bcd.beta_hat, lam), rel=1e-9
+    )
 
 @_PROPERTY_SETTINGS
 @given(_problems(T=1))

@@ -43,6 +43,26 @@ def test_spec_validation():
         NoiseSpec(sigma=-0.1)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: SignalSpec(s=1, mu=v),
+        lambda v: SignalSpec(s=1, amplitude="gaussian", scale=v),
+        lambda v: SignalSpec(s=1, scale=v),
+        lambda v: NoiseSpec(sigma=v),
+        lambda v: NoiseSpec(kind="student-t", nu=v),
+        lambda v: NoiseSpec(nu=v),
+    ],
+    ids=["mu", "gaussian-scale", "constant-scale", "sigma", "student-t-nu", "gaussian-nu"],
+)
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_specs_reject_non_finite_values(make, value):
+    # Rejected at construction, before any draw; student-t nu=inf used
+    # to give the noise scale sqrt((nu-2)/nu) = nan.
+    with pytest.raises(ValueError, match="must be finite"):
+        make(value)
+
+
 def test_normalization_exactness():
     for kind, extra in (("gaussian-iid", {}), ("ar1", {"rho": 0.6})):
         design = DesignSpec(kind=kind, n=37, M=9, T=3, **extra)
