@@ -43,6 +43,7 @@ from .regularization import (
 from .assumptions import (
     AssumptionReport,
     coherence_admissible,
+    coherence_limit,
     gram_diagnostics,
     largest_gram_eigenvalue,
     minimize_re_quotient,

@@ -25,6 +25,7 @@ Neither bracket ever substitutes for the other in theoretical bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,9 +47,6 @@ class AssumptionReport:
     max_coherence: float
     phi_max: float
     c_prime: float
-
-    def admissible(self, s, alpha):
-        return coherence_admissible(self, s, alpha)
 
 
 @dataclass(frozen=True)
@@ -105,27 +103,35 @@ def gram_diagnostics(data):
     )
 
 
-def validate_sparsity_and_slack(s, alpha):
-    """Raise ValueError unless s >= 1 and alpha > 1."""
-    if s < 1:
-        raise ValueError(f"sparsity s must be >= 1, got {s}")
+def _validate_slack(alpha):
     if not alpha > 1:
         raise ValueError(f"coherence slack alpha must exceed 1, got {alpha}")
+    if alpha == math.inf:
+        raise ValueError(f"coherence slack alpha must be finite, got {alpha}")
+
+
+def coherence_limit(s, alpha):
+    """The coherence condition's limit 1/(7*alpha*s) on every Gram's
+    off-diagonal entries, for sparsity s >= 1 and finite alpha > 1."""
+    if s < 1:
+        raise ValueError(f"sparsity s must be >= 1, got {s}")
+    _validate_slack(alpha)
+    return 1.0 / (7.0 * alpha * s)
 
 
 def coherence_admissible(report, s, alpha):
-    """True iff diagonals are unit and coherence is at most 1/(7*alpha*s)."""
-    validate_sparsity_and_slack(s, alpha)
+    """True iff diagonals are unit and coherence is at most
+    ``coherence_limit(s, alpha)``."""
+    limit = coherence_limit(s, alpha)
     if report.unit_diagonal_max_deviation > UNIT_DIAGONAL_TOL:
         return False
-    return report.max_coherence <= 1.0 / (7.0 * alpha * s)
+    return report.max_coherence <= limit
 
 
 def re_lower_bound_from_coherence(alpha):
     """Certified RE lower bound kappa = sqrt(1 - 1/alpha) under
     admissible coherence (any sparsity the admissibility was checked at)."""
-    if not alpha > 1:
-        raise ValueError(f"coherence slack alpha must exceed 1, got {alpha}")
+    _validate_slack(alpha)
     return float(np.sqrt(1.0 - 1.0 / alpha))
 
 

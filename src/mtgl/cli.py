@@ -5,7 +5,10 @@ experiment.  Exit codes: 0 success, 1 invalid input (bad flags, bad
 config, unreadable or malformed files), 2 a requested statistical check
 failed, 3 internal error.
 
-Config files are flat key=value text; unknown keys are rejected.  Every
+Config files are flat key=value text; unknown keys are rejected.
+Reports are printed as key=value lines; every output file has the text
+format of mtgl.dataio (floats with 17 significant digits, bools as
+true/false, an absent value as an empty cell).  Every
 artifact-producing run writes a run_manifest.txt beside its outputs
 recording the subcommand, package version, resolved configuration, and
 wall-clock duration (the manifest is metadata; all data outputs are
@@ -27,20 +30,24 @@ from . import __version__
 from .assumptions import (
     _validate_sparsity_range,
     coherence_admissible,
+    coherence_limit,
     gram_diagnostics,
     re_lower_bound_from_coherence,
     re_upper_estimate,
-    validate_sparsity_and_slack,
 )
 from .dataio import (
     ParseError,
-    format_float,
+    format_row,
+    keyvalue_lines,
     read_coefficients,
     read_dataset,
     read_keyvalue,
-    write_dataset,
+    record_pairs,
     write_coefficients,
+    write_dataset,
     write_keyvalue,
+    write_lines,
+    write_records,
 )
 from .experiments import (
     ExperimentConfig,
@@ -66,7 +73,7 @@ from .regularization import (
     threshold_constant_c,
 )
 from .selection import average_sign_estimate, select_support
-from .solver import SolverConfig, solve_group_lasso
+from .solver import ALGORITHMS, SolverConfig, solve_group_lasso
 from .synth import DesignSpec, NoiseSpec, SignalSpec, generate_dataset
 
 
@@ -79,17 +86,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format_float(value)
-    return str(value)
-
-
-def _print_pairs(pairs, stream=None):
-    for key, value in pairs:
-        print(f"{key}={_fmt(value)}", file=stream)
+def _report(pairs, path=None):
+    """Print the key=value report, and write it to ``path`` if given."""
+    lines = keyvalue_lines(pairs)
+    print("\n".join(lines))
+    if path is not None:
+        write_lines(path, lines)
 
 
 def _threads():
@@ -107,7 +109,7 @@ def _write_run_manifest(
     out_dir, subcommand, settings, inputs, outputs, started, timings=()
 ):
     pairs = [("subcommand", subcommand), ("version", __version__)]
-    pairs += [(f"config_{key}", _fmt(value)) for key, value in settings]
+    pairs += [(f"config_{key}", value) for key, value in settings]
     pairs += [(f"input_{i}", path) for i, path in enumerate(inputs)]
     pairs += [(f"output_{i}", path) for i, path in enumerate(outputs)]
     pairs += [(key, f"{seconds:.3f}") for key, seconds in timings]
@@ -219,7 +221,7 @@ def _cmd_gen(args):
     manifest = write_dataset(dataset, args.out)
     beta_path = os.path.join(args.out, "beta_star.csv")
     write_coefficients(beta_star, beta_path)
-    _print_pairs([("manifest", manifest), ("beta_star", beta_path)])
+    _report([("manifest", manifest), ("beta_star", beta_path)])
     _write_run_manifest(
         args.out, "gen", cfg.items_used(), [args.config], [manifest, beta_path], started
     )
@@ -239,17 +241,15 @@ def _cmd_solve(args):
     os.makedirs(args.out, exist_ok=True)
     beta_path = os.path.join(args.out, "beta_hat.csv")
     write_coefficients(result.beta_hat, beta_path)
-    report = [
+    report_path = os.path.join(args.out, "report.txt")
+    _report([
         ("algorithm", args.algorithm),
         ("lambda", args.lam),
         ("iterations", result.iterations),
         ("kkt_residual", result.kkt_residual),
         ("objective", result.objective_trace[-1]),
         ("converged", result.converged),
-    ]
-    report_path = os.path.join(args.out, "report.txt")
-    write_keyvalue(report_path, [(k, _fmt(v)) for k, v in report])
-    _print_pairs(report)
+    ], report_path)
     settings = [
         ("data", args.data),
         ("lambda", args.lam),
@@ -272,8 +272,8 @@ def _threshold(args):
 
 def _resolve_tau(args):
     if args.tau is not None:
-        if not args.tau > 0:
-            raise ValueError(f"--tau must be positive, got {args.tau}")
+        if not 0 < args.tau < math.inf:
+            raise ValueError(f"--tau must be positive and finite, got {args.tau}")
         return args.tau
     needed = [args.sigma, args.alpha, args.n, args.M]
     if any(v is None for v in needed):
@@ -297,13 +297,11 @@ def _cmd_select(args):
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         sel_path = os.path.join(args.out, "selected.txt")
-        with open(sel_path, "w") as handle:
-            for j in result.selected:
-                handle.write(f"{j}\n")
+        write_lines(sel_path, result.selected)
         avg_path = os.path.join(args.out, "averages.csv")
-        with open(avg_path, "w") as handle:
-            for a, at, sg in zip(averages.a_hat, averages.a_tilde, averages.signs):
-                handle.write(f"{format_float(a)},{format_float(at)},{sg}\n")
+        write_lines(avg_path, map(format_row, zip(
+            averages.a_hat, averages.a_tilde, averages.signs
+        )))
         outputs = [sel_path, avg_path]
         _write_run_manifest(
             args.out, "select",
@@ -314,7 +312,7 @@ def _cmd_select(args):
 
 def _cmd_check(args):
     started = time.monotonic()
-    validate_sparsity_and_slack(args.s, args.alpha)
+    limit = coherence_limit(args.s, args.alpha)
     if args.re_samples < 0:
         raise ValueError(
             f"--re-samples must be >= 0 (0 skips the estimate), got {args.re_samples}"
@@ -326,7 +324,7 @@ def _cmd_check(args):
     pairs = [
         ("unit_diagonal_max_deviation", report.unit_diagonal_max_deviation),
         ("max_coherence", report.max_coherence),
-        ("coherence_limit", 1.0 / (7.0 * args.alpha * args.s)),
+        ("coherence_limit", limit),
         ("phi_max", report.phi_max),
         ("c_prime", report.c_prime),
         ("admissible", coherence_admissible(report, args.s, args.alpha)),
@@ -341,11 +339,12 @@ def _cmd_check(args):
         ("diagnose_s", diagnose_done - read_done),
         ("re_probe_s", time.monotonic() - diagnose_done),
     ]
-    _print_pairs(pairs)
+    report_path = None
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         report_path = os.path.join(args.out, "report.txt")
-        write_keyvalue(report_path, [(k, _fmt(v)) for k, v in pairs])
+    _report(pairs, report_path)
+    if report_path:
         settings = [
             ("data", args.data), ("s", args.s), ("alpha", args.alpha),
             ("re_samples", args.re_samples), ("seed", args.seed),
@@ -382,7 +381,7 @@ def _cmd_bounds(args):
         pairs += [("c", c), ("tau", tau)]
         for p in args.p:
             pairs.append((f"c1_{p:g}", norm_bound_constant_c1(args.alpha, p)))
-    _print_pairs(pairs)
+    _report(pairs)
     return 0
 
 
@@ -398,7 +397,7 @@ def _cmd_verify_lemmas(args):
             failures += not report.passed
             lines.append(
                 [("check", "chi-square-tail"), ("T", T), ("x", x)]
-                + _report_pairs(report)
+                + record_pairs(report)
             )
     for M in (3, 10, 100):
         for distribution in ("rademacher", "gaussian"):
@@ -406,7 +405,7 @@ def _cmd_verify_lemmas(args):
             failures += not report.passed
             lines.append(
                 [("check", "sup-norm-moment"), ("M", M), ("distribution", distribution)]
-                + _report_pairs(report)
+                + record_pairs(report)
             )
 
     design = DesignSpec(kind="orthogonal", n=64, M=8, T=16)
@@ -419,18 +418,15 @@ def _cmd_verify_lemmas(args):
     failures += not report.passed
     lines.append(
         [("check", "noise-correlation-event"), ("n", 64), ("T", 16), ("M", 8), ("A", 9.0)]
-        + _report_pairs(report)
+        + record_pairs(report)
     )
 
-    text = []
-    for pairs in lines:
-        text.append(" ".join(f"{key}={_fmt(value)}" for key, value in pairs))
+    text = [" ".join(keyvalue_lines(pairs)) for pairs in lines]
     print("\n".join(text))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         checks_path = os.path.join(args.out, "lemma_checks.txt")
-        with open(checks_path, "w") as handle:
-            handle.write("\n".join(text) + "\n")
+        write_lines(checks_path, text)
         settings = [
             ("seed", args.seed),
             ("chi_replicates", args.chi_replicates),
@@ -441,16 +437,6 @@ def _cmd_verify_lemmas(args):
             args.out, "verify-lemmas", settings, [], [checks_path], started
         )
     return 2 if failures else 0
-
-
-def _report_pairs(report):
-    return [
-        ("analytic_bound", report.analytic_bound),
-        ("empirical_frequency", report.empirical_frequency),
-        ("replicates", report.replicates),
-        ("standard_error", report.standard_error),
-        ("passed", report.passed),
-    ]
 
 
 def _experiment_config(cfg, threads):
@@ -487,51 +473,12 @@ def _experiment_config(cfg, threads):
         p_values=cfg.get("p_values", _parse_float_list, ()),
         bound_set=cfg.get("bounds", _parse_str_list, None),
         margin=cfg.get("margin", float, None),
-        algorithm=cfg.get("solver_algorithm", str, "block-coordinate"),
+        algorithm=cfg.get("solver_algorithm", str, ALGORITHMS[0]),
         kkt_tolerance=cfg.get("solver_tol", float, 1e-8),
         max_iterations=cfg.get("solver_max_iter", int, 2000),
         lasso_constant=cfg.get("lasso_A", float, 3.0),
         threads=threads,
     )
-
-
-def _metrics_csv_rows(report, p_values):
-    header = [
-        "replicate", "converged", "iterations", "kkt_residual",
-        "prediction_error", "err_21", "err_2", "err_2inf",
-    ]
-    header += [f"err2p_{p:g}" for p in p_values]
-    header += ["m_hat", "correlation_stat", "support_exact", "sign_exact",
-               "c_prime", "phi_max"]
-    rows = [header]
-    for m in report.metrics:
-        row = [
-            str(m.replicate), _fmt(m.converged), str(m.iterations),
-            format_float(m.kkt_residual), format_float(m.prediction_error),
-            format_float(m.err_21), format_float(m.err_2), format_float(m.err_2inf),
-        ]
-        row += [format_float(v) for v in m.err_2p]
-        row += [
-            str(m.m_hat), format_float(m.correlation_stat),
-            "" if m.support_exact is None else _fmt(m.support_exact),
-            "" if m.sign_exact is None else _fmt(m.sign_exact),
-            "" if m.c_prime is None else format_float(m.c_prime),
-            "" if m.phi_max is None else format_float(m.phi_max),
-        ]
-        rows.append(row)
-    return rows
-
-
-def _comparison_csv_rows(report):
-    rows = [["T", "replicate", "group_error", "plain_error",
-             "group_converged", "plain_converged"]]
-    for row in report.comparison_rows:
-        rows.append([
-            str(row.T), str(row.replicate),
-            format_float(row.group_error), format_float(row.plain_error),
-            _fmt(row.group_converged), _fmt(row.plain_converged),
-        ])
-    return rows
 
 
 def _summary_pairs(report):
@@ -587,19 +534,13 @@ def _cmd_experiment(args):
 
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "replicates.csv")
-    rows = (
-        _comparison_csv_rows(report)
-        if kind == "lasso-comparison"
-        else _metrics_csv_rows(report, config.p_values)
-    )
-    with open(csv_path, "w") as handle:
-        for row in rows:
-            handle.write(",".join(row) + "\n")
-
-    summary = _summary_pairs(report)
+    if kind == "lasso-comparison":
+        write_records(csv_path, report.comparison_rows)
+    else:
+        err2p = [f"err2p_{p:g}" for p in config.p_values]
+        write_records(csv_path, report.metrics, {"err_2p": err2p})
     summary_path = os.path.join(args.out, "summary.txt")
-    write_keyvalue(summary_path, [(k, _fmt(v)) for k, v in summary])
-    _print_pairs(summary)
+    _report(_summary_pairs(report), summary_path)
     _write_run_manifest(
         args.out, "experiment",
         cfg.items_used() + [("threads", threads)],
@@ -637,10 +578,7 @@ def _build_parser():
     p = sub.add_parser("solve", help="solve the group estimator on a dataset")
     p.add_argument("--data", required=True, help="dataset manifest file")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument(
-        "--algorithm", default="block-coordinate",
-        choices=["block-coordinate", "proximal-gradient"],
-    )
+    p.add_argument("--algorithm", default=ALGORITHMS[0], choices=ALGORITHMS)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", type=int, default=1000)
     p.add_argument("--out", required=True)

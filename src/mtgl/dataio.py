@@ -1,10 +1,14 @@
-"""File formats: numeric CSV, dataset manifests, and key=value configs.
+"""File formats: numeric CSV, dataset manifests, key=value files, and
+the text of every output file.
 
-Floats are written with 17 significant digits so double precision
-round-trips exactly through text.  CSV files have no header, use '.' as
-the decimal separator, and one row per line.  A dataset manifest is a
-key=value text file with n, M, T and per-task design/response file
-paths, resolved relative to the manifest's directory.
+``format_value`` writes every value: floats with 17 significant digits,
+so double precision round-trips exactly through text, bools as
+true/false, None as an empty cell.  Numeric CSV files have no header,
+use '.' as the decimal separator, and one row per line; a table of
+records (``write_records``) has a header of field names.  A dataset
+manifest is a key=value text file with n, M, T and per-task
+design/response file paths, resolved relative to the manifest's
+directory.
 
 ``write_dataset`` also saves the designs ``(T, n, M)`` and responses
 ``(T, n)`` as binary sidecars ``designs.npy`` and ``responses.npy`` and
@@ -19,6 +23,7 @@ parses the CSVs, which remain the source of truth.
 from __future__ import annotations
 
 import os
+from dataclasses import fields
 
 import numpy as np
 
@@ -31,6 +36,55 @@ class ParseError(ValueError):
 
 def format_float(x):
     return f"{float(x):.17g}"
+
+
+def format_value(value):
+    """The text of one value in any output file: true/false for a bool,
+    17 significant digits for a float, empty for None, str otherwise."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format_float(value)
+    return str(value)
+
+
+def format_row(values):
+    """One CSV line of the values."""
+    return ",".join(format_value(value) for value in values)
+
+
+def keyvalue_lines(pairs):
+    """One ``key=value`` line per (key, value) pair."""
+    return [f"{key}={format_value(value)}" for key, value in pairs]
+
+
+def record_pairs(record):
+    """(field name, value) of a dataclass record, in field order."""
+    return [(field.name, getattr(record, field.name)) for field in fields(record)]
+
+
+def write_lines(path, lines):
+    """Write each line, newline-terminated."""
+    with open(path, "w") as handle:
+        handle.writelines(f"{line}\n" for line in lines)
+
+
+def write_records(path, records, tuple_columns=None):
+    """Write dataclass records of one type as a headed CSV: a column per
+    field in field order, a row per record.  A tuple-valued field spans
+    one column per entry, named by ``tuple_columns[field]``."""
+    header = []
+    for name, value in record_pairs(records[0]):
+        header += tuple_columns[name] if isinstance(value, tuple) else [name]
+    rows = [header]
+    for record in records:
+        row = []
+        for _, value in record_pairs(record):
+            row += value if isinstance(value, tuple) else [value]
+        rows.append(row)
+    write_lines(path, map(format_row, rows))
 
 
 def write_matrix_csv(path, matrix):
@@ -107,9 +161,7 @@ def read_keyvalue(path):
 
 
 def write_keyvalue(path, pairs):
-    with open(path, "w") as handle:
-        for key, value in pairs:
-            handle.write(f"{key}={value}\n")
+    write_lines(path, keyvalue_lines(pairs))
 
 
 SIDECAR_DIGEST_KEY = "sidecar_sha256"

@@ -9,6 +9,9 @@ from (seed, r, 1), and comparison replicate r at T tasks from
 bit-for-bit reproducible no matter how many worker threads execute the
 replicates.  Replicates whose solver fails to converge are reported as
 such, never dropped.
+
+Each replicate yields one record, a row of replicates.csv in field
+order.  ``m_hat`` counts nonzero groups: both solvers return exact zeros.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 
 from .assumptions import (
     coherence_admissible,
+    coherence_limit,
     gram_diagnostics,
     re_lower_bound_from_coherence,
 )
@@ -35,14 +39,10 @@ from .regularization import (
     threshold_constant_c,
 )
 from .selection import average_sign_estimate, score_selection, select_support
-from .solver import SolverConfig, solve_group_lasso, solve_lasso_baseline
+from .solver import ALGORITHMS, SolverConfig, solve_group_lasso, solve_lasso_baseline
 from .synth import generate_beta_for_selection, generate_dataset
 
 KAPPA_SOURCES = ("coherence-lemma", "user-supplied")
-
-# Support of block-coordinate iterates is exact; proximal-gradient
-# iterates need a tolerance to declare a group inactive.
-_MHAT_TOL = {"block-coordinate": 0.0, "proximal-gradient": 1e-10}
 
 # Plain-Lasso tuning constant must exceed 2*sqrt(2).
 _LASSO_MIN_CONSTANT = 2.0 * math.sqrt(2.0)
@@ -78,7 +78,7 @@ class ExperimentConfig:
     p_values: tuple = ()
     bound_set: tuple | None = None
     margin: float | None = None
-    algorithm: str = "block-coordinate"
+    algorithm: str = ALGORITHMS[0]
     kkt_tolerance: float = 1e-8
     max_iterations: int = 2000
     lasso_constant: float = 3.0
@@ -309,7 +309,7 @@ def _error_metrics(r, dataset, beta_star, result, config, diag):
     correlation = float(np.max(np.linalg.norm(gram_rows, axis=1)))
     diff_groups = GroupCoefficients(diff)
     err2p = tuple(mixed_norm(diff_groups, p) / rt for p in config.p_values)
-    m_hat = len(group_support(result.beta_hat, _MHAT_TOL[config.algorithm]))
+    m_hat = len(group_support(result.beta_hat))
     return ReplicateMetrics(
         replicate=r,
         converged=result.converged,
@@ -378,7 +378,7 @@ def _check_coherence(config, r, diag):
         raise ValueError(
             f"replicate {r}: design fails the coherence condition at "
             f"(s={s}, alpha={config.alpha}); max coherence "
-            f"{diag.max_coherence:.3e} exceeds {1.0 / (7.0 * config.alpha * s):.3e} "
+            f"{diag.max_coherence:.3e} exceeds {coherence_limit(s, config.alpha):.3e} "
             "or diagonals are not unit"
         )
     if config.kappa2s is None and not coherence_admissible(diag, 2 * s, config.alpha):
@@ -539,16 +539,16 @@ def run_selection_experiment(config):
 def run_lasso_comparison(config, T_grid):
     """Group estimator vs entrywise Lasso across a grid of task counts.
 
-    The grid must be increasing; the group estimator is expected to pull
-    ahead as tasks accumulate (nonincreasing mean-error ratio, and a win
-    rate of at least 90% at the largest T).  Every (T, replicate) pair
-    is one job of the same pool.
+    The grid must be strictly increasing; the group estimator is
+    expected to pull ahead as tasks accumulate (nonincreasing mean-error
+    ratio, and a win rate of at least 90% at the largest T).  Every
+    (T, replicate) pair is one job of the same pool.
     """
     grid = [int(T) for T in T_grid]
     if not grid or any(T < 1 for T in grid):
         raise ValueError(f"T_grid must contain task counts >= 1, got {T_grid}")
-    if sorted(grid) != grid:
-        raise ValueError(f"T_grid must be increasing, got {T_grid}")
+    if any(later <= earlier for earlier, later in zip(grid, grid[1:])):
+        raise ValueError(f"T_grid must be strictly increasing, got {T_grid}")
     if not config.lasso_constant > _LASSO_MIN_CONSTANT:
         raise ValueError(
             f"plain-Lasso constant must exceed 2*sqrt(2) ~= {_LASSO_MIN_CONSTANT:.4f}, "

@@ -3,6 +3,7 @@ per-variable sign estimator."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,14 +30,18 @@ class AverageEstimate:
     signs: tuple
 
 
+def _check_tau(tau):
+    if not 0 < tau < math.inf:
+        raise ValueError(f"threshold tau must be positive and finite, got {tau}")
+
+
 def select_support(beta_hat, tau, true_pattern=None):
     """Keep groups whose score ||beta_j||/sqrt(T) strictly exceeds tau.
 
     Scores sitting exactly at tau are excluded, so the selector agrees
     with ``group_support(beta_hat, tau * sqrt(T))``.
     """
-    if not tau > 0:
-        raise ValueError(f"threshold tau must be positive, got {tau}")
+    _check_tau(tau)
     scores = beta_hat.group_norms() / np.sqrt(beta_hat.T)
     selected = SparsityPattern(tuple(int(j) for j in np.nonzero(scores > tau)[0]))
     return SelectionResult(
@@ -51,8 +56,7 @@ def betamin_satisfied(beta_star, tau):
     """True iff every truly active group clears twice the threshold:
     min over active j of ||beta*_j||/sqrt(T) > 2*tau.  Vacuously true
     for an empty support."""
-    if not tau > 0:
-        raise ValueError(f"threshold tau must be positive, got {tau}")
+    _check_tau(tau)
     active = group_support(beta_star, 0.0)
     if len(active) == 0:
         return True
@@ -67,8 +71,7 @@ def average_sign_estimate(beta_hat, tau):
     a_hat_j = (1/T) sum_t beta_jt;  a_tilde_j = a_hat_j if |a_hat_j| > tau
     else 0; signs follow a_tilde.
     """
-    if not tau > 0:
-        raise ValueError(f"threshold tau must be positive, got {tau}")
+    _check_tau(tau)
     a_hat = np.mean(beta_hat.values, axis=1)
     a_tilde = np.where(np.abs(a_hat) > tau, a_hat, 0.0)
     signs = np.sign(a_tilde)

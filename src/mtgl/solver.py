@@ -10,7 +10,7 @@ both share one objective and one optimality residual, evaluated on the
 
 All three solvers (block-coordinate descent, proximal gradient and the
 baseline) run one descent driver and differ only in its step.  After
-every sweep or step the driver rebuilds the residual from scratch,
+every sweep or step the driver takes a residual built from scratch,
 records the objective and aborts if it rose.  Convergence is certified
 through the first-order optimality residual (``kkt_residual``) over all
 groups, never through parameter change between sweeps.
@@ -38,7 +38,8 @@ from .model import GroupCoefficients
 # the solver aborts as divergent.
 _DESCENT_SLACK = 1e-12
 
-_ALGORITHMS = ("block-coordinate", "proximal-gradient")
+# The algorithms of SolverConfig; the first is the default.
+ALGORITHMS = ("block-coordinate", "proximal-gradient")
 
 
 def block_soft_threshold(v, tau):
@@ -76,16 +77,16 @@ class SolverConfig:
     """
 
     lam: float
-    algorithm: str = "block-coordinate"
+    algorithm: str = ALGORITHMS[0]
     max_iterations: int = 1000
     kkt_tolerance: float = 1e-8
     initial: GroupCoefficients | None = None
 
     def __post_init__(self):
         _check_positive("penalty level", self.lam)
-        if self.algorithm not in _ALGORITHMS:
+        if self.algorithm not in ALGORITHMS:
             raise ValueError(
-                f"unknown algorithm {self.algorithm!r}, expected one of {_ALGORITHMS}"
+                f"unknown algorithm {self.algorithm!r}, expected one of {ALGORITHMS}"
             )
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
@@ -200,18 +201,21 @@ def _descend(data, config, width, step):
     over all groups of ``width`` entries is within config.kkt_tolerance
     or config.max_iterations steps are spent.
 
-    step(values, resid, corr) returns the next (M, T) iterate and may
-    update values and resid in place.  The residual is recomputed from
-    scratch after every step so incremental drift never contaminates
-    the convergence certificate.
+    step(values, resid, corr, objective) returns the next (M, T) iterate
+    and its residual Y - X B if the step built it from scratch, else
+    None, and the driver rebuilds it, so incremental drift never
+    contaminates the convergence certificate.  A step may update values
+    and resid in place.
     """
     X, Y = data.designs, data.responses
     lam = config.lam
     values = _initial_values(data, config)
+    resid = None
     trace = []
     iterations = 0
     while True:
-        resid = _residual(X, Y, values)
+        if resid is None:
+            resid = _residual(X, Y, values)
         trace.append(_objective_from_resid(resid, values, lam, width))
         if iterations:
             _check_descent(trace)
@@ -219,7 +223,7 @@ def _descend(data, config, width, step):
         kkt = _group_kkt(corr, values, lam, width)
         if kkt <= config.kkt_tolerance or iterations >= config.max_iterations:
             break
-        values = step(values, resid, corr)
+        values, resid = step(values, resid, corr, trace[-1])
         iterations += 1
 
     return SolveResult(
@@ -259,7 +263,7 @@ def _coordinate_sweep(data, lam, width):
 
     buf = np.empty_like(data.responses)     # (T, n) rank-one update
 
-    def sweep(values, resid, corr):
+    def sweep(values, resid, corr, objective):
         violated = np.linalg.norm(corr.reshape(-1, width), axis=1) > lam
         nonzero = (values != 0.0).any(axis=1)
         working = np.flatnonzero(nonzero | violated.reshape(M, -1).any(axis=1))
@@ -282,7 +286,7 @@ def _coordinate_sweep(data, lam, width):
             np.multiply(cols, (v - row)[:, None], out=buf)
             resid -= buf
             row[:] = v
-        return values
+        return values, None     # resid drifted: the driver rebuilds it
 
     return sweep
 
@@ -302,7 +306,7 @@ def solve_group_lasso(data, config):
     objective does not rise, else it resets the momentum and takes the
     plain proximal step.  Both run the shared descent driver, which
     stops on the KKT residual over all M groups, computed from a
-    residual rebuilt from scratch after every sweep or step.
+    residual built from scratch after every sweep or step.
     """
     if config.algorithm == "proximal-gradient":
         return _solve_proximal_gradient(data, config)
@@ -324,29 +328,28 @@ def _solve_proximal_gradient(data, config):
     prev = prev_corr = None         # x_{k-1} and its correlation
     momentum = 0.0                  # t_k
 
-    def accelerated_step(values, resid, corr):
+    def accelerated_step(values, resid, corr, objective):
         # Gradient of S is -2 * corr, so a forward step adds 2*step*corr.
         nonlocal prev, prev_corr, momentum
         following = _next_momentum(momentum)
         beta = (momentum - 1.0) / following
-        candidate = None
+        candidate = candidate_resid = None
         if beta > 0.0:
             # corr is affine in B, so at z = x_k + beta*(x_k - x_{k-1})
             # it is corr_k + beta*(corr_k - corr_{k-1}): no X^T r needed.
             z = values + beta * (values - prev)
             z_corr = corr + beta * (corr - prev_corr)
             candidate = _prox_l21(z + 2.0 * step * z_corr, prox_tau)
-            rises = _objective_from_resid(
-                _residual(X, Y, candidate), candidate, lam, T
-            ) > _objective_from_resid(resid, values, lam, T)
-            if rises:
+            candidate_resid = _residual(X, Y, candidate)
+            if _objective_from_resid(candidate_resid, candidate, lam, T) > objective:
                 # Restart (O'Donoghue & Candes 2015): go on as if x_k were
                 # the starting point, whose plain step descends by itself.
-                candidate, following = None, _next_momentum(0.0)
+                candidate = candidate_resid = None
+                following = _next_momentum(0.0)
         if candidate is None:
             candidate = _prox_l21(values + 2.0 * step * corr, prox_tau)
         prev, prev_corr, momentum = values, corr, following
-        return candidate
+        return candidate, candidate_resid
 
     return _descend(data, config, T, accelerated_step)
 

@@ -6,10 +6,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mtgl.assumptions import (
+    AssumptionReport,
     _least_squares_completion,
     _quotient,
     _row_gram_inverse,
     coherence_admissible,
+    coherence_limit,
     gram_diagnostics,
     largest_gram_eigenvalue,
     minimize_re_quotient,
@@ -232,6 +234,26 @@ def test_admissibility_thresholds():
         coherence_admissible(ok, 2, 1.0)
 
 
+def test_coherence_limit_is_one_over_seven_alpha_s():
+    assert coherence_limit(2, 2.0) == 1.0 / 28.0
+    assert coherence_limit(4, 8.0) == 1.0 / (7.0 * 8.0 * 4)
+    # the limit is the admissibility boundary: coherence 1/28 passes
+    report = AssumptionReport(0.0, 1.0 / 28.0, 1.0, 1.0)
+    assert coherence_admissible(report, 2, 2.0)
+    assert not coherence_admissible(report, 2, 2.0 + 1e-12)
+
+
+@pytest.mark.parametrize("s, alpha", [
+    (0, 2.0), (2, 1.0), (2, 0.5), (2, math.inf), (2, math.nan),
+])
+def test_coherence_limit_rejects_bad_settings(s, alpha):
+    with pytest.raises(ValueError):
+        coherence_limit(s, alpha)
+    report = AssumptionReport(0.0, 0.0, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        coherence_admissible(report, s, alpha)
+
+
 def test_admissibility_monotone():
     report = gram_diagnostics(_two_column_design(5000, 0.012, seed=7))
     for s in (1, 2, 4, 8):
@@ -260,6 +282,8 @@ def test_re_lower_bound_formula():
     assert re_lower_bound_from_coherence(1.0 + 1e-9) < 1e-4
     with pytest.raises(ValueError):
         re_lower_bound_from_coherence(1.0)
+    with pytest.raises(ValueError, match="finite"):
+        re_lower_bound_from_coherence(math.inf)
 
 
 def test_identity_gram_estimate_is_one():

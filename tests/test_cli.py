@@ -630,3 +630,82 @@ def test_tracer_hooks_resolve_to_callables():
     for module_name, attribute in tracer.LAYERS:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attribute, None)), (module_name, attribute)
+
+
+# ---------------------------------------------------------------------------
+# pinned output formats: the exact text of the files a user reads
+
+def test_replicates_csv_header_for_oracle_with_p_values(tmp_path, capsys):
+    config = _write(tmp_path / "exp.cfg", ORACLE_CONFIG + "p_values=1,2,4\n")
+    out_dir = tmp_path / "exp"
+    assert _run(capsys, "experiment", "--config", config, "--out", str(out_dir))[0] == 0
+    rows = (out_dir / "replicates.csv").read_text().splitlines()
+    assert rows[0] == (
+        "replicate,converged,iterations,kkt_residual,prediction_error,"
+        "err_21,err_2,err_2inf,err2p_1,err2p_2,err2p_4,m_hat,"
+        "correlation_stat,support_exact,sign_exact,c_prime,phi_max"
+    )
+    # phi_max is fixed, so no replicate is diagnosed: the last four
+    # cells are empty
+    assert all(row.startswith(f"{r},true,") for r, row in enumerate(rows[1:]))
+    assert all(row.endswith(",,,,") for row in rows[1:])
+
+
+def test_replicates_csv_header_for_lasso_comparison(tmp_path, capsys):
+    config = _write(tmp_path / "exp.cfg", COMPARISON_CONFIG)
+    out_dir = tmp_path / "exp"
+    assert _run(capsys, "experiment", "--config", config, "--out", str(out_dir))[0] == 0
+    rows = (out_dir / "replicates.csv").read_text().splitlines()
+    assert rows[0] == "T,replicate,group_error,plain_error,group_converged,plain_converged"
+    assert [row.split(",")[:2] for row in rows[1:]] == [
+        [str(T), str(r)] for T in (1, 4) for r in range(3)
+    ]
+    assert all(row.endswith(",true,true") for row in rows[1:])
+
+
+def test_lemma_checks_line_is_pinned(tmp_path, capsys):
+    code, out, _ = _run(
+        capsys, "verify-lemmas", "--chi-replicates", "1000",
+        "--nem-replicates", "1000", "--event-replicates", "1000",
+        "--out", str(tmp_path / "checks"),
+    )
+    assert code == 0
+    first = (tmp_path / "checks" / "lemma_checks.txt").read_text().splitlines()[0]
+    assert first == (
+        "check=chi-square-tail T=4 x=2 analytic_bound=0.88249690258459546 "
+        "empirical_frequency=0.20300000000000001 replicates=1000 "
+        "standard_error=0.012719709116170857 passed=true"
+    )
+
+
+def test_experiment_rejects_repeated_task_count(tmp_path, capsys):
+    # T_grid=1,1 used to pass and write summary.txt with duplicate T1_*
+    # keys, which read_keyvalue refuses
+    text = COMPARISON_CONFIG.replace("T_grid=1,4", "T_grid=1,1")
+    config = _write(tmp_path / "exp.cfg", text)
+    out_dir = tmp_path / "exp"
+    code, out, err = _run(capsys, "experiment", "--config", config, "--out", str(out_dir))
+    assert code == 1 and out == ""
+    assert "T_grid must be strictly increasing" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("check", "--alpha", "inf"),
+    ("check", "--alpha", "nan"),
+    ("select", "--tau", "inf"),
+    ("select", "--tau", "nan"),
+])
+def test_non_finite_thresholds_exit_1(tmp_path, capsys, command, flag, value):
+    config = _write(tmp_path / "gen.cfg", GEN_CONFIG)
+    data_dir = tmp_path / "data"
+    _run(capsys, "gen", "--config", config, "--out", str(data_dir))
+    if command == "check":
+        argv = ["check", "--data", str(data_dir / "manifest.txt"), "--s", "2"]
+    else:
+        argv = ["select", "--beta", str(data_dir / "beta_star.csv")]
+    out_dir = tmp_path / "out"
+    code, out, err = _run(capsys, *argv, flag, value, "--out", str(out_dir))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and flag.lstrip("-") in err
+    assert not out_dir.exists()

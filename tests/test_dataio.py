@@ -8,6 +8,7 @@ from mtgl.dataio import (
     SIDECAR_DIGEST_KEY,
     ParseError,
     format_float,
+    format_value,
     read_coefficients,
     read_dataset,
     read_keyvalue,
@@ -16,7 +17,9 @@ from mtgl.dataio import (
     write_dataset,
     write_keyvalue,
     write_matrix_csv,
+    write_records,
 )
+from mtgl.experiments import ComparisonReplicate, ReplicateMetrics
 from mtgl.model import GroupCoefficients
 from mtgl.synth import DesignSpec, NoiseSpec, SignalSpec, generate_dataset
 
@@ -27,6 +30,60 @@ def test_format_float_round_trips_doubles():
         assert float(format_float(x)) == x
     assert format_float(1.0) == "1"
     assert float(format_float(np.pi)) == np.pi
+
+
+def test_format_value_of_each_kind():
+    assert format_value(True) == "true"
+    assert format_value(False) == "false"
+    assert format_value(7) == "7"
+    assert format_value(0.1) == "0.10000000000000001"
+    assert format_value(np.float64(2.0)) == "2"
+    assert format_value(None) == ""
+    assert format_value("block-coordinate") == "block-coordinate"
+
+
+def test_write_keyvalue_formats_its_values(tmp_path):
+    path = tmp_path / "report.txt"
+    write_keyvalue(path, [("a", 0.1), ("b", True), ("c", None), ("d", 3), ("e", "x")])
+    assert path.read_text() == "a=0.10000000000000001\nb=true\nc=\nd=3\ne=x\n"
+
+
+def test_write_records_of_replicate_metrics(tmp_path):
+    metrics = (
+        ReplicateMetrics(
+            replicate=0, converged=True, iterations=3, kkt_residual=1e-9,
+            prediction_error=0.25, err_21=0.1, err_2=0.5, err_2inf=2.0,
+            err_2p=(0.1, 1.5), m_hat=2, correlation_stat=0.3, phi_max=1.0,
+        ),
+        ReplicateMetrics(
+            1, False, 1000, 0.5, 1.0, 2.0, 3.0, 4.0, (5.0, 6.0), 0, 7.0,
+            True, False, 8.5, 9.0,
+        ),
+    )
+    path = tmp_path / "replicates.csv"
+    write_records(path, metrics, {"err_2p": ["err2p_1", "err2p_2"]})
+    assert path.read_text() == (
+        "replicate,converged,iterations,kkt_residual,prediction_error,"
+        "err_21,err_2,err_2inf,err2p_1,err2p_2,m_hat,correlation_stat,"
+        "support_exact,sign_exact,c_prime,phi_max\n"
+        "0,true,3,1.0000000000000001e-09,0.25,0.10000000000000001,0.5,2,"
+        "0.10000000000000001,1.5,2,0.29999999999999999,,,,1\n"
+        "1,false,1000,0.5,1,2,3,4,5,6,0,7,true,false,8.5,9\n"
+    )
+
+
+def test_write_records_of_comparison_replicates(tmp_path):
+    rows = (
+        ComparisonReplicate(1, 0, 0.5, 0.25, True, True),
+        ComparisonReplicate(4, 1, 2.0, 1.0 / 3.0, True, False),
+    )
+    path = tmp_path / "replicates.csv"
+    write_records(path, rows)
+    assert path.read_text() == (
+        "T,replicate,group_error,plain_error,group_converged,plain_converged\n"
+        "1,0,0.5,0.25,true,true\n"
+        "4,1,2,0.33333333333333331,true,false\n"
+    )
 
 
 def test_matrix_round_trip_exact(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -319,6 +320,18 @@ def test_comparison_grid_validation():
         run_lasso_comparison(_small_config(plan=fv_plan), (1, 4))
 
 
+def test_comparison_rejects_repeated_task_counts():
+    # A repeated T would rerun the same [seed, T, r] streams and write
+    # duplicate T<k>_* summary keys.
+    config = _small_config(
+        design=DesignSpec(kind="gaussian-iid", n=32, M=8, T=1),
+        plan=RegularizationPlan.gaussian(1.0, 32, 1, 8, 9.0),
+    )
+    for grid in ((1, 1), (1, 4, 4)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            run_lasso_comparison(config, grid)
+
+
 def test_comparison_runs_and_reports():
     config = _small_config(
         design=DesignSpec(kind="gaussian-iid", n=40, M=8, T=1),
@@ -396,3 +409,14 @@ def test_required_pass_logic():
         bounds=(BoundCheck("prediction", 1.0, 0.5, 0.99, 0.05, False),),
     )
     assert not failed_bound.required_pass()
+
+
+def test_proximal_gradient_reports_the_block_coordinate_m_hat():
+    # Both solvers return exact zeros for inactive groups, so m_hat
+    # counts the same support without a tolerance.
+    config = _small_config(signal=SignalSpec(s=2, mu=1.2), replicates=8)
+    bcd = run_oracle_experiment(config)
+    pg = run_oracle_experiment(replace(config, algorithm="proximal-gradient"))
+    m_hat = [m.m_hat for m in bcd.metrics]
+    assert [m.m_hat for m in pg.metrics] == m_hat
+    assert len(set(m_hat)) > 1  # a borderline signal: some groups missed

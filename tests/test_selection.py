@@ -155,3 +155,11 @@ def test_sign_chain_for_averages():
         for j in range(M):
             assert abs(est.a_hat[j] - a_star[j]) <= err_2inf + 1e-12
         assert est.signs == tuple(int(x) for x in np.sign(a_star))
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0, math.inf, math.nan])
+def test_thresholds_must_be_positive_and_finite(tau):
+    beta = _beta([[1.0, 2.0], [0.0, 0.0]])
+    for threshold in (select_support, average_sign_estimate, betamin_satisfied):
+        with pytest.raises(ValueError, match="positive and finite"):
+            threshold(beta, tau)

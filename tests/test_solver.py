@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from mtgl.model import GroupCoefficients, MultiTaskDataset, group_support, objective
 from mtgl.solver import (
     SolverConfig,
+    _correlation,
     _descend,
+    _group_kkt,
+    _next_momentum,
+    _objective_from_resid,
+    _prox_l21,
+    _residual,
     block_soft_threshold,
     kkt_residual,
     lasso_kkt_residual,
@@ -353,7 +359,7 @@ def _reference_row_loop_sweep(data, lam, width):
     if width > 1:
         scale, thresh = scale[:, 0].tolist(), thresh[:, 0].tolist()
 
-    def sweep(values, resid, corr):
+    def sweep(values, resid, corr, objective):
         violated = np.linalg.norm(corr.reshape(-1, width), axis=1) > lam
         nonzero = (values != 0.0).any(axis=1)
         working = np.flatnonzero(nonzero | violated.reshape(M, -1).any(axis=1))
@@ -374,7 +380,7 @@ def _reference_row_loop_sweep(data, lam, width):
             if np.count_nonzero(delta):
                 resid -= cols * delta[:, None]
                 row[:] = v
-        return values
+        return values, None
 
     return sweep
 
@@ -482,6 +488,64 @@ def test_accelerated_pg_follows_restarted_fista_reference():
     )
     assert pg.iterations == steps
     np.testing.assert_allclose(pg.objective_trace, expected, rtol=1e-12, atol=0)
+
+
+def _pg_rebuilding_every_residual(data, config):
+    """Restarted FISTA with every residual rebuilt: the driver forms
+    Y - X B for each accepted iterate, and the step recomputes the
+    current objective, as the solver did before the driver took an
+    extrapolated step's residual.  Returns (values, iterations, kkt,
+    trace)."""
+    from mtgl.assumptions import largest_gram_eigenvalue
+
+    X, Y, lam, T = data.designs, data.responses, config.lam, data.T
+    step = T / (2.0 * largest_gram_eigenvalue(data))
+    prox_tau = step * 2.0 * lam
+    values = np.zeros((data.M, T))
+    prev = prev_corr = None
+    momentum = 0.0
+    trace, iterations = [], 0
+    while True:
+        resid = _residual(X, Y, values)
+        trace.append(_objective_from_resid(resid, values, lam, T))
+        corr = _correlation(X, resid)
+        kkt = _group_kkt(corr, values, lam, T)
+        if kkt <= config.kkt_tolerance or iterations >= config.max_iterations:
+            return values, iterations, kkt, tuple(trace)
+        following = _next_momentum(momentum)
+        beta = (momentum - 1.0) / following
+        candidate = None
+        if beta > 0.0:
+            z = values + beta * (values - prev)
+            z_corr = corr + beta * (corr - prev_corr)
+            candidate = _prox_l21(z + 2.0 * step * z_corr, prox_tau)
+            rises = _objective_from_resid(
+                _residual(X, Y, candidate), candidate, lam, T
+            ) > _objective_from_resid(resid, values, lam, T)
+            if rises:
+                candidate, following = None, _next_momentum(0.0)
+        if candidate is None:
+            candidate = _prox_l21(values + 2.0 * step * corr, prox_tau)
+        prev, prev_corr, momentum = values, corr, following
+        values = candidate
+        iterations += 1
+
+
+@pytest.mark.parametrize("design", ["ar1", "unnormalized"])
+def test_pg_reusing_step_residuals_is_bit_identical(design):
+    data = _ar1_dataset() if design == "ar1" else _unnormalized_dataset_with_zero_column()
+    for fraction in (0.5, 0.2, 0.08):
+        config = SolverConfig(
+            lam=fraction * _lam_max(data), algorithm="proximal-gradient",
+            max_iterations=20000,
+        )
+        res = solve_group_lasso(data, config)
+        values, iterations, kkt, trace = _pg_rebuilding_every_residual(data, config)
+        assert res.converged
+        assert res.iterations == iterations
+        assert np.array_equal(res.beta_hat.values, values)
+        assert res.kkt_residual == kkt
+        assert res.objective_trace == trace
 
 
 # ---------------------------------------------------------------------------
