@@ -86,7 +86,10 @@ def gram_diagnostics(data):
     if not np.any(data.designs):
         raise ValueError("design is all zeros; Gram diagnostics are undefined")
     unit_dev = coherence = phi_max = 0.0
-    for x in data.designs:
+    # max_j (x_ti)_j^2 per (task, row): the square of the largest |entry|
+    row_max_sq = np.empty((data.T, data.n))
+    for x, row_sq in zip(data.designs, row_max_sq):
+        np.square(np.max(np.abs(x), axis=1), out=row_sq)
         gram = x.T @ x / data.n
         unit_dev = max(unit_dev, float(np.max(np.abs(np.diagonal(gram) - 1.0))))
         phi_max = max(phi_max, _top_eigenvalue(x, data.n, gram))
@@ -94,7 +97,7 @@ def gram_diagnostics(data):
             off = np.abs(gram, out=gram)
             np.fill_diagonal(off, 0.0)
             coherence = max(coherence, float(np.max(off)))
-    c_prime = float(np.mean(np.max(data.designs**2, axis=2)))
+    c_prime = float(np.mean(row_max_sq))
     return AssumptionReport(
         unit_diagonal_max_deviation=unit_dev,
         max_coherence=coherence,

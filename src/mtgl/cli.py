@@ -56,6 +56,8 @@ from .experiments import (
     run_selection_experiment,
 )
 from .probability import (
+    MIN_MOMENT_REPLICATES,
+    MIN_TAIL_REPLICATES,
     chi_square_tail_empirical,
     nemirovski_check,
     noise_correlation_violation_rate,
@@ -387,6 +389,13 @@ def _cmd_bounds(args):
 
 def _cmd_verify_lemmas(args):
     started = time.monotonic()
+    for flag, replicates, least in (
+        ("--chi-replicates", args.chi_replicates, MIN_TAIL_REPLICATES),
+        ("--nem-replicates", args.nem_replicates, MIN_MOMENT_REPLICATES),
+        ("--event-replicates", args.event_replicates, MIN_TAIL_REPLICATES),
+    ):
+        if replicates < least:
+            raise ValueError(f"{flag} must be at least {least}, got {replicates}")
     lines = []
     failures = 0
 

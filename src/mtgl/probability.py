@@ -10,10 +10,15 @@ Three checks, each returning a TailCheckReport:
 
 The moment constant, lam and q come from ``regularization``.  Every
 check draws from streams derived from (seed, chunk index) with a fixed
-chunk size and aggregates in chunk order, so results are reproducible
-bit for bit regardless of how the work is scheduled.  The chi-square
-check takes every offset x at one T in one call, so one sample serves
-them all: only the cutoff T + x differs.
+chunk size of 4096 replicates and aggregates in chunk order, so results
+are reproducible bit for bit regardless of how the work is scheduled.
+Chunks fix the streams; within a chunk the draws are made and reduced
+in consecutive blocks of about 2 MiB.  A split draw continues the same
+stream and every reduction is per replicate, so blocks only bound the
+memory and never change a result: a check's memory does not grow with
+M, n_vectors, T, n or the replicate count.  The chi-square check takes
+every offset x at one T in one call, so one sample serves them all:
+only the cutoff T + x differs.
 """
 
 from __future__ import annotations
@@ -26,6 +31,12 @@ import numpy as np
 from .regularization import lambda_gaussian, moment_constant
 
 _CHUNK = 4096
+_BLOCK_BYTES = 2 << 20
+
+# The fewest replicates the tail checks (chi-square, noise event) and the
+# moment check accept.
+MIN_TAIL_REPLICATES = 1000
+MIN_MOMENT_REPLICATES = 2
 
 
 @dataclass(frozen=True)
@@ -57,14 +68,32 @@ def _freq_report(count, replicates, bound):
     )
 
 
-def _chunks(replicates):
-    start = 0
-    index = 0
-    while start < replicates:
+def _per_replicate(replicates, seed, row_bytes, sample):
+    """Yield each chunk's per-replicate values, in chunk order.
+
+    ``sample(rng, rows)`` draws ``rows`` replicates from ``rng`` and
+    returns a tuple of k arrays of their per-replicate values; each
+    yield is the chunk's float array of shape (k, chunk size).  A chunk
+    of the stream (seed, chunk index) is sampled in consecutive blocks
+    of about _BLOCK_BYTES of draws, ``row_bytes`` per replicate.  No
+    block has a single replicate unless its chunk does: numpy's matmul
+    takes a matrix-vector BLAS path for one row, which may round
+    differently.
+    """
+    rows = max(2, _BLOCK_BYTES // row_bytes)
+    for index, start in enumerate(range(0, replicates, _CHUNK)):
         size = min(_CHUNK, replicates - start)
-        yield index, size
-        start += size
-        index += 1
+        rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+        values = None
+        lo = 0
+        while lo < size:
+            hi = size if size - lo <= rows + 1 else lo + rows
+            block = sample(rng, hi - lo)
+            if values is None:
+                values = np.empty((len(block), size))
+            values[:, lo:hi] = block
+            lo = hi
+        yield values
 
 
 def chi_square_tail_bound(T, x):
@@ -84,19 +113,23 @@ def chi_square_tail_empirical(T, offsets, replicates, seed):
     squared standard normals drawn chunk by chunk from the streams
     (seed, chunk index), serves every offset.
     """
-    if replicates < 1000:
-        raise ValueError(f"need at least 1000 replicates, got {replicates}")
+    if replicates < MIN_TAIL_REPLICATES:
+        raise ValueError(
+            f"need at least {MIN_TAIL_REPLICATES} replicates, got {replicates}"
+        )
     bounds = [chi_square_tail_bound(T, x) for x in offsets]
-    stats = np.empty(replicates)
-    start = 0
-    for index, size in _chunks(replicates):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-        draws = rng.standard_normal((size, T))
-        stats[start:start + size] = np.sum(draws * draws, axis=1)
-        start += size
+
+    def sample(rng, rows):
+        draws = rng.standard_normal((rows, T))
+        return (np.sum(draws * draws, axis=1),)
+
+    counts = [0] * len(offsets)
+    for (stats,) in _per_replicate(replicates, seed, 8 * T, sample):
+        for k, x in enumerate(offsets):
+            counts[k] += int(np.count_nonzero(stats > T + x))
     return [
-        _freq_report(int(np.count_nonzero(stats > T + x)), replicates, bound)
-        for x, bound in zip(offsets, bounds)
+        _freq_report(count, replicates, bound)
+        for count, bound in zip(counts, bounds)
     ]
 
 
@@ -115,34 +148,37 @@ def nemirovski_check(M, n_vectors, distribution, replicates, seed):
         raise ValueError(f"the moment inequality needs M >= 3, got M={M}")
     if n_vectors < 1:
         raise ValueError(f"need n_vectors >= 1, got {n_vectors}")
-    if replicates < 2:
-        raise ValueError(f"need at least 2 replicates, got {replicates}")
+    if replicates < MIN_MOMENT_REPLICATES:
+        raise ValueError(
+            f"need at least {MIN_MOMENT_REPLICATES} replicates, got {replicates}"
+        )
     if distribution not in _DISTRIBUTIONS:
         raise ValueError(
             f"unknown distribution {distribution!r}, expected one of {_DISTRIBUTIONS}"
         )
     const = moment_constant(M)
 
+    if distribution == "gaussian":
+        def sample(rng, rows):
+            y = rng.standard_normal((rows, n_vectors, M))
+            left = np.max(np.abs(np.sum(y, axis=1)), axis=1) ** 2
+            np.abs(y, out=y)
+            return left, np.sum(np.max(y, axis=2) ** 2, axis=1)
+    else:
+        def sample(rng, rows):
+            # Y_ij = 2 b_ij - 1 with b_ij in {0, 1}, so sum_i Y_ij is the
+            # integer 2 sum_i b_ij - n_vectors and every |Y_ij| is 1.
+            b = rng.integers(0, 2, size=(rows, n_vectors, M))
+            sums = 2 * np.sum(b, axis=1) - n_vectors
+            left = np.max(np.abs(sums), axis=1).astype(float) ** 2
+            return left, np.full(rows, float(n_vectors))
+
     sum_l = 0.0
     sum_r = 0.0
     sum_d = 0.0
     sum_d2 = 0.0
-    for index, size in _chunks(replicates):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-        if distribution == "gaussian":
-            y = rng.standard_normal((size, n_vectors, M))
-            left = np.max(np.abs(np.sum(y, axis=1)), axis=1) ** 2
-            np.abs(y, out=y)
-            right = np.sum(np.max(y, axis=2) ** 2, axis=1)
-        else:
-            # Y_ij = 2 b_ij - 1 with b_ij in {0, 1}, so sum_i Y_ij is the
-            # integer 2 sum_i b_ij - n_vectors and every |Y_ij| is 1.
-            y = rng.integers(0, 2, size=(size, n_vectors, M))
-            sums = 2 * np.sum(y, axis=1) - n_vectors
-            left = np.max(np.abs(sums), axis=1).astype(float) ** 2
-            right = np.full(size, float(n_vectors))
-        # Free this chunk's draws before the next chunk's are made.
-        del y
+    # Both draws (float64 normals, int64 bits) take 8 bytes an entry.
+    for left, right in _per_replicate(replicates, seed, 8 * n_vectors * M, sample):
         diff = left - const * right
         sum_l += float(np.sum(left))
         sum_r += float(np.sum(right))
@@ -172,20 +208,25 @@ def noise_correlation_violation_rate(data, sigma, A, replicates, seed):
     """
     if not data.unit_diagonal:
         raise ValueError("the correlation event is stated for unit-diagonal designs")
-    if replicates < 1000:
-        raise ValueError(f"need at least 1000 replicates, got {replicates}")
+    if replicates < MIN_TAIL_REPLICATES:
+        raise ValueError(
+            f"need at least {MIN_TAIL_REPLICATES} replicates, got {replicates}"
+        )
     n, T, M = data.n, data.T, data.M
     lam, q, _ = lambda_gaussian(sigma, n, T, M, A)
     bound = M ** (1.0 - q)
 
     X = data.designs
     cutoff = lam / 2.0
-    count = 0
-    for index, size in _chunks(replicates):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-        w = sigma * rng.standard_normal((size, T, n))
-        # (T, size, M): task t's block is W_t X_t for the chunk's draws
+
+    def sample(rng, rows):
+        w = rng.standard_normal((rows, T, n))
+        w *= sigma
+        # (T, rows, M): task t's block is W_t X_t for the block's draws
         corr = np.matmul(w.transpose(1, 0, 2), X)
-        stat = np.max(np.sqrt(np.sum(corr * corr, axis=0)), axis=1) / (n * T)
+        return (np.max(np.sqrt(np.sum(corr * corr, axis=0)), axis=1) / (n * T),)
+
+    count = 0
+    for (stat,) in _per_replicate(replicates, seed, 8 * T * n, sample):
         count += int(np.count_nonzero(stat > cutoff))
     return _freq_report(count, replicates, bound)

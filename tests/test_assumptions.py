@@ -98,6 +98,25 @@ def test_c_prime_formula_matches_loop():
     assert report.c_prime == pytest.approx(total / 14.0, rel=1e-14)
 
 
+@pytest.mark.parametrize(
+    "design",
+    [
+        DesignSpec(kind="gaussian-iid", n=40, M=12, T=3),
+        DesignSpec(kind="gaussian-iid", n=15, M=300, T=4),
+        DesignSpec(kind="ar1", n=50, M=20, T=3, rho=0.6),
+    ],
+    ids=["gaussian", "gaussian-wide", "ar1"],
+)
+def test_c_prime_is_bit_identical_to_the_whole_array_formula(design):
+    # per-task squares of the largest |entry| give the same float as the
+    # mean over (T, n) of the maximum squared entry of every row
+    for seed in range(3):
+        data, _ = generate_dataset(design, SignalSpec(s=0), NoiseSpec(sigma=0.0), seed)
+        X = data.designs * np.random.default_rng(seed).uniform(0.1, 10.0, data.M)
+        report = gram_diagnostics(MultiTaskDataset(X, data.responses))
+        assert report.c_prime == float(np.mean(np.max(X**2, axis=2)))
+
+
 def test_gram_diagnostics_rejects_zero_design():
     data = MultiTaskDataset(np.zeros((1, 4, 2)), np.zeros((1, 4)))
     with pytest.raises(ValueError):

@@ -457,6 +457,29 @@ def test_verify_lemmas_small_run(tmp_path, capsys):
     assert saved == out.strip()
 
 
+@pytest.mark.parametrize(
+    "flag, value, least",
+    [("--chi-replicates", "999", 1000), ("--nem-replicates", "1", 2),
+     ("--event-replicates", "5", 1000)],
+)
+def test_verify_lemmas_checks_replicate_counts_before_drawing(
+    flag, value, least, tmp_path, capsys, monkeypatch
+):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a check ran before the replicate counts were checked")
+
+    for name in ("chi_square_tail_empirical", "nemirovski_check",
+                 "noise_correlation_violation_rate", "generate_dataset"):
+        monkeypatch.setattr(cli, name, no_draws)
+    out_dir = tmp_path / "checks"
+    code, out, err = _run(
+        capsys, "verify-lemmas", flag, value, "--out", str(out_dir)
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: {flag} must be at least {least}, got {value}\n"
+    assert not out_dir.exists()
+
+
 def test_verify_lemmas_writes_run_manifest(tmp_path, capsys):
     out_dir = tmp_path / "checks"
     code, _, err = _run(

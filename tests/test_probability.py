@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import mtgl.probability as probability
 from mtgl.model import MultiTaskDataset
 from mtgl.probability import (
     TailCheckReport,
@@ -20,6 +22,21 @@ from mtgl.synth import DesignSpec, NoiseSpec, SignalSpec, generate_dataset
 CHI2_4_ABOVE_8 = 0.091578194443670893
 # 2e*ln(3) - e, the multiplier in the sup-norm moment inequality at M=3
 NEM_CONSTANT_3 = 3.254393813157606
+
+
+@pytest.fixture(params=[None, 1, 20_000], ids=["default", "2-rows", "20kB"])
+def block_bytes(request, monkeypatch):
+    """The checks' block budget: the default, the 2-replicate floor, and a
+    budget of a few rows for the moment and event checks."""
+    if request.param is not None:
+        monkeypatch.setattr(probability, "_BLOCK_BYTES", request.param)
+    return request.param
+
+
+def _assert_same_report(report, expected):
+    for field in dataclasses.fields(TailCheckReport):
+        got, want = getattr(report, field.name), getattr(expected, field.name)
+        assert type(got) is type(want) and got == want, field.name
 
 
 def test_tail_bound_values():
@@ -80,14 +97,18 @@ def _chi_square_reference(T, x, replicates, seed):
         count += int(np.count_nonzero(np.sum(draws * draws, axis=1) > T + x))
         start += size
         index += 1
+    return _freq(count, replicates, chi_square_tail_bound(T, x))
+
+
+def _freq(count, replicates, bound):
     freq = count / replicates
     se = math.sqrt(freq * (1.0 - freq) / replicates)
     return TailCheckReport(
-        analytic_bound=chi_square_tail_bound(T, x),
-        empirical_frequency=freq,
+        analytic_bound=float(bound),
+        empirical_frequency=float(freq),
         replicates=replicates,
-        standard_error=se,
-        passed=freq <= chi_square_tail_bound(T, x) + 3.0 * se,
+        standard_error=float(se),
+        passed=bool(freq <= bound + 3.0 * se),
     )
 
 
@@ -171,13 +192,11 @@ def _nemirovski_reference(M, n_vectors, distribution, replicates, seed):
 @pytest.mark.parametrize("distribution", ["rademacher", "gaussian"])
 @pytest.mark.parametrize("M", [3, 100])
 def test_nemirovski_matches_float_reference_bit_for_bit(distribution, M):
-    # 5000 replicates span two chunks, so per-chunk streams and the
-    # release of each chunk's draws are both exercised.
+    # 5000 replicates span two chunks, so per-chunk streams and blocks
+    # that split a chunk (and its partial last block) are both exercised.
     report = nemirovski_check(M, 7, distribution, 5000, seed=11)
     expected = _nemirovski_reference(M, 7, distribution, 5000, seed=11)
-    for field in dataclasses.fields(TailCheckReport):
-        got, want = getattr(report, field.name), getattr(expected, field.name)
-        assert type(got) is type(want) and got == want, field.name
+    _assert_same_report(report, expected)
 
 
 def _noise_test_dataset(seed=4):
@@ -186,6 +205,107 @@ def _noise_test_dataset(seed=4):
         design, SignalSpec(s=0), NoiseSpec(kind="gaussian", sigma=1.0), seed
     )
     return data
+
+
+def _noise_event_reference(data, sigma, lam, q, replicates, seed):
+    """The event check over whole-chunk draws from the same streams."""
+    n, T, M = data.n, data.T, data.M
+    count, start, index = 0, 0, 0
+    while start < replicates:
+        size = min(4096, replicates - start)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+        w = sigma * rng.standard_normal((size, T, n))
+        corr = np.matmul(w.transpose(1, 0, 2), data.designs)
+        stat = np.max(np.sqrt(np.sum(corr * corr, axis=0)), axis=1) / (n * T)
+        count += int(np.count_nonzero(stat > lam / 2.0))
+        start += size
+        index += 1
+    return _freq(count, replicates, M ** (1.0 - q))
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.52])
+def test_noise_event_matches_whole_chunk_reference(scale, block_bytes, monkeypatch):
+    # 4500 replicates: a full chunk and a partial one whose last block is
+    # short.  scale 0.52 lowers the rule's lam so that about half of the
+    # replicates cross the cutoff and the count is not trivially zero.
+    data = _noise_test_dataset()
+    lam, q, confidence = lambda_gaussian(0.8, 64, 16, 8, 9.0)
+    monkeypatch.setattr(
+        probability, "lambda_gaussian", lambda *args: (scale * lam, q, confidence)
+    )
+    report = noise_correlation_violation_rate(data, 0.8, 9.0, 4500, seed=13)
+    expected = _noise_event_reference(data, 0.8, scale * lam, q, 4500, seed=13)
+    _assert_same_report(report, expected)
+    if scale < 1.0:
+        assert 0.3 < report.empirical_frequency < 0.7
+
+
+_PER_REPLICATE = probability._per_replicate
+
+
+def _chunk_values(monkeypatch, block_bytes, call):
+    """Every chunk's per-replicate values that ``call`` reduces, with the
+    block budget set to ``block_bytes``."""
+    seen = []
+
+    def spy(*args):
+        for values in _PER_REPLICATE(*args):
+            seen.append(values.tobytes())
+            yield values
+
+    monkeypatch.setattr(probability, "_per_replicate", spy)
+    monkeypatch.setattr(probability, "_BLOCK_BYTES", block_bytes)
+    call()
+    return seen
+
+
+@pytest.mark.parametrize(
+    "check", ["chi-square", "rademacher", "gaussian", "noise-event"]
+)
+def test_per_replicate_values_do_not_depend_on_the_block_size(check, monkeypatch):
+    # 4501 replicates: one full chunk and a partial one of 405.  The
+    # budgets give whole chunks, the two-replicate floor (the partial
+    # chunk ends in a three-replicate block) and a few replicates a block.
+    data = _noise_test_dataset()
+    calls = {
+        "chi-square": lambda: chi_square_tail_empirical(16, [8.0], 4501, seed=2),
+        "rademacher": lambda: nemirovski_check(100, 20, "rademacher", 4501, seed=2),
+        "gaussian": lambda: nemirovski_check(100, 20, "gaussian", 4501, seed=2),
+        "noise-event": lambda: noise_correlation_violation_rate(
+            data, 0.7, 9.0, 4501, seed=2
+        ),
+    }
+    whole = _chunk_values(monkeypatch, 1 << 40, calls[check])
+    assert len(whole) == 2
+    for block_bytes in (1, 100_000):
+        assert _chunk_values(monkeypatch, block_bytes, calls[check]) == whole
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "check",
+    ["rademacher", "gaussian", "noise-event"],
+)
+def test_checks_draw_in_bounded_blocks(check):
+    # one 4096-replicate chunk of these draws is 65.5 MB (moment check,
+    # M=100, 20 vectors) or 33.5 MB (event check, T=16, n=64); the
+    # blocks keep the traced peak far below either
+    data = _noise_test_dataset()
+    if check == "noise-event":
+        peak = _traced_peak(
+            lambda: noise_correlation_violation_rate(data, 1.0, 9.0, 5000, seed=0)
+        )
+    else:
+        peak = _traced_peak(lambda: nemirovski_check(100, 20, check, 5000, seed=0))
+    assert peak < 8 * 2**20, peak
 
 
 def test_noise_event_rate_below_bound():
