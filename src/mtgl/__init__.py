@@ -49,13 +49,11 @@ from .assumptions import (
     minimize_re_quotient,
     re_lower_bound_from_coherence,
     re_upper_estimate,
-    task_grams,
 )
 from .selection import (
     AverageEstimate,
     SelectionResult,
     average_sign_estimate,
-    betamin_satisfied,
     score_selection,
     select_support,
 )

@@ -59,12 +59,6 @@ class REProbe:
     ratio: float
 
 
-def task_grams(data):
-    """Stack of Psi_t = X_t^T X_t / n, shape (T, M, M)."""
-    X = data.designs
-    return np.matmul(X.transpose(0, 2, 1), X) / data.n
-
-
 def _top_eigenvalue(x, n, gram=None):
     """lambda_max(x^T x / n) of one (n, M) task design, from eigvalsh of
     the smaller of x^T x / n and x x^T / n.  ``gram`` is x^T x / n when

@@ -12,8 +12,7 @@ true/false, an absent value as an empty cell).  Every
 artifact-producing run writes a run_manifest.txt beside its outputs
 recording the subcommand, package version, resolved configuration, and
 wall-clock duration (the manifest is metadata; all data outputs are
-byte-identical across reruns with the same config and seed, regardless
-of MTGL_THREADS).
+byte-identical across reruns with the same config and seed).
 """
 
 from __future__ import annotations
@@ -94,17 +93,6 @@ def _report(pairs, path=None):
     print("\n".join(lines))
     if path is not None:
         write_lines(path, lines)
-
-
-def _threads():
-    raw = os.environ.get("MTGL_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ValueError(f"MTGL_THREADS must be an integer, got {raw!r}") from None
-    if threads < 1:
-        raise ValueError(f"MTGL_THREADS must be >= 1, got {threads}")
-    return threads
 
 
 def _write_run_manifest(
@@ -448,7 +436,7 @@ def _cmd_verify_lemmas(args):
     return 2 if failures else 0
 
 
-def _experiment_config(cfg, threads):
+def _experiment_config(cfg):
     design = _design_from(cfg)
     signal = _signal_from(cfg)
     noise = _noise_from(cfg)
@@ -486,7 +474,6 @@ def _experiment_config(cfg, threads):
         kkt_tolerance=cfg.get("solver_tol", float, 1e-8),
         max_iterations=cfg.get("solver_max_iter", int, 2000),
         lasso_constant=cfg.get("lasso_A", float, 3.0),
-        threads=threads,
     )
 
 
@@ -522,7 +509,6 @@ def _summary_pairs(report):
 
 def _cmd_experiment(args):
     started = time.monotonic()
-    threads = _threads()
     cfg = _Config(args.config)
     kind = cfg.get("kind")
     if kind not in ("oracle", "selection", "lasso-comparison"):
@@ -531,7 +517,7 @@ def _cmd_experiment(args):
             f"got {kind!r}"
         )
     grid = cfg.get("T_grid", _parse_int_list, ()) if kind == "lasso-comparison" else ()
-    config = _experiment_config(cfg, threads)
+    config = _experiment_config(cfg)
     cfg.finish()
 
     if kind == "oracle":
@@ -551,8 +537,7 @@ def _cmd_experiment(args):
     summary_path = os.path.join(args.out, "summary.txt")
     _report(_summary_pairs(report), summary_path)
     _write_run_manifest(
-        args.out, "experiment",
-        cfg.items_used() + [("threads", threads)],
+        args.out, "experiment", cfg.items_used(),
         [args.config], [csv_path, summary_path], started,
     )
     return 0 if report.required_pass() else 2

@@ -236,9 +236,11 @@ def _load_sidecars(base, csv_paths, digest, shapes):
 def read_dataset(manifest_path):
     """Load a dataset from its manifest; validates every declared shape.
 
-    The manifest is checked in full first: integer n, M and T, every
-    design_t/response_t key, no unknown keys.  The data then come from
-    the binary sidecars when their digest matches, else from the CSVs.
+    The manifest is checked in full first: integer n, M and T of at
+    least 1, every design_t/response_t key, no unknown keys.  The data
+    then come from the binary sidecars when their digest matches, else
+    from the CSVs.  design_0 is read before the (T, n, M) array is
+    allocated, so sizes the files do not hold fail on that file.
     """
     entries = read_keyvalue(manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
@@ -251,11 +253,14 @@ def read_dataset(manifest_path):
     def need_int(key):
         raw = need(key)
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError:
+            value = None
+        if value is None or value < 1:
             raise ParseError(
-                f"{manifest_path}: key {key!r} must be an integer, got {raw!r}"
-            ) from None
+                f"{manifest_path}: key {key!r} must be an integer >= 1, got {raw!r}"
+            )
+        return value
 
     n = need_int("n")
     M = need_int("M")
@@ -274,22 +279,23 @@ def read_dataset(manifest_path):
     if sidecars is not None:
         return MultiTaskDataset(*sidecars)
 
+    def read_csv(key, shape):
+        path = paths[key]
+        matrix = read_matrix_csv(path, columns=shape[1])
+        if matrix.shape != shape:
+            raise ParseError(
+                f"{path}: expected {shape[0]} rows x {shape[1]} columns "
+                f"(manifest says n={n}, M={M}), got "
+                f"{matrix.shape[0]} x {matrix.shape[1]}"
+            )
+        return matrix
+
+    first = read_csv("design_0", (n, M))
     designs = np.empty((T, n, M))
     responses = np.empty((T, n))
     for t in range(T):
-        for key, target, shape in (
-            (f"design_{t}", designs, (n, M)),
-            (f"response_{t}", responses, (n, 1)),
-        ):
-            path = paths[key]
-            matrix = read_matrix_csv(path, columns=shape[1])
-            if matrix.shape != shape:
-                raise ParseError(
-                    f"{path}: expected {shape[0]} rows x {shape[1]} columns "
-                    f"(manifest says n={n}, M={M}), got "
-                    f"{matrix.shape[0]} x {matrix.shape[1]}"
-                )
-            target[t] = matrix if key.startswith("design") else matrix[:, 0]
+        designs[t] = first if t == 0 else read_csv(f"design_{t}", (n, M))
+        responses[t] = read_csv(f"response_{t}", (n, 1))[:, 0]
     return MultiTaskDataset(designs, responses)
 
 

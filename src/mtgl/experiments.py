@@ -5,10 +5,9 @@ baseline comparison.
 Every replicate draws from its own streams: oracle replicate r from
 (seed, r), selection replicate r its data from (seed, r, 0) and its truth
 from (seed, r, 1), and comparison replicate r at T tasks from
-(seed, T, r).  Results are aggregated in that key order, so reports are
-bit-for-bit reproducible no matter how many worker threads execute the
-replicates.  Replicates whose solver fails to converge are reported as
-such, never dropped.
+(seed, T, r).  Replicates run serially in that key order, so reports are
+bit-for-bit reproducible.  Replicates whose solver fails to converge are
+reported as such, never dropped.
 
 Each replicate yields one record, a row of replicates.csv in field
 order.  ``m_hat`` counts nonzero groups: both solvers return exact zeros.
@@ -17,7 +16,6 @@ order.  ``m_hat`` counts nonzero groups: both solvers return exact zeros.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -82,7 +80,6 @@ class ExperimentConfig:
     kkt_tolerance: float = 1e-8
     max_iterations: int = 2000
     lasso_constant: float = 3.0
-    threads: int = 1
 
     def __post_init__(self):
         if self.replicates < 1:
@@ -98,8 +95,6 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.alpha is not None and not 1 < self.alpha < math.inf:
             raise ValueError(f"alpha must be finite and exceed 1, got {self.alpha}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
         if any(not p >= 1 for p in self.p_values):
             raise ValueError(f"every p must be >= 1, got {self.p_values}")
         got = (self.design.n, self.design.T, self.design.M)
@@ -400,14 +395,6 @@ def _diagnose(config, r, dataset, certify):
     return diag
 
 
-def _run_replicates(config, keys, worker):
-    """worker(key) for every key, in key order, on config.threads threads."""
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            return list(pool.map(worker, keys))
-    return [worker(key) for key in keys]
-
-
 def _frequency_check(name, rhs, holds, required):
     """BoundCheck for the per-replicate outcomes ``holds``: it passes when
     their frequency is at least ``required`` minus three standard errors."""
@@ -450,7 +437,7 @@ def _run_bound_experiment(kind, config, kappas, certify, draw, score=None):
         phi = config.phi_max if config.phi_max is not None else diag.phi_max
         return metrics, _replicate_rhs(config, metrics, phi, kappa, kappa2s)
 
-    rows = _run_replicates(config, range(config.replicates), worker)
+    rows = [worker(r) for r in range(config.replicates)]
     metrics = tuple(m for m, _ in rows)
     required, vacuous = _required_confidence(config, metrics)
     checks = [
@@ -541,8 +528,8 @@ def run_lasso_comparison(config, T_grid):
 
     The grid must be strictly increasing; the group estimator is
     expected to pull ahead as tasks accumulate (nonincreasing mean-error
-    ratio, and a win rate of at least 90% at the largest T).  Every
-    (T, replicate) pair is one job of the same pool.
+    ratio, and a win rate of at least 90% at the largest T).  The
+    (T, replicate) pairs run in grid order, replicates within each T.
     """
     grid = [int(T) for T in T_grid]
     if not grid or any(T < 1 for T in grid):
@@ -568,8 +555,7 @@ def run_lasso_comparison(config, T_grid):
         design_t = replace(config.design, T=T)
         setups[T] = (design_t, _solver_config(config, plan_t.lam), lam_plain)
 
-    def worker(key):
-        T, r = key
+    def worker(T, r):
         design_t, group_cfg, lam_plain = setups[T]
         dataset, beta_star = generate_dataset(
             design_t, config.signal, config.noise, [config.seed, T, r]
@@ -588,7 +574,7 @@ def run_lasso_comparison(config, T_grid):
         return ComparisonReplicate(T, r, *errors, group.converged, plain.converged)
 
     R = config.replicates
-    rows = _run_replicates(config, [(T, r) for T in grid for r in range(R)], worker)
+    rows = [worker(T, r) for T in grid for r in range(R)]
     summaries = []
     for i, T in enumerate(grid):
         results = rows[i * R:(i + 1) * R]

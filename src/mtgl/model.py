@@ -34,8 +34,8 @@ class MultiTaskDataset:
 
     ``unit_diagonal`` records whether every column of every task design
     satisfies (1/n) * ||x_tj||^2 = 1 within UNIT_DIAGONAL_TOL; the
-    noise-event lemma requires it.  Arrays are marked read-only,
-    so instances are safe to share across threads.
+    noise-event lemma requires it.  Arrays are marked read-only, so
+    no caller can change a dataset after it is validated.
     """
 
     designs: np.ndarray
@@ -66,18 +66,6 @@ class MultiTaskDataset:
         object.__setattr__(
             self, "unit_diagonal", bool(np.max(np.abs(col_sq - 1.0)) <= UNIT_DIAGONAL_TOL)
         )
-
-    @classmethod
-    def from_tasks(cls, tasks):
-        """Build a dataset from an ordered list of (design, response) pairs."""
-        if not tasks:
-            raise ValueError("need at least one task")
-        designs = [np.asarray(x, dtype=float) for x, _ in tasks]
-        responses = [np.asarray(y, dtype=float) for _, y in tasks]
-        shapes = {x.shape for x in designs}
-        if len(shapes) != 1:
-            raise ValueError(f"task designs have differing shapes: {sorted(shapes)}")
-        return cls(np.stack(designs), np.stack(responses))
 
     @property
     def T(self):
@@ -136,11 +124,6 @@ class SparsityPattern:
         if len(set(idx)) != len(idx):
             raise ValueError(f"duplicate variable index in {idx}")
         object.__setattr__(self, "indices", tuple(sorted(idx)))
-
-    @classmethod
-    def from_iterable(cls, indices):
-        """Forgiving constructor: deduplicates and sorts."""
-        return cls(tuple(sorted({int(j) for j in indices})))
 
     def as_set(self):
         return frozenset(self.indices)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GroupCoefficients, SparsityPattern, group_support
+from .model import SparsityPattern
 
 
 @dataclass(frozen=True)
@@ -50,19 +50,6 @@ def select_support(beta_hat, tau, true_pattern=None):
         group_scores=tuple(float(x) for x in scores),
         true_pattern=true_pattern,
     )
-
-
-def betamin_satisfied(beta_star, tau):
-    """True iff every truly active group clears twice the threshold:
-    min over active j of ||beta*_j||/sqrt(T) > 2*tau.  Vacuously true
-    for an empty support."""
-    _check_tau(tau)
-    active = group_support(beta_star, 0.0)
-    if len(active) == 0:
-        return True
-    norms = beta_star.group_norms()
-    idx = np.fromiter(active, dtype=int)
-    return bool(np.min(norms[idx]) / np.sqrt(beta_star.T) > 2.0 * tau)
 
 
 def average_sign_estimate(beta_hat, tau):

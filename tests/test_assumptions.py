@@ -17,7 +17,6 @@ from mtgl.assumptions import (
     minimize_re_quotient,
     re_lower_bound_from_coherence,
     re_upper_estimate,
-    task_grams,
 )
 from mtgl.model import MultiTaskDataset, objective
 from mtgl.solver import SolverConfig, solve_group_lasso
@@ -378,7 +377,8 @@ def test_re_estimate_deterministic_and_validated():
 def test_ar1_population_coherence():
     design = DesignSpec(kind="ar1", n=2000, M=4, T=1, rho=0.3)
     data, _ = generate_dataset(design, SignalSpec(s=0), NoiseSpec(sigma=0.0), 1)
-    gram = task_grams(data)[0]
+    x = data.designs[0]
+    gram = x.T @ x / data.n
     for j in range(3):
         assert gram[j, j + 1] == pytest.approx(0.3, abs=0.03)
     # two-apart correlation decays to rho^2

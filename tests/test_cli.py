@@ -344,6 +344,23 @@ def test_solve_rejects_malformed_dataset(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_solve_rejects_oversized_manifest_as_malformed_input(tmp_path, capsys):
+    # n = M = 10^9 declared for a 1 x 3 CSV: exit 1 naming the CSV, not
+    # exit 3 on allocating the declared (T, n, M) array
+    (tmp_path / "x.csv").write_text("1,2,3\n")
+    (tmp_path / "y.csv").write_text("1\n")
+    manifest = _write(
+        tmp_path / "manifest.txt",
+        "n=1000000000\nM=1000000000\nT=1\ndesign_0=x.csv\nresponse_0=y.csv\n",
+    )
+    code, out, err = _run(
+        capsys, "solve", "--data", manifest, "--lambda", "0.3",
+        "--out", str(tmp_path / "fit"),
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "x.csv" in err
+
+
 def test_solve_rejects_unknown_algorithm(tmp_path, capsys):
     code, _, err = _run(
         capsys, "solve", "--data", "x", "--lambda", "0.3",
@@ -546,7 +563,7 @@ def test_experiment_rejects_infinite_signal_mu_before_drawing(tmp_path):
     # them instead of being raised by this suite's warning filter.
     config = _write(tmp_path / "exp.cfg", ORACLE_CONFIG + "signal_mu=inf\n")
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, MTGL_THREADS="1", PYTHONPATH=package_root)
+    env = dict(os.environ, PYTHONPATH=package_root)
     proc = subprocess.run(
         [sys.executable, "-m", "mtgl.cli", "experiment", "--config", config,
          "--out", str(tmp_path / "exp")],
@@ -587,32 +604,22 @@ T_grid=1,4
 """
 
 
-@pytest.mark.parametrize("text", [
-    pytest.param(ORACLE_CONFIG, id="oracle"),
-    pytest.param(SELECTION_CONFIG, id="selection"),
-    pytest.param(COMPARISON_CONFIG, id="lasso-comparison"),
-])
-def test_experiment_thread_count_does_not_change_outputs(
-    text, tmp_path, capsys, monkeypatch
-):
-    config = _write(tmp_path / "exp.cfg", text)
+def test_experiment_outputs_ignore_thread_env(tmp_path, capsys, monkeypatch):
+    # replicates run serially; no environment variable selects a worker count
+    config = _write(tmp_path / "exp.cfg", ORACLE_CONFIG)
     outputs = {}
-    for threads in ("1", "2"):
-        monkeypatch.setenv("MTGL_THREADS", threads)
-        out_dir = tmp_path / f"t{threads}"
+    for value in (None, "zero"):
+        if value is None:
+            monkeypatch.delenv("MTGL_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("MTGL_THREADS", value)
+        out_dir = tmp_path / f"run-{value}"
         assert _run(capsys, "experiment", "--config", config, "--out", str(out_dir))[0] == 0
-        outputs[threads] = (
+        outputs[value] = (
             (out_dir / "replicates.csv").read_bytes(),
             (out_dir / "summary.txt").read_bytes(),
         )
-    assert outputs["1"] == outputs["2"]
-
-
-def test_bad_thread_env_is_rejected(tmp_path, capsys, monkeypatch):
-    config = _write(tmp_path / "exp.cfg", ORACLE_CONFIG)
-    monkeypatch.setenv("MTGL_THREADS", "zero")
-    code, _, err = _run(capsys, "experiment", "--config", config, "--out", str(tmp_path / "o"))
-    assert code == 1 and "MTGL_THREADS" in err
+    assert outputs[None] == outputs["zero"]
 
 
 def test_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):

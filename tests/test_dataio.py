@@ -357,6 +357,38 @@ def test_dataset_non_integer_header(tmp_path):
         read_dataset(manifest)
 
 
+@pytest.mark.parametrize("key", ["n", "M", "T"])
+@pytest.mark.parametrize("value", ["-2", "0"])
+def test_dataset_sizes_below_one_name_manifest_and_key(tmp_path, key, value):
+    data = _dataset()
+    manifest = write_dataset(data, tmp_path / "d")
+    entries = read_keyvalue(manifest)
+    entries[key] = value
+    write_keyvalue(manifest, entries.items())
+    with pytest.raises(ParseError) as err:
+        read_dataset(manifest)
+    message = str(err.value)
+    assert str(manifest) in message
+    assert f"key {key!r} must be an integer >= 1, got {value!r}" in message
+
+
+def test_declared_size_is_checked_against_design_before_allocation(tmp_path):
+    # n = M = 10^9 for a 1 x 3 design CSV.  Allocating the declared
+    # (T, n, M) array would need 8e18 bytes and fail at once, so even a
+    # reader that allocated first could not use real memory here.
+    (tmp_path / "x.csv").write_text("1,2,3\n")
+    (tmp_path / "y.csv").write_text("1\n")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(
+        "n=1000000000\nM=1000000000\nT=1\ndesign_0=x.csv\nresponse_0=y.csv\n"
+    )
+    with pytest.raises(ParseError) as err:
+        read_dataset(manifest)
+    message = str(err.value)
+    assert "x.csv" in message
+    assert "expected 1000000000" in message
+
+
 def test_non_finite_csv_rejected_with_sidecars_present(tmp_path):
     data = _dataset()
     d = tmp_path / "d"

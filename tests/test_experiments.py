@@ -120,8 +120,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         _small_config(alpha=1.0)
     with pytest.raises(ValueError):
-        _small_config(threads=0)
-    with pytest.raises(ValueError):
         _small_config(p_values=(0.5,))
     with pytest.raises(ValueError, match="disagree"):
         _small_config(design=DesignSpec(kind="orthogonal", n=64, M=8, T=4))
@@ -181,9 +179,6 @@ def test_oracle_experiment_deterministic_and_thread_invariant():
     base = _small_config()
     again = run_oracle_experiment(base)
     assert run_oracle_experiment(base) == again
-    threaded = run_oracle_experiment(_small_config(threads=2))
-    # thread count changes scheduling only, never the numbers
-    assert threaded == again
 
 
 def test_oracle_experiment_measures_phi_when_unset():
@@ -224,18 +219,14 @@ def test_kappa_from_coherence_lemma():
 
 def test_certification_rejects_correlated_design():
     # AR(1) with rho=0.6 violates max coherence <= 1/(7*alpha*s) by a mile;
-    # every thread count names the same, lowest failing replicate
-    messages = []
-    for threads in (1, 2):
-        config = _small_config(
-            design=DesignSpec(kind="ar1", n=32, M=8, T=4, rho=0.6),
-            kappa_source="coherence-lemma", kappa=None, kappa2s=None,
-            alpha=8.0, replicates=2, threads=threads,
-        )
-        with pytest.raises(ValueError, match="replicate 0: .*coherence") as info:
-            run_oracle_experiment(config)
-        messages.append(str(info.value))
-    assert messages[0] == messages[1]
+    # the run stops at the first replicate, which fails
+    config = _small_config(
+        design=DesignSpec(kind="ar1", n=32, M=8, T=4, rho=0.6),
+        kappa_source="coherence-lemma", kappa=None, kappa2s=None,
+        alpha=8.0, replicates=2,
+    )
+    with pytest.raises(ValueError, match="replicate 0: .*coherence"):
+        run_oracle_experiment(config)
 
 
 def test_certified_run_generates_and_diagnoses_once_per_replicate(monkeypatch):
@@ -363,7 +354,6 @@ def test_comparison_replicates_draw_from_task_count_keyed_streams():
         plan=RegularizationPlan.gaussian(1.0, 40, 1, 8, 9.0),
         replicates=3,
         seed=5,
-        threads=2,
     )
     report = run_lasso_comparison(config, (1, 4))
     assert [(row.T, row.replicate) for row in report.comparison_rows] == [

@@ -49,20 +49,6 @@ def test_dataset_rejects_bad_shapes():
         MultiTaskDataset(np.full((1, 2, 2), np.nan), np.zeros((1, 2)))
 
 
-def test_from_tasks_round_trip():
-    rng = np.random.default_rng(1)
-    X0, X1 = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
-    y0, y1 = rng.standard_normal(5), rng.standard_normal(5)
-    data = MultiTaskDataset.from_tasks([(X0, y0), (X1, y1)])
-    assert data.T == 2
-    np.testing.assert_array_equal(data.designs[1], X1)
-    np.testing.assert_array_equal(data.responses[0], y0)
-    with pytest.raises(ValueError):
-        MultiTaskDataset.from_tasks([])
-    with pytest.raises(ValueError):
-        MultiTaskDataset.from_tasks([(X0, y0), (rng.standard_normal((5, 4)), y1)])
-
-
 def test_dataset_is_immutable():
     rng = np.random.default_rng(2)
     data = _random_dataset(rng)
@@ -73,13 +59,15 @@ def test_dataset_is_immutable():
 
 
 def test_sparsity_pattern_semantics():
-    pat = SparsityPattern.from_iterable([3, 1, 3, 0])
+    pat = SparsityPattern((3, 1, 0))
     assert pat.indices == (0, 1, 3)
     assert 1 in pat and 2 not in pat
     assert len(pat) == 3
     assert pat.as_set() == {0, 1, 3}
     with pytest.raises(ValueError):
-        SparsityPattern.from_iterable([-1])
+        SparsityPattern((-1,))
+    with pytest.raises(ValueError):
+        SparsityPattern((3, 1, 3))
 
 
 # ---------------------------------------------------------------------------

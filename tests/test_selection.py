@@ -6,7 +6,6 @@ import pytest
 from mtgl.model import GroupCoefficients, SparsityPattern, group_support
 from mtgl.selection import (
     average_sign_estimate,
-    betamin_satisfied,
     score_selection,
     select_support,
 )
@@ -53,17 +52,6 @@ def test_selection_monotone_in_tau():
         assert big <= small
 
 
-def test_betamin_condition():
-    tau = 1.0
-    # active group norms/sqrt(T): 2.5 and 3.0 -> satisfied at factor 2
-    beta = _beta([[2.5, 0.0], [0.0, 0.0]])  # T=2, score = 2.5/sqrt(2)
-    scores = np.linalg.norm(beta.values, axis=1) / math.sqrt(2)
-    assert betamin_satisfied(beta, scores[0] / 2.0 - 1e-9)
-    assert not betamin_satisfied(beta, scores[0] / 2.0 + 1e-9)
-    # empty support is vacuously fine
-    assert betamin_satisfied(GroupCoefficients.zeros(3, 2), tau)
-
-
 def test_average_sign_estimate_hand_cases():
     tau = 0.4
     beta = _beta([
@@ -88,7 +76,7 @@ def test_average_threshold_is_strict():
 
 def test_score_selection_counts():
     beta = _beta([[5.0, 5.0], [0.0, 0.0], [5.0, 5.0]])
-    truth = SparsityPattern.from_iterable([0, 2])
+    truth = SparsityPattern((0, 2))
     res = select_support(beta, 1.0, truth)
     assert score_selection(res) == (True, 0, 0)
 
@@ -125,7 +113,8 @@ def test_consistency_chain():
         )
         beta_hat = GroupCoefficients(beta_star + noise)
         star = GroupCoefficients(beta_star)
-        assert betamin_satisfied(star, tau)
+        # beta-min: min over active j of ||beta*_j||/sqrt(T) > 2*tau
+        assert np.min(star.group_norms()[support]) / math.sqrt(T) > 2.0 * tau
         result = select_support(beta_hat, tau, group_support(star, 0.0))
         exact, fp, fn = score_selection(result)
         assert exact and fp == 0 and fn == 0
@@ -160,6 +149,6 @@ def test_sign_chain_for_averages():
 @pytest.mark.parametrize("tau", [0.0, -1.0, math.inf, math.nan])
 def test_thresholds_must_be_positive_and_finite(tau):
     beta = _beta([[1.0, 2.0], [0.0, 0.0]])
-    for threshold in (select_support, average_sign_estimate, betamin_satisfied):
+    for threshold in (select_support, average_sign_estimate):
         with pytest.raises(ValueError, match="positive and finite"):
             threshold(beta, tau)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mtgl.model import group_support
-from mtgl.selection import betamin_satisfied
 from mtgl.synth import (
     DesignSpec,
     NoiseSpec,
@@ -180,7 +179,8 @@ def test_generate_beta_for_selection():
         assert norms[j] == pytest.approx(margin * tau, rel=1e-14)
     active = beta.values[list(support)]
     np.testing.assert_allclose(active, margin * tau, rtol=1e-14)
-    assert betamin_satisfied(beta, tau)
+    # beta-min: min over active j of ||beta*_j||/sqrt(T) > 2*tau
+    assert np.min(norms[list(support)]) > 2.0 * tau
 
     with pytest.raises(ValueError):
         generate_beta_for_selection(signal, tau, 2.0, M, T, seed=12)
@@ -188,4 +188,5 @@ def test_generate_beta_for_selection():
         generate_beta_for_selection(signal, 0.0, margin, M, T, seed=12)
 
     boundary = generate_beta_for_selection(signal, tau, 2.01, M, T, seed=13)
-    assert betamin_satisfied(boundary, tau)
+    boundary_norms = np.linalg.norm(boundary.values, axis=1) / math.sqrt(T)
+    assert np.min(boundary_norms[list(group_support(boundary, 0.0))]) > 2.0 * tau
