@@ -82,9 +82,11 @@ def gram_diagnostics(data):
     unit_dev = coherence = phi_max = 0.0
     # max_j (x_ti)_j^2 per (task, row): the square of the largest |entry|
     row_max_sq = np.empty((data.T, data.n))
+    gram = np.empty((data.M, data.M))  # each task's Gram in turn
     for x, row_sq in zip(data.designs, row_max_sq):
         np.square(np.max(np.abs(x), axis=1), out=row_sq)
-        gram = x.T @ x / data.n
+        np.matmul(x.T, x, out=gram)
+        gram /= data.n
         unit_dev = max(unit_dev, float(np.max(np.abs(np.diagonal(gram) - 1.0))))
         phi_max = max(phi_max, _top_eigenvalue(x, data.n, gram))
         if data.M >= 2:

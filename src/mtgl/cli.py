@@ -62,7 +62,6 @@ from .probability import (
     noise_correlation_violation_rate,
 )
 from .regularization import (
-    FINITE_VARIANCE,
     GAUSSIAN,
     REGIMES,
     RegularizationPlan,

@@ -277,7 +277,7 @@ def read_dataset(manifest_path):
         )
     sidecars = _load_sidecars(base, paths.values(), digest, ((T, n, M), (T, n)))
     if sidecars is not None:
-        return MultiTaskDataset(*sidecars)
+        return MultiTaskDataset._adopt(*sidecars)
 
     def read_csv(key, shape):
         path = paths[key]
@@ -296,7 +296,7 @@ def read_dataset(manifest_path):
     for t in range(T):
         designs[t] = first if t == 0 else read_csv(f"design_{t}", (n, M))
         responses[t] = read_csv(f"response_{t}", (n, 1))[:, 0]
-    return MultiTaskDataset(designs, responses)
+    return MultiTaskDataset._adopt(designs, responses)
 
 
 def write_coefficients(beta, path):

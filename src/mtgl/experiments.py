@@ -5,9 +5,17 @@ baseline comparison.
 Every replicate draws from its own streams: oracle replicate r from
 (seed, r), selection replicate r its data from (seed, r, 0) and its truth
 from (seed, r, 1), and comparison replicate r at T tasks from
-(seed, T, r).  Replicates run serially in that key order, so reports are
-bit-for-bit reproducible.  Replicates whose solver fails to converge are
-reported as such, never dropped.
+(seed, T, r).  A result depends on its key alone, so replicates may run
+anywhere: ``_map_in_key_order`` splits the keys into contiguous blocks,
+one per worker, runs the first block itself and each other block in a
+forked child, and merges the results in key order.  There is one worker
+per ``len(os.sched_getaffinity(0)) // b`` cores, where b is the BLAS
+thread count the environment declares (OPENBLAS_NUM_THREADS, else
+OMP_NUM_THREADS), so workers and their BLAS threads share the cores
+without oversubscribing them.  With neither variable set BLAS takes
+every core and the replicates run in this process alone.  Reports are
+bit-for-bit the same at any worker count.  Replicates whose solver
+fails to converge are reported as such, never dropped.
 
 Each replicate yields one record, a row of replicates.csv in field
 order.  ``m_hat`` counts nonzero groups: both solvers return exact zeros.
@@ -15,7 +23,12 @@ order.  ``m_hat`` counts nonzero groups: both solvers return exact zeros.
 
 from __future__ import annotations
 
+import gc
 import math
+import os
+import signal
+import sys
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -395,6 +408,110 @@ def _diagnose(config, r, dataset, certify):
     return diag
 
 
+def _worker_count():
+    """Replicate workers this process can run: its usable cores divided
+    by the BLAS threads each worker declares (OPENBLAS_NUM_THREADS, else
+    OMP_NUM_THREADS).  With neither set BLAS takes every core, so one.
+    One also where the process cannot fork, or runs other threads,
+    whose locks a forked child would inherit without the threads."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    declared = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    try:
+        blas_threads = int(declared)
+    except (TypeError, ValueError):
+        return 1
+    if blas_threads < 1:
+        return 1
+    return max(1, len(os.sched_getaffinity(0)) // blas_threads)
+
+
+def _map_in_key_order(fn, keys):
+    """``[fn(key) for key in keys]`` on ``_worker_count()`` workers.
+
+    The keys are split into contiguous blocks, one per worker (at most
+    one per key).  This process runs the first block; a forked child
+    runs each other block and pickles its results, or its first
+    exception, down a pipe.  Every result depends on its key alone, so
+    the list is the same at any worker count, and a failing run raises
+    the exception of its lowest failing key, as the serial loop would.
+    A child that dies without its results raises RuntimeError naming
+    its keys.  Every child is reaped before this returns or raises.
+    """
+    keys = list(keys)
+    workers = max(1, min(len(keys), _worker_count()))
+    cuts = [len(keys) * i // workers for i in range(workers + 1)]
+    blocks = [keys[a:b] for a, b in zip(cuts, cuts[1:])]
+    children = []  # (pid, read end, block), not yet reaped
+    if workers > 1:
+        import pickle
+
+        sys.stdout.flush()
+        sys.stderr.flush()
+        # Keep the children's collections off the pages they share with
+        # this process, which would otherwise be copied on write.
+        gc.freeze()
+    try:
+        for block in blocks[1:]:
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _run_child_block(fn, block, read_end, write_end)
+            os.close(write_end)
+            children.append((pid, os.fdopen(read_end, "rb"), block))
+        rows = [fn(key) for key in blocks[0]]
+        while children:
+            pid, pipe, block = children[0]
+            payload = pipe.read()
+            pipe.close()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            if code != 0:
+                raise RuntimeError(
+                    f"the worker for keys {block[0]!r} to {block[-1]!r} ended "
+                    f"with status {code} before sending its results"
+                )
+            results, error = pickle.loads(payload)
+            if error is not None:
+                raise error
+            rows += results
+        return rows
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if workers > 1:
+            gc.unfreeze()
+
+
+def _run_child_block(fn, block, read_end, write_end):
+    """Body of a forked worker: pickle ``(results, None)``, or ``(None,
+    first exception)``, of ``block`` down the pipe.  It leaves only
+    through os._exit, so no ``finally`` or atexit handler of the caller
+    runs twice; exit status 0 means the whole payload was written.  It
+    ignores SIGINT (on Ctrl-C the parent kills it) and closes its copy
+    of the read end, so a write to a dead parent fails instead of
+    blocking."""
+    import pickle
+
+    code = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        os.close(read_end)
+        try:
+            payload = ([fn(key) for key in block], None)
+        except Exception as exc:
+            payload = (None, exc)
+        with os.fdopen(write_end, "wb") as pipe:
+            pipe.write(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def _frequency_check(name, rhs, holds, required):
     """BoundCheck for the per-replicate outcomes ``holds``: it passes when
     their frequency is at least ``required`` minus three standard errors."""
@@ -437,7 +554,7 @@ def _run_bound_experiment(kind, config, kappas, certify, draw, score=None):
         phi = config.phi_max if config.phi_max is not None else diag.phi_max
         return metrics, _replicate_rhs(config, metrics, phi, kappa, kappa2s)
 
-    rows = [worker(r) for r in range(config.replicates)]
+    rows = _map_in_key_order(worker, range(config.replicates))
     metrics = tuple(m for m, _ in rows)
     required, vacuous = _required_confidence(config, metrics)
     checks = [
@@ -529,7 +646,7 @@ def run_lasso_comparison(config, T_grid):
     The grid must be strictly increasing; the group estimator is
     expected to pull ahead as tasks accumulate (nonincreasing mean-error
     ratio, and a win rate of at least 90% at the largest T).  The
-    (T, replicate) pairs run in grid order, replicates within each T.
+    (T, replicate) pairs are keyed in grid order, replicates within each T.
     """
     grid = [int(T) for T in T_grid]
     if not grid or any(T < 1 for T in grid):
@@ -555,7 +672,8 @@ def run_lasso_comparison(config, T_grid):
         design_t = replace(config.design, T=T)
         setups[T] = (design_t, _solver_config(config, plan_t.lam), lam_plain)
 
-    def worker(T, r):
+    def worker(key):
+        T, r = key
         design_t, group_cfg, lam_plain = setups[T]
         dataset, beta_star = generate_dataset(
             design_t, config.signal, config.noise, [config.seed, T, r]
@@ -574,7 +692,7 @@ def run_lasso_comparison(config, T_grid):
         return ComparisonReplicate(T, r, *errors, group.converged, plain.converged)
 
     R = config.replicates
-    rows = [worker(T, r) for T in grid for r in range(R)]
+    rows = _map_in_key_order(worker, [(T, r) for T in grid for r in range(R)])
     summaries = []
     for i, T in enumerate(grid):
         results = rows[i * R:(i + 1) * R]

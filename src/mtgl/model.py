@@ -19,8 +19,10 @@ import numpy as np
 UNIT_DIAGONAL_TOL = 1e-10
 
 
-def _frozen_array(values, dtype=float):
-    arr = np.array(values, dtype=dtype, order="C")
+def _frozen_array(values, dtype=float, copy=True):
+    """A read-only C-ordered array of ``values``: a copy, unless ``copy``
+    is False and ``values`` already has that dtype and layout."""
+    arr = np.array(values, dtype=dtype, order="C", copy=True if copy else None)
     arr.setflags(write=False)
     return arr
 
@@ -34,8 +36,9 @@ class MultiTaskDataset:
 
     ``unit_diagonal`` records whether every column of every task design
     satisfies (1/n) * ||x_tj||^2 = 1 within UNIT_DIAGONAL_TOL; the
-    noise-event lemma requires it.  Arrays are marked read-only, so
-    no caller can change a dataset after it is validated.
+    noise-event lemma requires it.  The constructor copies the arrays
+    and marks the copies read-only, so no caller can change a dataset
+    after it is validated.
     """
 
     designs: np.ndarray
@@ -43,6 +46,20 @@ class MultiTaskDataset:
     unit_diagonal: bool = field(init=False)
 
     def __post_init__(self):
+        self._settle(copy=True)
+
+    @classmethod
+    def _adopt(cls, designs, responses):
+        """The dataset over arrays that nothing else holds, such as
+        freshly read or drawn ones: validated and marked read-only in
+        place instead of copied."""
+        data = object.__new__(cls)
+        object.__setattr__(data, "designs", designs)
+        object.__setattr__(data, "responses", responses)
+        data._settle(copy=False)
+        return data
+
+    def _settle(self, copy):
         designs = np.asarray(self.designs, dtype=float)
         responses = np.asarray(self.responses, dtype=float)
         if designs.ndim != 3:
@@ -60,8 +77,8 @@ class MultiTaskDataset:
             raise ValueError("designs contain non-finite entries")
         if not np.all(np.isfinite(responses)):
             raise ValueError("responses contain non-finite entries")
-        object.__setattr__(self, "designs", _frozen_array(designs))
-        object.__setattr__(self, "responses", _frozen_array(responses))
+        object.__setattr__(self, "designs", _frozen_array(designs, copy=copy))
+        object.__setattr__(self, "responses", _frozen_array(responses, copy=copy))
         col_sq = np.einsum("tnm,tnm->tm", designs, designs) / n
         object.__setattr__(
             self, "unit_diagonal", bool(np.max(np.abs(col_sq - 1.0)) <= UNIT_DIAGONAL_TOL)

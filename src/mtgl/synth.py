@@ -192,7 +192,7 @@ def generate_dataset(design, signal, noise, seed, beta_star=None):
         w = _draw_noise(noise, design.n, noise_rng)
         designs[t] = x
         responses[t] = x @ values[:, t] + w
-    return MultiTaskDataset(designs, responses), GroupCoefficients(values)
+    return MultiTaskDataset._adopt(designs, responses), GroupCoefficients(values)
 
 
 def generate_beta_for_selection(signal, tau, margin, M, T, seed):

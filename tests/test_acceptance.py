@@ -6,7 +6,6 @@ its stated tolerance.  The Monte Carlo settings and coverage targets are
 the package's contract; do not loosen them to make a red check green.
 """
 
-import math
 import os
 import subprocess
 import sys
@@ -16,13 +15,15 @@ import numpy as np
 import pytest
 
 import mtgl
+import mtgl.cli as cli
+import mtgl.experiments as experiments
 from mtgl.experiments import (
     ExperimentConfig,
     run_lasso_comparison,
     run_oracle_experiment,
     run_selection_experiment,
 )
-from mtgl.model import GroupCoefficients, objective
+from mtgl.model import objective
 from mtgl.probability import (
     chi_square_tail_empirical,
     nemirovski_check,
@@ -308,7 +309,7 @@ def _tree_bytes(root):
     return out
 
 
-def test_12_cli_determinism(capsys, tmp_path):
+def test_12_cli_determinism(capsys, tmp_path, monkeypatch):
     (tmp_path / "gen.cfg").write_text(GEN_CONFIG)
     (tmp_path / "exp.cfg").write_text(EXPERIMENT_CONFIG)
 
@@ -320,8 +321,18 @@ def test_12_cli_determinism(capsys, tmp_path):
         _cli(tmp_path, ["experiment", "--config", "exp.cfg", "--out", name])
     exp_rerun_same = _tree_bytes(tmp_path / "e1") == _tree_bytes(tmp_path / "e2")
 
-    ok = gen_same and exp_rerun_same
+    # the same run in this process on 1, 2 and 3 replicate workers
+    workers_same = True
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(experiments, "_worker_count", lambda: workers)
+        out = tmp_path / f"w{workers}"
+        code = cli.dispatch(
+            ["experiment", "--config", str(tmp_path / "exp.cfg"), "--out", str(out)]
+        )
+        workers_same &= code == 0 and _tree_bytes(out) == _tree_bytes(tmp_path / "e1")
+
+    ok = gen_same and exp_rerun_same and workers_same
     _verdict(
         capsys, 12, "cli-determinism", ok,
-        f"gen={gen_same} rerun={exp_rerun_same}",
+        f"gen={gen_same} rerun={exp_rerun_same} workers={workers_same}",
     )

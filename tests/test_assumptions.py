@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,20 @@ def test_gram_diagnostics_rejects_zero_design():
     data = MultiTaskDataset(np.zeros((1, 4, 2)), np.zeros((1, 4)))
     with pytest.raises(ValueError):
         gram_diagnostics(data)
+
+
+def test_gram_diagnostics_holds_one_gram_at_a_time():
+    rng = np.random.default_rng(8)
+    T, n, M = 3, 20, 300
+    data = MultiTaskDataset(rng.standard_normal((T, n, M)), np.zeros((T, n)))
+    gram_bytes = M * M * 8
+    tracemalloc.start()
+    try:
+        gram_diagnostics(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * gram_bytes
 
 
 def test_phi_max_lower_bounded_by_diagonal():

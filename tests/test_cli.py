@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import mtgl.cli as cli
+import mtgl.experiments as experiments
 from mtgl.dataio import read_coefficients, read_dataset, read_keyvalue
 from mtgl.model import group_support
 from mtgl.regularization import selection_threshold, threshold_constant_c
@@ -604,8 +605,32 @@ T_grid=1,4
 """
 
 
+@pytest.mark.parametrize("text", [
+    pytest.param(ORACLE_CONFIG, id="oracle"),
+    pytest.param(SELECTION_CONFIG, id="selection"),
+    pytest.param(COMPARISON_CONFIG, id="lasso-comparison"),
+])
+def test_experiment_worker_count_does_not_change_outputs(
+    text, tmp_path, capsys, monkeypatch
+):
+    config = _write(tmp_path / "exp.cfg", text)
+    outputs = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(experiments, "_worker_count", lambda: workers)
+        out_dir = tmp_path / f"w{workers}"
+        code, out, _ = _run(capsys, "experiment", "--config", config, "--out", str(out_dir))
+        assert code == 0
+        outputs[workers] = (
+            out,
+            (out_dir / "replicates.csv").read_bytes(),
+            (out_dir / "summary.txt").read_bytes(),
+        )
+    assert outputs[1] == outputs[2] == outputs[3]
+
+
 def test_experiment_outputs_ignore_thread_env(tmp_path, capsys, monkeypatch):
-    # replicates run serially; no environment variable selects a worker count
+    # MTGL_THREADS is not read: the worker count comes from the usable
+    # cores and the BLAS thread count
     config = _write(tmp_path / "exp.cfg", ORACLE_CONFIG)
     outputs = {}
     for value in (None, "zero"):

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,6 +256,21 @@ def test_gen_writes_digest_checked_sidecars(tmp_path, monkeypatch):
     # bit-identical to the CSV path, signed zeros and all
     assert back.designs.tobytes() == designs.tobytes()
     assert back.responses.tobytes() == responses.tobytes()
+
+
+def test_read_dataset_holds_one_copy_of_the_design(tmp_path):
+    # the sidecar arrays are adopted, not copied into the dataset
+    design = DesignSpec(kind="ar1", n=150, M=500, T=8, rho=0.6)
+    data, _ = generate_dataset(design, SignalSpec(s=20), NoiseSpec(sigma=1.0), 0)
+    manifest = write_dataset(data, tmp_path / "d")
+    tracemalloc.start()
+    try:
+        back = read_dataset(manifest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.designs.tobytes() == data.designs.tobytes()
+    assert peak < 1.5 * data.designs.nbytes
 
 
 class _Unpicklable:

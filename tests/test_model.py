@@ -49,6 +49,16 @@ def test_dataset_rejects_bad_shapes():
         MultiTaskDataset(np.full((1, 2, 2), np.nan), np.zeros((1, 2)))
 
 
+def test_dataset_copies_caller_arrays():
+    designs = np.ones((1, 4, 2))
+    responses = np.zeros((1, 4))
+    data = MultiTaskDataset(designs, responses)
+    designs[0, 0, 0] = 7.0
+    responses[0, 0] = 7.0
+    assert designs.flags.writeable and responses.flags.writeable
+    assert data.designs[0, 0, 0] == 1.0 and data.responses[0, 0] == 0.0
+
+
 def test_dataset_is_immutable():
     rng = np.random.default_rng(2)
     data = _random_dataset(rng)
