@@ -8,16 +8,19 @@ failed, 3 internal error.
 Config files are flat key=value text; unknown keys are rejected.
 Reports are printed as key=value lines; every output file has the text
 format of mtgl.dataio (floats with 17 significant digits, bools as
-true/false, an absent value as an empty cell).  Every
-artifact-producing run writes a run_manifest.txt beside its outputs
-recording the subcommand, package version, resolved configuration, and
-wall-clock duration (the manifest is metadata; all data outputs are
-byte-identical across reruns with the same config and seed).
+true/false, an absent value as an empty cell).  ``dispatch`` keeps one
+run record per command: a command that writes into --out gets a
+run_manifest.txt there once it returns with exit 0 or 2, recording the
+subcommand, package version, settings (its flags, or the config keys it
+used), input files, output files in write order, stage timings and
+wall-clock duration.  The manifest is metadata; all data outputs are
+byte-identical across reruns with the same config and seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -94,18 +97,60 @@ def _report(pairs, path=None):
         write_lines(path, lines)
 
 
-def _write_run_manifest(
-    out_dir, subcommand, settings, inputs, outputs, started, timings=()
-):
-    pairs = [("subcommand", subcommand), ("version", __version__)]
-    pairs += [(f"config_{key}", value) for key, value in settings]
-    pairs += [(f"input_{i}", path) for i, path in enumerate(inputs)]
-    pairs += [(f"output_{i}", path) for i, path in enumerate(outputs)]
-    pairs += [(key, f"{seconds:.3f}") for key, seconds in timings]
-    pairs.append(("duration_s", f"{time.monotonic() - started:.3f}"))
-    path = os.path.join(out_dir, "run_manifest.txt")
-    write_keyvalue(path, pairs)
-    print(f"run-manifest: {path}", file=sys.stderr)
+# Parsed attributes that are not settings, and the flags naming input files.
+_NOT_SETTINGS = ("subcommand", "func", "out")
+_INPUT_FLAGS = ("config", "data", "beta")
+
+
+class _Run:
+    """The record ``dispatch`` keeps of one command.
+
+    It starts the clock, opens the --config file if the command takes
+    one, and takes the settings from the parsed flags (a command can
+    replace one with the value it resolved) or, with a config file, from
+    the keys the command used.  Its inputs are the --config, --data and
+    --beta files.  A command calls ``path(name)`` for each file it writes
+    into --out, and ``stage(name)`` at the end of each stage it times.
+    """
+
+    def __init__(self, args):
+        self.started = self._lap = time.monotonic()
+        self.out = getattr(args, "out", None)
+        self.cfg = _Config(args.config) if hasattr(args, "config") else None
+        self.settings = {
+            key: value for key, value in vars(args).items() if key not in _NOT_SETTINGS
+        }
+        self.inputs = [getattr(args, flag) for flag in _INPUT_FLAGS if hasattr(args, flag)]
+        self.outputs = []
+        self.timings = []
+
+    def path(self, name):
+        """The path of output ``name`` in --out, which is created."""
+        os.makedirs(self.out, exist_ok=True)
+        path = os.path.join(self.out, name)
+        self.outputs.append(path)
+        return path
+
+    def stage(self, name):
+        """Record the seconds since the last stage ended as ``<name>_s``."""
+        now = time.monotonic()
+        self.timings.append((f"{name}_s", now - self._lap))
+        self._lap = now
+
+    def write_manifest(self, subcommand):
+        if self.cfg is not None:
+            settings = self.cfg.items_used()
+        else:
+            settings = [(k, v) for k, v in self.settings.items() if v is not None]
+        pairs = [("subcommand", subcommand), ("version", __version__)]
+        pairs += [(f"config_{key}", value) for key, value in settings]
+        pairs += [(f"input_{i}", path) for i, path in enumerate(self.inputs)]
+        pairs += [(f"output_{i}", path) for i, path in enumerate(self.outputs)]
+        pairs += [(key, f"{seconds:.3f}") for key, seconds in self.timings]
+        pairs.append(("duration_s", f"{time.monotonic() - self.started:.3f}"))
+        path = os.path.join(self.out, "run_manifest.txt")
+        write_keyvalue(path, pairs)
+        print(f"run-manifest: {path}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -153,102 +198,89 @@ def _parse_bool(value):
     raise ValueError(value)
 
 
-def _parse_float_list(value):
-    return tuple(float(x) for x in value.split(",") if x.strip())
+def _parse_list(parse):
+    """Parser of a comma-separated list of ``parse`` values."""
+
+    def parse_list(value):
+        return tuple(parse(x.strip()) for x in value.split(",") if x.strip())
+
+    # argparse names a flag's type in its error message
+    parse_list.__name__ = f"_parse_{parse.__name__}_list"
+    return parse_list
 
 
-def _parse_int_list(value):
-    return tuple(int(x) for x in value.split(",") if x.strip())
+# Each spec's config keys, in the order they are read: key -> (field, parser).
+_DATA_KEYS = (
+    (DesignSpec, {"design_kind": ("kind", str), "n": ("n", int), "M": ("M", int),
+                  "T": ("T", int), "rho": ("rho", float),
+                  "normalize": ("normalize", _parse_bool)}),
+    (SignalSpec, {"signal_s": ("s", int), "signal_amplitude": ("amplitude", str),
+                  "signal_mu": ("mu", float), "signal_scale": ("scale", float)}),
+    (NoiseSpec, {"noise_kind": ("kind", str), "noise_sigma": ("sigma", float),
+                 "noise_nu": ("nu", float)}),
+)
+_EXPERIMENT_KEYS = {
+    "replicates": ("replicates", int), "seed": ("seed", int),
+    "kappa_source": ("kappa_source", str), "kappa": ("kappa", float),
+    "kappa2s": ("kappa2s", float), "phi_max": ("phi_max", float),
+    "alpha": ("alpha", float), "p_values": ("p_values", _parse_list(float)),
+    "bounds": ("bound_set", _parse_list(str)), "margin": ("margin", float),
+    "solver_algorithm": ("algorithm", str), "solver_tol": ("kkt_tolerance", float),
+    "solver_max_iter": ("max_iterations", int), "lasso_A": ("lasso_constant", float),
+}
 
 
-def _parse_str_list(value):
-    return tuple(x.strip() for x in value.split(",") if x.strip())
+def _from_config(cfg, spec, keys, **fields):
+    """``spec(**fields)`` plus the fields ``keys`` maps config keys to.  A
+    key the file lacks keeps its field's default; a field without one
+    makes the key required."""
+    optional = {
+        f.name for f in dataclasses.fields(spec) if f.default is not dataclasses.MISSING
+    }
+    for key, (name, parse) in keys.items():
+        if key in cfg.raw or name not in optional:
+            fields[name] = cfg.get(key, parse)
+    return spec(**fields)
 
 
-def _design_from(cfg):
-    return DesignSpec(
-        kind=cfg.get("design_kind"),
-        n=cfg.get("n", int),
-        M=cfg.get("M", int),
-        T=cfg.get("T", int),
-        rho=cfg.get("rho", float, None),
-        normalize=cfg.get("normalize", _parse_bool, True),
-    )
-
-
-def _signal_from(cfg):
-    return SignalSpec(
-        s=cfg.get("signal_s", int),
-        amplitude=cfg.get("signal_amplitude", str, "constant"),
-        mu=cfg.get("signal_mu", float, 1.0),
-        scale=cfg.get("signal_scale", float, 1.0),
-    )
-
-
-def _noise_from(cfg):
-    return NoiseSpec(
-        kind=cfg.get("noise_kind", str, "gaussian"),
-        sigma=cfg.get("noise_sigma", float, 1.0),
-        nu=cfg.get("noise_nu", float, None),
-    )
+def _data_specs(cfg):
+    """The (design, signal, noise) specs that ``gen`` and ``experiment`` share."""
+    return [_from_config(cfg, spec, keys) for spec, keys in _DATA_KEYS]
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_gen(args):
-    started = time.monotonic()
-    cfg = _Config(args.config)
-    design = _design_from(cfg)
-    signal = _signal_from(cfg)
-    noise = _noise_from(cfg)
-    seed = cfg.get("seed", int)
-    cfg.finish()
+def _cmd_gen(args, run):
+    design, signal, noise = _data_specs(run.cfg)
+    seed = run.cfg.get("seed", int)
+    run.cfg.finish()
 
     dataset, beta_star = generate_dataset(design, signal, noise, seed)
-    os.makedirs(args.out, exist_ok=True)
-    manifest = write_dataset(dataset, args.out)
-    beta_path = os.path.join(args.out, "beta_star.csv")
+    manifest = run.path("manifest.txt")
+    write_dataset(dataset, args.out)
+    beta_path = run.path("beta_star.csv")
     write_coefficients(beta_star, beta_path)
     _report([("manifest", manifest), ("beta_star", beta_path)])
-    _write_run_manifest(
-        args.out, "gen", cfg.items_used(), [args.config], [manifest, beta_path], started
-    )
     return 0
 
 
-def _cmd_solve(args):
-    started = time.monotonic()
+def _cmd_solve(args, run):
+    lam = getattr(args, "lambda")  # a keyword, so not args.lambda
     config = SolverConfig(
-        lam=args.lam,
-        algorithm=args.algorithm,
-        max_iterations=args.max_iter,
-        kkt_tolerance=args.tol,
+        lam=lam, algorithm=args.algorithm, max_iterations=args.max_iter, kkt_tolerance=args.tol
     )
     result = solve_group_lasso(read_dataset(args.data), config)
 
-    os.makedirs(args.out, exist_ok=True)
-    beta_path = os.path.join(args.out, "beta_hat.csv")
-    write_coefficients(result.beta_hat, beta_path)
-    report_path = os.path.join(args.out, "report.txt")
+    write_coefficients(result.beta_hat, run.path("beta_hat.csv"))
     _report([
         ("algorithm", args.algorithm),
-        ("lambda", args.lam),
+        ("lambda", lam),
         ("iterations", result.iterations),
         ("kkt_residual", result.kkt_residual),
         ("objective", result.objective_trace[-1]),
         ("converged", result.converged),
-    ], report_path)
-    settings = [
-        ("data", args.data),
-        ("lambda", args.lam),
-        ("algorithm", args.algorithm),
-        ("tol", args.tol),
-        ("max_iter", args.max_iter),
-    ]
-    _write_run_manifest(
-        args.out, "solve", settings, [args.data], [beta_path, report_path], started
-    )
+    ], run.path("report.txt"))
     return 0
 
 
@@ -273,34 +305,23 @@ def _resolve_tau(args):
     return _threshold(args)[1]
 
 
-def _cmd_select(args):
-    started = time.monotonic()
+def _cmd_select(args, run):
     beta = read_coefficients(args.beta)
-    tau = _resolve_tau(args)
+    tau = run.settings["tau"] = _resolve_tau(args)
     result = select_support(beta, tau)
     averages = average_sign_estimate(beta, tau)
 
     for j in result.selected:
         print(j)
-    outputs = []
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        sel_path = os.path.join(args.out, "selected.txt")
-        write_lines(sel_path, result.selected)
-        avg_path = os.path.join(args.out, "averages.csv")
-        write_lines(avg_path, map(format_row, zip(
+        write_lines(run.path("selected.txt"), result.selected)
+        write_lines(run.path("averages.csv"), map(format_row, zip(
             averages.a_hat, averages.a_tilde, averages.signs
         )))
-        outputs = [sel_path, avg_path]
-        _write_run_manifest(
-            args.out, "select",
-            [("beta", args.beta), ("tau", tau)], [args.beta], outputs, started,
-        )
     return 0
 
 
-def _cmd_check(args):
-    started = time.monotonic()
+def _cmd_check(args, run):
     limit = coherence_limit(args.s, args.alpha)
     if args.re_samples < 0:
         raise ValueError(
@@ -308,7 +329,7 @@ def _cmd_check(args):
         )
     dataset = read_dataset(args.data)
     _validate_sparsity_range(args.s, dataset.M)
-    read_done = time.monotonic()
+    run.stage("read")
     report = gram_diagnostics(dataset)
     pairs = [
         ("unit_diagonal_max_deviation", report.unit_diagonal_max_deviation),
@@ -319,32 +340,16 @@ def _cmd_check(args):
         ("admissible", coherence_admissible(report, args.s, args.alpha)),
         ("kappa_lower", re_lower_bound_from_coherence(args.alpha)),
     ]
-    diagnose_done = time.monotonic()
+    run.stage("diagnose")
     if args.re_samples > 0:
         estimate = re_upper_estimate(dataset, args.s, args.re_samples, args.seed)
         pairs.append(("kappa_upper_estimate", estimate))
-    timings = [
-        ("read_s", read_done - started),
-        ("diagnose_s", diagnose_done - read_done),
-        ("re_probe_s", time.monotonic() - diagnose_done),
-    ]
-    report_path = None
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        report_path = os.path.join(args.out, "report.txt")
-    _report(pairs, report_path)
-    if report_path:
-        settings = [
-            ("data", args.data), ("s", args.s), ("alpha", args.alpha),
-            ("re_samples", args.re_samples), ("seed", args.seed),
-        ]
-        _write_run_manifest(
-            args.out, "check", settings, [args.data], [report_path], started, timings
-        )
+    run.stage("re_probe")
+    _report(pairs, run.path("report.txt") if args.out else None)
     return 0
 
 
-def _cmd_bounds(args):
+def _cmd_bounds(args, run):
     if args.p and args.regime != GAUSSIAN:
         raise ValueError("--p: the c1 constants are defined for the gaussian regime only")
     if args.p and args.alpha is None:
@@ -374,8 +379,7 @@ def _cmd_bounds(args):
     return 0
 
 
-def _cmd_verify_lemmas(args):
-    started = time.monotonic()
+def _cmd_verify_lemmas(args, run):
     for flag, replicates, least in (
         ("--chi-replicates", args.chi_replicates, MIN_TAIL_REPLICATES),
         ("--nem-replicates", args.nem_replicates, MIN_MOMENT_REPLICATES),
@@ -420,59 +424,26 @@ def _cmd_verify_lemmas(args):
     text = [" ".join(keyvalue_lines(pairs)) for pairs in lines]
     print("\n".join(text))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        checks_path = os.path.join(args.out, "lemma_checks.txt")
-        write_lines(checks_path, text)
-        settings = [
-            ("seed", args.seed),
-            ("chi_replicates", args.chi_replicates),
-            ("nem_replicates", args.nem_replicates),
-            ("event_replicates", args.event_replicates),
-        ]
-        _write_run_manifest(
-            args.out, "verify-lemmas", settings, [], [checks_path], started
-        )
+        write_lines(run.path("lemma_checks.txt"), text)
     return 2 if failures else 0
 
 
 def _experiment_config(cfg):
-    design = _design_from(cfg)
-    signal = _signal_from(cfg)
-    noise = _noise_from(cfg)
+    design, signal, noise = _data_specs(cfg)
     regime = cfg.get("regime", str, GAUSSIAN)
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}, expected one of {REGIMES}")
+    sigma = cfg.get("plan_sigma", float, noise.sigma)
+    sizes = dict(n=design.n, T=design.T, M=design.M)
     if regime == GAUSSIAN:
-        plan = RegularizationPlan.gaussian(
-            sigma=cfg.get("plan_sigma", float, noise.sigma),
-            n=design.n, T=design.T, M=design.M,
-            A=cfg.get("A", float),
-        )
+        plan = RegularizationPlan.gaussian(sigma, A=cfg.get("A", float), **sizes)
     else:
         plan = RegularizationPlan.finite_variance(
-            sigma=cfg.get("plan_sigma", float, noise.sigma),
-            n=design.n, T=design.T, M=design.M,
-            delta=cfg.get("delta", float),
+            sigma, delta=cfg.get("delta", float), **sizes
         )
-    return ExperimentConfig(
-        design=design,
-        signal=signal,
-        noise=noise,
-        plan=plan,
-        replicates=cfg.get("replicates", int),
-        seed=cfg.get("seed", int),
-        kappa_source=cfg.get("kappa_source", str, "user-supplied"),
-        kappa=cfg.get("kappa", float, None),
-        kappa2s=cfg.get("kappa2s", float, None),
-        phi_max=cfg.get("phi_max", float, None),
-        alpha=cfg.get("alpha", float, None),
-        p_values=cfg.get("p_values", _parse_float_list, ()),
-        bound_set=cfg.get("bounds", _parse_str_list, None),
-        margin=cfg.get("margin", float, None),
-        algorithm=cfg.get("solver_algorithm", str, ALGORITHMS[0]),
-        kkt_tolerance=cfg.get("solver_tol", float, 1e-8),
-        max_iterations=cfg.get("solver_max_iter", int, 2000),
-        lasso_constant=cfg.get("lasso_A", float, 3.0),
+    return _from_config(
+        cfg, ExperimentConfig, _EXPERIMENT_KEYS,
+        design=design, signal=signal, noise=noise, plan=plan,
     )
 
 
@@ -506,16 +477,15 @@ def _summary_pairs(report):
     return pairs
 
 
-def _cmd_experiment(args):
-    started = time.monotonic()
-    cfg = _Config(args.config)
+def _cmd_experiment(args, run):
+    cfg = run.cfg
     kind = cfg.get("kind")
     if kind not in ("oracle", "selection", "lasso-comparison"):
         raise ValueError(
             f"{args.config}: kind must be oracle, selection, or lasso-comparison, "
             f"got {kind!r}"
         )
-    grid = cfg.get("T_grid", _parse_int_list, ()) if kind == "lasso-comparison" else ()
+    grid = cfg.get("T_grid", _parse_list(int), ()) if kind == "lasso-comparison" else ()
     config = _experiment_config(cfg)
     cfg.finish()
 
@@ -526,19 +496,13 @@ def _cmd_experiment(args):
     else:
         report = run_lasso_comparison(config, grid)
 
-    os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, "replicates.csv")
+    csv_path = run.path("replicates.csv")
     if kind == "lasso-comparison":
         write_records(csv_path, report.comparison_rows)
     else:
         err2p = [f"err2p_{p:g}" for p in config.p_values]
         write_records(csv_path, report.metrics, {"err_2p": err2p})
-    summary_path = os.path.join(args.out, "summary.txt")
-    _report(_summary_pairs(report), summary_path)
-    _write_run_manifest(
-        args.out, "experiment", cfg.items_used(),
-        [args.config], [csv_path, summary_path], started,
-    )
+    _report(_summary_pairs(report), run.path("summary.txt"))
     return 0 if report.required_pass() else 2
 
 
@@ -570,10 +534,10 @@ def _build_parser():
 
     p = sub.add_parser("solve", help="solve the group estimator on a dataset")
     p.add_argument("--data", required=True, help="dataset manifest file")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--algorithm", default=ALGORITHMS[0], choices=ALGORITHMS)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=1000)
+    p.add_argument("--lambda", type=float, required=True)
+    p.add_argument("--algorithm", default=SolverConfig.algorithm, choices=ALGORITHMS)
+    p.add_argument("--tol", type=float, default=SolverConfig.kkt_tolerance)
+    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iterations)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_solve)
 
@@ -596,7 +560,7 @@ def _build_parser():
     p = sub.add_parser("bounds", help="print tuning constants and thresholds")
     _add_threshold_flags(p, required=True)
     p.add_argument("--c-prime", type=float)
-    p.add_argument("--p", type=_parse_float_list, default=())
+    p.add_argument("--p", type=_parse_list(float), default=())
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("verify-lemmas", help="run the probability checks")
@@ -628,7 +592,11 @@ def dispatch(argv):
         print("error: a subcommand is required (see mtgl --help)", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        run = _Run(args)
+        code = args.func(args, run)
+        if run.outputs:
+            run.write_manifest(args.subcommand)
+        return code
     except np.linalg.LinAlgError as exc:  # a ValueError, but not bad input
         print(f"internal error: LinAlgError: {exc}", file=sys.stderr)
         return 3

@@ -40,6 +40,7 @@ from .assumptions import (
     re_lower_bound_from_coherence,
 )
 from .model import GroupCoefficients, group_support, mixed_norm
+from .probability import frequency_verdict
 from .regularization import (
     FINITE_VARIANCE,
     GAUSSIAN,
@@ -147,7 +148,8 @@ class BoundCheck:
 
     ``rhs`` is the bound's right side; when it varies per replicate
     (measured phi_max) the largest value is recorded.  ``passed`` states
-    whether coverage >= required_confidence - 3 * standard_error.
+    whether coverage >= required_confidence - 3 * standard_error (the
+    rule of ``probability.frequency_verdict``).
     """
 
     name: str
@@ -513,18 +515,18 @@ def _run_child_block(fn, block, read_end, write_end):
 
 
 def _frequency_check(name, rhs, holds, required):
-    """BoundCheck for the per-replicate outcomes ``holds``: it passes when
-    their frequency is at least ``required`` minus three standard errors."""
-    n = len(holds)
-    coverage = sum(holds) / n
-    se = math.sqrt(coverage * (1.0 - coverage) / n)
+    """BoundCheck for the per-replicate outcomes ``holds``: their frequency
+    must reach ``required`` by the rule of ``frequency_verdict``."""
+    coverage, se, passed = frequency_verdict(
+        sum(holds), len(holds), required, at_least=True
+    )
     return BoundCheck(
         name=name,
         rhs=rhs,
         coverage=coverage,
         required_confidence=required,
         standard_error=se,
-        passed=bool(coverage >= required - 3.0 * se),
+        passed=passed,
     )
 
 
@@ -647,6 +649,14 @@ def run_lasso_comparison(config, T_grid):
     expected to pull ahead as tasks accumulate (nonincreasing mean-error
     ratio, and a win rate of at least 90% at the largest T).  The
     (T, replicate) pairs are keyed in grid order, replicates within each T.
+
+    The baseline's level at T tasks is lam_plain = c*sigma*sqrt(log(MT)/n)/T
+    with c = ``lasso_constant``.  It minimises S(B) + 2*lam*sum_jt |B_jt|,
+    where S(B) = (1/(nT)) sum_t ||X_t b_t - y_t||^2, so the objective is
+    (1/T) sum_t [(1/n) ||X_t b_t - y_t||^2 + 2*(lam*T)*|b_t|_1]: T separate
+    single-task Lassos at level lam*T = c*sigma*sqrt(log(MT)/n), the
+    single-task level of Bickel, Ritov & Tsybakov (2009) over MT
+    coefficients, from which the c > 2*sqrt(2) condition comes.
     """
     grid = [int(T) for T in T_grid]
     if not grid or any(T < 1 for T in grid):
@@ -667,8 +677,8 @@ def run_lasso_comparison(config, T_grid):
     for T in grid:
         plan_t = RegularizationPlan.gaussian(plan.sigma, plan.n, T, plan.M, plan.A)
         lam_plain = config.lasso_constant * plan.sigma * math.sqrt(
-            math.log(plan.M * T) / (plan.n * T)
-        )
+            math.log(plan.M * T) / plan.n
+        ) / T
         design_t = replace(config.design, T=T)
         setups[T] = (design_t, _solver_config(config, plan_t.lam), lam_plain)
 

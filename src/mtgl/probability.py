@@ -46,7 +46,8 @@ class TailCheckReport:
     ``empirical_frequency`` holds the measured left side (a frequency for
     the tail checks, a mean squared sup-norm for the moment check) and
     ``analytic_bound`` the right side it must not exceed.  ``passed`` is
-    True iff empirical <= analytic + 3 * standard_error.
+    True iff empirical <= analytic + 3 * standard_error (for a frequency,
+    the rule of ``frequency_verdict``).
     """
 
     analytic_bound: float
@@ -56,15 +57,26 @@ class TailCheckReport:
     passed: bool
 
 
-def _freq_report(count, replicates, bound):
+def frequency_verdict(count, replicates, limit, at_least):
+    """(frequency, standard error, passed) of ``count`` events in
+    ``replicates`` trials against ``limit``.  The one pass rule of every
+    Monte Carlo frequency: the frequency must be at least (``at_least``)
+    or at most ``limit``, give or take three standard errors."""
     freq = count / replicates
     se = math.sqrt(freq * (1.0 - freq) / replicates)
+    if at_least:
+        return freq, se, bool(freq >= limit - 3.0 * se)
+    return freq, se, bool(freq <= limit + 3.0 * se)
+
+
+def _freq_report(count, replicates, bound):
+    freq, se, passed = frequency_verdict(count, replicates, bound, at_least=False)
     return TailCheckReport(
         analytic_bound=float(bound),
         empirical_frequency=float(freq),
         replicates=replicates,
         standard_error=float(se),
-        passed=bool(freq <= bound + 3.0 * se),
+        passed=passed,
     )
 
 

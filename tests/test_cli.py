@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import importlib.util
 import math
@@ -11,7 +12,7 @@ import pytest
 
 import mtgl.cli as cli
 import mtgl.experiments as experiments
-from mtgl.dataio import read_coefficients, read_dataset, read_keyvalue
+from mtgl.dataio import format_float, read_coefficients, read_dataset, read_keyvalue
 from mtgl.model import group_support
 from mtgl.regularization import selection_threshold, threshold_constant_c
 from mtgl.solver import SolverConfig, solve_group_lasso
@@ -61,6 +62,22 @@ def _stdout_pairs(out):
         key, _, value = line.partition("=")
         pairs[key] = value
     return pairs
+
+
+def _run_record(out_dir):
+    """(subcommand, settings, inputs, outputs, timing keys) of the
+    manifest in ``out_dir``, each list in file order."""
+    pairs = read_keyvalue(Path(out_dir) / "run_manifest.txt")
+    settings = {k[len("config_"):]: v for k, v in pairs.items() if k.startswith("config_")}
+    inputs = [v for k, v in pairs.items() if k.startswith("input_")]
+    outputs = [v for k, v in pairs.items() if k.startswith("output_")]
+    timings = [k for k in pairs if k.endswith("_s") and not k.startswith("config_")]
+    assert all(float(pairs[k]) >= 0.0 for k in timings)
+    return pairs["subcommand"], settings, inputs, outputs, timings
+
+
+def _config_pairs(text):
+    return dict(line.split("=", 1) for line in text.splitlines())
 
 
 def test_help_and_version(capsys):
@@ -186,6 +203,10 @@ def test_gen_writes_dataset_and_manifest(tmp_path, capsys):
     manifest_pairs = read_keyvalue(out_dir / "run_manifest.txt")
     assert manifest_pairs["subcommand"] == "gen"
     assert manifest_pairs["config_seed"] == "3"
+    assert _run_record(out_dir) == (
+        "gen", _config_pairs(GEN_CONFIG), [config],
+        [str(out_dir / "manifest.txt"), str(out_dir / "beta_star.csv")], ["duration_s"],
+    )
 
 
 def test_gen_rerun_is_byte_identical(tmp_path, capsys):
@@ -456,6 +477,14 @@ def test_check_manifest_records_stage_timings(tmp_path, capsys):
     # the timings go to the manifest only; the report is the stdout
     assert (tmp_path / "chk" / "report.txt").read_text() == out
     assert "read_s" not in out
+    manifest_path = str(data_dir / "manifest.txt")
+    settings = {
+        "data": manifest_path, "s": "2", "alpha": "2", "re_samples": "10", "seed": "0"
+    }
+    assert _run_record(tmp_path / "chk") == (
+        "check", settings, [manifest_path], [str(tmp_path / "chk" / "report.txt")],
+        ["read_s", "diagnose_s", "re_probe_s", "duration_s"],
+    )
 
 
 def test_verify_lemmas_small_run(tmp_path, capsys):
@@ -515,6 +544,98 @@ def test_verify_lemmas_writes_run_manifest(tmp_path, capsys):
     assert manifest["config_event_replicates"] == "1002"
     assert manifest["output_0"] == str(out_dir / "lemma_checks.txt")
     assert float(manifest["duration_s"]) >= 0.0
+    settings = {
+        "seed": "3", "chi_replicates": "1000", "nem_replicates": "1001",
+        "event_replicates": "1002",
+    }
+    assert _run_record(out_dir) == (
+        "verify-lemmas", settings, [], [str(out_dir / "lemma_checks.txt")], ["duration_s"],
+    )
+
+
+# ---------------------------------------------------------------------------
+# run records: what run_manifest.txt says about a run
+
+def test_run_record_of_solve_holds_every_flag(tmp_path, capsys):
+    config = _write(tmp_path / "gen.cfg", GEN_CONFIG)
+    _run(capsys, "gen", "--config", config, "--out", str(tmp_path / "data"))
+    manifest = str(tmp_path / "data" / "manifest.txt")
+    out = tmp_path / "fit"
+    assert _run(
+        capsys, "solve", "--data", manifest, "--lambda", "0.3", "--out", str(out)
+    )[0] == 0
+    # the flags left at their defaults read SolverConfig's
+    settings = {
+        "data": manifest,
+        "lambda": format_float(0.3),
+        "algorithm": SolverConfig.algorithm,
+        "tol": format_float(SolverConfig.kkt_tolerance),
+        "max_iter": str(SolverConfig.max_iterations),
+    }
+    assert _run_record(out) == (
+        "solve", settings, [manifest],
+        [str(out / "beta_hat.csv"), str(out / "report.txt")], ["duration_s"],
+    )
+
+
+def test_run_record_of_select_holds_the_resolved_tau(tmp_path, capsys):
+    beta_path = _write(tmp_path / "beta.csv", "3,3\n0,0\n")
+    out = tmp_path / "sel"
+    plan = ("--sigma", "2", "--alpha", "2", "--n", "100", "--M", "10", "--T", "4",
+            "--A", "9")
+    assert _run(capsys, "select", "--beta", beta_path, *plan, "--out", str(out))[0] == 0
+    tau = selection_threshold(
+        threshold_constant_c(2.0, 2.0, "gaussian"), 100, 10, 4, 9.0, "gaussian"
+    )
+    settings = {
+        "beta": beta_path, "tau": format_float(tau), "regime": "gaussian",
+        "sigma": "2", "n": "100", "T": "4", "M": "10", "A": "9", "alpha": "2",
+    }
+    assert _run_record(out) == (
+        "select", settings, [beta_path],
+        [str(out / "selected.txt"), str(out / "averages.csv")], ["duration_s"],
+    )
+
+
+def test_run_record_of_experiment_is_written_on_exit_2(tmp_path, capsys):
+    for name, text, code in (
+        ("pass", ORACLE_CONFIG, 0),
+        ("fail", ORACLE_CONFIG + "plan_sigma=0.01\nbounds=correlation\n", 2),
+    ):
+        config = _write(tmp_path / f"{name}.cfg", text)
+        out = tmp_path / name
+        assert _run(capsys, "experiment", "--config", config, "--out", str(out))[0] == code
+        assert _run_record(out) == (
+            "experiment", _config_pairs(text), [config],
+            [str(out / "replicates.csv"), str(out / "summary.txt")], ["duration_s"],
+        )
+
+
+@pytest.mark.parametrize("error, code", [(OSError("disk full"), 1),
+                                         (RuntimeError("went sideways"), 3)])
+def test_no_run_record_after_a_failure(tmp_path, capsys, monkeypatch, error, code):
+    def fail(*args):
+        raise error
+
+    config = _write(tmp_path / "gen.cfg", GEN_CONFIG)
+    _run(capsys, "gen", "--config", config, "--out", str(tmp_path / "data"))
+    monkeypatch.setattr(cli, "write_coefficients", fail)
+    out = tmp_path / "fit"
+    assert _run(
+        capsys, "solve", "--data", str(tmp_path / "data" / "manifest.txt"),
+        "--lambda", "0.3", "--out", str(out),
+    )[0] == code
+    assert out.is_dir() and not (out / "run_manifest.txt").exists()
+
+
+def test_absent_config_keys_keep_the_library_defaults(tmp_path):
+    required = "kind=oracle\ndesign_kind=orthogonal\nn=32\nM=8\nT=4\nsignal_s=2\n" \
+        "A=9\nreplicates=4\nseed=0\n"
+    config = cli._experiment_config(cli._Config(_write(tmp_path / "exp.cfg", required)))
+    for spec in (config, config.design, config.signal, config.noise):
+        for field in dataclasses.fields(spec):
+            if field.default is not dataclasses.MISSING:
+                assert getattr(spec, field.name) == field.default, field.name
 
 
 def test_experiment_oracle_passes(tmp_path, capsys):
@@ -603,15 +724,19 @@ replicates=3
 seed=0
 T_grid=1,4
 """
+# The comparison's verdict on COMPARISON_CONFIG: at n=40, A=9 the group
+# estimator is close to the zero fit, and the entrywise baseline at its
+# single-task level wins every replicate at T=4, so the run exits 2.
+COMPARISON_EXIT = 2
 
 
-@pytest.mark.parametrize("text", [
-    pytest.param(ORACLE_CONFIG, id="oracle"),
-    pytest.param(SELECTION_CONFIG, id="selection"),
-    pytest.param(COMPARISON_CONFIG, id="lasso-comparison"),
+@pytest.mark.parametrize("text, exit_code", [
+    pytest.param(ORACLE_CONFIG, 0, id="oracle"),
+    pytest.param(SELECTION_CONFIG, 0, id="selection"),
+    pytest.param(COMPARISON_CONFIG, COMPARISON_EXIT, id="lasso-comparison"),
 ])
 def test_experiment_worker_count_does_not_change_outputs(
-    text, tmp_path, capsys, monkeypatch
+    text, exit_code, tmp_path, capsys, monkeypatch
 ):
     config = _write(tmp_path / "exp.cfg", text)
     outputs = {}
@@ -619,7 +744,7 @@ def test_experiment_worker_count_does_not_change_outputs(
         monkeypatch.setattr(experiments, "_worker_count", lambda: workers)
         out_dir = tmp_path / f"w{workers}"
         code, out, _ = _run(capsys, "experiment", "--config", config, "--out", str(out_dir))
-        assert code == 0
+        assert code == exit_code
         outputs[workers] = (
             out,
             (out_dir / "replicates.csv").read_bytes(),
@@ -709,7 +834,8 @@ def test_replicates_csv_header_for_oracle_with_p_values(tmp_path, capsys):
 def test_replicates_csv_header_for_lasso_comparison(tmp_path, capsys):
     config = _write(tmp_path / "exp.cfg", COMPARISON_CONFIG)
     out_dir = tmp_path / "exp"
-    assert _run(capsys, "experiment", "--config", config, "--out", str(out_dir))[0] == 0
+    code = _run(capsys, "experiment", "--config", config, "--out", str(out_dir))[0]
+    assert code == COMPARISON_EXIT
     rows = (out_dir / "replicates.csv").read_text().splitlines()
     assert rows[0] == "T,replicate,group_error,plain_error,group_converged,plain_converged"
     assert [row.split(",")[:2] for row in rows[1:]] == [

@@ -17,8 +17,14 @@ from mtgl.experiments import (
     run_oracle_experiment,
     run_selection_experiment,
 )
+from mtgl.model import GroupCoefficients, MultiTaskDataset
 from mtgl.regularization import RegularizationPlan
-from mtgl.solver import SolverConfig, solve_group_lasso
+from mtgl.solver import (
+    SolverConfig,
+    lasso_kkt_residual,
+    solve_group_lasso,
+    solve_lasso_baseline,
+)
 from mtgl.synth import DesignSpec, NoiseSpec, SignalSpec, generate_dataset
 
 # Oracle for the frozen values below: direct evaluation of the stated
@@ -440,7 +446,7 @@ def test_comparison_runs_and_reports():
     assert report.kind == "lasso-comparison"
     assert [row.T for row in report.comparison] == [1, 4]
     for row in report.comparison:
-        expected_plain = 3.0 * math.sqrt(math.log(8 * row.T) / (40 * row.T))
+        expected_plain = 3.0 * math.sqrt(math.log(8 * row.T) / 40) / row.T
         assert row.lam_plain == pytest.approx(expected_plain, rel=1e-12)
         assert row.ratio == pytest.approx(
             row.mean_group_error / row.mean_plain_error, rel=1e-12
@@ -450,6 +456,56 @@ def test_comparison_runs_and_reports():
     assert report.n_converged == 10
     # rerun is bit-identical
     assert run_lasso_comparison(config, (1, 4)) == report
+
+
+def test_comparison_baseline_is_one_single_task_lasso_per_task():
+    # The T-task baseline at lam_plain separates into T single-task
+    # Lassos at lam_plain * T = c*sigma*sqrt(log(MT)/n).
+    T = 4
+    config = _small_config(
+        design=DesignSpec(kind="gaussian-iid", n=40, M=8, T=1),
+        plan=RegularizationPlan.gaussian(1.0, 40, 1, 8, 9.0),
+        replicates=1,
+    )
+    report = run_lasso_comparison(config, (T,))
+    lam_plain = report.comparison[0].lam_plain
+    single_level = 3.0 * math.sqrt(math.log(8 * T) / 40)
+    assert lam_plain * T == pytest.approx(single_level, rel=1e-15)
+
+    dataset, beta_star = generate_dataset(
+        DesignSpec(kind="gaussian-iid", n=40, M=8, T=T), config.signal,
+        config.noise, [0, T, 0],
+    )
+    joint = solve_lasso_baseline(dataset, lam_plain)
+    assert joint.converged
+    separate = np.column_stack([
+        solve_lasso_baseline(
+            MultiTaskDataset(dataset.designs[t:t + 1], dataset.responses[t:t + 1]),
+            lam_plain * T,
+        ).beta_hat.values[:, 0]
+        for t in range(T)
+    ])
+    tol = SolverConfig.kkt_tolerance
+    assert lasso_kkt_residual(dataset, GroupCoefficients(separate), lam_plain) <= tol
+    np.testing.assert_allclose(joint.beta_hat.values, separate, rtol=0, atol=tol)
+    fits = np.einsum("tnm,mt->tn", dataset.designs, joint.beta_hat.values - beta_star.values)
+    assert report.comparison_rows[0].plain_error == np.sum(fits * fits) / (40 * T)
+
+
+def test_comparison_baseline_is_not_the_zero_fit_at_many_tasks():
+    # Strong signal at T=64: the baseline must track it.  Over-regularised
+    # by sqrt(T), it returned B = 0, whose error is s * mu^2 = 36.
+    config = ExperimentConfig(
+        design=DesignSpec(kind="gaussian-iid", n=50, M=32, T=1),
+        signal=SignalSpec(s=4, mu=3.0),
+        noise=NoiseSpec(sigma=1.0),
+        plan=RegularizationPlan.gaussian(1.0, 50, 1, 32, 9.0),
+        replicates=2,
+        seed=0,
+    )
+    report = run_lasso_comparison(config, (64,))
+    zero_fit = 4 * 3.0**2
+    assert report.comparison[0].mean_plain_error < zero_fit / 2
 
 
 def test_comparison_replicates_draw_from_task_count_keyed_streams():

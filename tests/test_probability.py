@@ -11,6 +11,7 @@ from mtgl.probability import (
     TailCheckReport,
     chi_square_tail_bound,
     chi_square_tail_empirical,
+    frequency_verdict,
     nemirovski_check,
     noise_correlation_violation_rate,
 )
@@ -368,6 +369,24 @@ def test_report_pass_rule():
             / report.replicates
         )
         assert report.standard_error == pytest.approx(se, rel=1e-12)
+
+
+def test_frequency_verdict_is_the_rule_of_both_check_kinds():
+    # Coverage must reach its level from above, a tail frequency must
+    # stay under its bound; each is computed from its own count, since
+    # 1 - 2/3 != 1/3 in floats.
+    assert frequency_verdict(2, 3, 0.99, at_least=True) == (
+        2 / 3, math.sqrt((2 / 3) * (1 - 2 / 3) / 3), True
+    )
+    assert frequency_verdict(1, 3, 0.01, at_least=False)[:2] == (
+        1 / 3, math.sqrt((1 / 3) * (1 - 1 / 3) / 3)
+    )
+    # a frequency of 0 or 1 has no standard error, so no slack
+    assert frequency_verdict(9, 10, 0.95, at_least=True) == (0.9, 0.09486832980505137, True)
+    assert frequency_verdict(10, 10, 1.0, at_least=True) == (1.0, 0.0, True)
+    assert frequency_verdict(0, 10, 0.0, at_least=False) == (0.0, 0.0, True)
+    assert not frequency_verdict(1, 1, 0.5, at_least=False)[2]
+    assert not frequency_verdict(0, 1, 0.5, at_least=True)[2]
 
 
 def test_frozen_tail_constant_matches_live_oracle():
