@@ -266,8 +266,7 @@ def minimize_re_quotient(data, s, samples, seed):
     K_inv = _row_gram_inverse(X)
 
     best_ratio = np.inf
-    best_values = None
-    best_support = None
+    best = None  # (support, D_J, off-support indices, rows) of the best probe
 
     for m in range(1, s + 1):
         for k in range(samples):
@@ -283,7 +282,8 @@ def minimize_re_quotient(data, s, samples, seed):
             a = float(np.sum(u * u))
             den = float(np.linalg.norm(d_sup))
 
-            candidates = [(np.sqrt(max(a, 0.0) / n) / den, 0.0, None)]
+            # (squared image norm, off-support rows or None) per candidate
+            candidates = [(a, None)]
             if others.size:
                 g = rng.standard_normal((others.size, T))
                 factor = rng.uniform(0.0, 3.0)
@@ -297,7 +297,7 @@ def minimize_re_quotient(data, s, samples, seed):
                     c_max = np.inf if factor == 0.0 else 3.0 / factor
                     c_star = float(np.clip(-b / dq, -c_max, c_max))
                     q_val = a + 2.0 * b * c_star + dq * c_star * c_star
-                    candidates.append((np.sqrt(max(q_val, 0.0) / n) / den, c_star, None))
+                    candidates.append((q_val, c_star * g))
 
                 # Least-squares polish: best off-support completion for
                 # this D_J, pulled back into the cone if it overshoots.
@@ -306,30 +306,23 @@ def minimize_re_quotient(data, s, samples, seed):
                 if l21_w > 0.0:
                     rho = min(1.0, 3.0 * l21_sup / l21_w)
                     diff = u + rho * vw
-                    q_val = float(np.sum(diff * diff))
-                    candidates.append(
-                        (np.sqrt(max(q_val, 0.0) / n) / den, rho, w)
-                    )
+                    candidates.append((float(np.sum(diff * diff)), rho * w))
 
-            for ratio, scale, w_override in candidates:
+            for q_val, rows in candidates:
+                ratio = np.sqrt(max(q_val, 0.0) / n) / den
                 if ratio < best_ratio:
-                    best_ratio = ratio
-                    values = np.zeros((M, T))
-                    values[support] = d_sup
-                    if others.size:
-                        if w_override is not None:
-                            values[others] = scale * w_override
-                        elif scale != 0.0:
-                            values[others] = scale * g
-                    best_values = values
-                    best_support = support
+                    best_ratio, best = ratio, (support, d_sup, others, rows)
 
-    probe = REProbe(
-        direction=GroupCoefficients(best_values),
-        support=SparsityPattern(tuple(int(j) for j in best_support)),
-        ratio=float(_quotient(data, best_values, best_support)),
+    support, d_sup, others, rows = best
+    values = np.zeros((M, T))
+    values[support] = d_sup
+    if rows is not None:
+        values[others] = rows
+    return REProbe(
+        direction=GroupCoefficients(values),
+        support=SparsityPattern(tuple(int(j) for j in support)),
+        ratio=float(_quotient(data, values, support)),
     )
-    return probe
 
 
 def re_upper_estimate(data, s, samples, seed):

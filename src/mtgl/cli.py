@@ -224,9 +224,15 @@ _EXPERIMENT_KEYS = {
     "kappa_source": ("kappa_source", str), "kappa": ("kappa", float),
     "kappa2s": ("kappa2s", float), "phi_max": ("phi_max", float),
     "alpha": ("alpha", float), "p_values": ("p_values", _parse_list(float)),
-    "bounds": ("bound_set", _parse_list(str)), "margin": ("margin", float),
+    "bounds": ("bound_set", _parse_list(str)),
     "solver_algorithm": ("algorithm", str), "solver_tol": ("kkt_tolerance", float),
-    "solver_max_iter": ("max_iterations", int), "lasso_A": ("lasso_constant", float),
+    "solver_max_iter": ("max_iterations", int),
+}
+# The keys only one kind of experiment reads; any other kind rejects them
+# as unknown.
+_KIND_KEYS = {
+    "selection": {"margin": ("margin", float)},
+    "lasso-comparison": {"lasso_A": ("lasso_constant", float)},
 }
 
 
@@ -428,7 +434,7 @@ def _cmd_verify_lemmas(args, run):
     return 2 if failures else 0
 
 
-def _experiment_config(cfg):
+def _experiment_config(cfg, kind):
     design, signal, noise = _data_specs(cfg)
     regime = cfg.get("regime", str, GAUSSIAN)
     if regime not in REGIMES:
@@ -442,7 +448,7 @@ def _experiment_config(cfg):
             sigma, delta=cfg.get("delta", float), **sizes
         )
     return _from_config(
-        cfg, ExperimentConfig, _EXPERIMENT_KEYS,
+        cfg, ExperimentConfig, {**_EXPERIMENT_KEYS, **_KIND_KEYS.get(kind, {})},
         design=design, signal=signal, noise=noise, plan=plan,
     )
 
@@ -486,7 +492,7 @@ def _cmd_experiment(args, run):
             f"got {kind!r}"
         )
     grid = cfg.get("T_grid", _parse_list(int), ()) if kind == "lasso-comparison" else ()
-    config = _experiment_config(cfg)
+    config = _experiment_config(cfg, kind)
     cfg.finish()
 
     if kind == "oracle":

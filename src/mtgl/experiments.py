@@ -23,9 +23,9 @@ order.  ``m_hat`` counts nonzero groups: both solvers return exact zeros.
 
 from __future__ import annotations
 
-import gc
 import math
 import os
+import pickle
 import signal
 import sys
 import threading
@@ -70,8 +70,9 @@ class ExperimentConfig:
     that replicate is solved (selection runs skip the check on
     orthogonal designs, which pass it for every alpha); a failing run
     raises ValueError naming its lowest failing replicate and returns no
-    report.  "user-supplied" takes ``kappa`` (and optionally ``kappa2s``)
-    on trust, e.g. 1.0 for exactly orthogonal designs.
+    report; a ``kappa`` it would not use is rejected.  "user-supplied"
+    takes ``kappa`` (and optionally ``kappa2s``) on trust, e.g. 1.0 for
+    exactly orthogonal designs.
     ``phi_max`` fixes the largest Gram eigenvalue used in the sparsity
     bound; leave it None to measure it per replicate.
     """
@@ -102,6 +103,12 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown kappa_source {self.kappa_source!r}, "
                 f"expected one of {KAPPA_SOURCES}"
+            )
+        if self.kappa_source == "coherence-lemma" and self.kappa is not None:
+            raise ValueError(
+                f"kappa={self.kappa} conflicts with kappa_source='coherence-lemma', "
+                "which derives kappa from alpha; drop kappa or set "
+                "kappa_source='user-supplied'"
             )
         for name in ("kappa", "kappa2s", "phi_max"):
             value = getattr(self, name)
@@ -224,7 +231,7 @@ def oracle_bounds_rhs(plan, s, kappa, kappa2s=None, phi_max=None, alpha=None, p_
       prediction  : 64*sigma^2*s*rate / (kappa^2*n)
       err21       : 32*sigma*s*sqrt(rate) / (kappa^2*sqrt(n))
       err2        : 8*sqrt(10)*sigma*sqrt(s/n)*sqrt(rate) / kappa2s^2
-      supnorm     : (c/sqrt(n)) * sqrt(rate)              [needs alpha]
+      supnorm     : tau = (c/sqrt(n)) * sqrt(rate)        [needs alpha]
       err2p_<p>   : c1*sigma*s^(1/p)*sqrt(rate)/sqrt(n)   [needs alpha]
       sparsity    : 64*phi_max*s / kappa^2                [needs phi_max]
       correlation : 1.5*lam
@@ -233,11 +240,12 @@ def oracle_bounds_rhs(plan, s, kappa, kappa2s=None, phi_max=None, alpha=None, p_
       prediction  : 16*sigma^2*s*rate / (kappa^2*n)
       err21       : 16*sigma*s*sqrt(rate/n) / kappa^2
       err2_sq     : 160*sigma^2*s*rate / (kappa2s^4*n)
-      supnorm     : c * sqrt(rate/n)                      [needs alpha]
+      supnorm     : tau = c * sqrt(rate/n)                [needs alpha]
       sparsity    : 64*phi_max*s / kappa^2                [needs phi_max]
 
-    Bounds whose optional ingredient (kappa2s, phi_max, alpha) is absent
-    are simply left out of the dict.
+    tau is the selection threshold at coherence slack alpha.  Bounds whose
+    optional ingredient (kappa2s, phi_max, alpha) is absent are simply
+    left out of the dict.
     """
     if s < 1:
         raise ValueError(f"sparsity s must be >= 1, got {s}")
@@ -257,49 +265,30 @@ def oracle_bounds_rhs(plan, s, kappa, kappa2s=None, phi_max=None, alpha=None, p_
                 8.0 * math.sqrt(10.0) * sigma * math.sqrt(s / n) * math.sqrt(rate)
                 / kappa2s**2
             )
-        if alpha is not None:
-            c = threshold_constant_c(alpha, sigma, GAUSSIAN)
-            out["supnorm"] = (c / math.sqrt(n)) * math.sqrt(rate)
-            for p in p_values:
-                c1 = norm_bound_constant_c1(alpha, p)
-                out[f"err2p_{p:g}"] = (
-                    c1 * sigma * s ** (1.0 / p) * math.sqrt(rate) / math.sqrt(n)
-                )
-        if phi_max is not None:
-            out["sparsity"] = 64.0 * phi_max * s / kappa**2
-        out["correlation"] = 1.5 * plan.lam
     else:
         out["prediction"] = 16.0 * sigma**2 * s * rate / (kappa**2 * n)
         out["err21"] = 16.0 * sigma * s * math.sqrt(rate / n) / kappa**2
         if kappa2s is not None:
             out["err2_sq"] = 160.0 * sigma**2 * s * rate / (kappa2s**4 * n)
-        if alpha is not None:
-            c = threshold_constant_c(alpha, sigma, FINITE_VARIANCE)
-            out["supnorm"] = c * math.sqrt(rate / n)
-        if phi_max is not None:
-            out["sparsity"] = 64.0 * phi_max * s / kappa**2
+    if alpha is not None:
+        out["supnorm"] = _threshold(plan, alpha)
+        for p in p_values if plan.regime == GAUSSIAN else ():  # c1 is gaussian-only
+            c1 = norm_bound_constant_c1(alpha, p)
+            out[f"err2p_{p:g}"] = (
+                c1 * sigma * s ** (1.0 / p) * math.sqrt(rate) / math.sqrt(n)
+            )
+    if phi_max is not None:
+        out["sparsity"] = 64.0 * phi_max * s / kappa**2
+    if plan.regime == GAUSSIAN:
+        out["correlation"] = 1.5 * plan.lam
     return out
 
 
-def _bound_lhs(name, metrics, p_values):
-    if name == "prediction":
-        return metrics.prediction_error
-    if name == "err21":
-        return metrics.err_21
-    if name == "err2":
-        return metrics.err_2
-    if name == "err2_sq":
-        return metrics.err_2**2
-    if name == "supnorm":
-        return metrics.err_2inf
-    if name in ("sparsity", "sparsity_from_prediction"):
-        return float(metrics.m_hat)
-    if name == "correlation":
-        return metrics.correlation_stat
-    for i, p in enumerate(p_values):
-        if name == f"err2p_{p:g}":
-            return metrics.err_2p[i]
-    raise KeyError(name)
+def _threshold(plan, alpha):
+    """The selection threshold tau of ``plan`` at coherence slack alpha,
+    which is also the right side of the sup-norm bound."""
+    c = threshold_constant_c(alpha, plan.sigma, plan.regime)
+    return selection_threshold(c, plan.n, plan.M, plan.T, plan.A, plan.regime, plan.delta)
 
 
 def _prediction_error(X, diff):
@@ -337,27 +326,40 @@ def _error_metrics(r, dataset, beta_star, result, config, diag):
     )
 
 
-def _replicate_rhs(config, metrics, phi, kappa, kappa2s):
-    """RHS values for one replicate: the plan-level bounds plus the
-    data-dependent sparsity-from-prediction bound
-    M(beta_hat) <= 4*phi_max*prediction_error/(lambda^2*T)."""
+def _bound_table(config, metrics, kappas):
+    """``{name: (lhs, rhs)}`` of one replicate's bounds, in the order of
+    ``config.bound_set`` or else of ``oracle_bounds_rhs``: the plan-level
+    bounds plus the data-dependent sparsity-from-prediction bound
+    M(beta_hat) <= 4*phi_max*prediction_error/(lambda^2*T).  phi_max is
+    the configured one, else the replicate's measured one."""
     plan = config.plan
+    phi = metrics.phi_max if config.phi_max is None else config.phi_max
     rhs = oracle_bounds_rhs(
-        plan, config.signal.s, kappa, kappa2s, phi, config.alpha, config.p_values
+        plan, config.signal.s, *kappas, phi, config.alpha, config.p_values
     )
     if plan.regime == GAUSSIAN and phi is not None:
         rhs["sparsity_from_prediction"] = (
             4.0 * phi * metrics.prediction_error / (plan.lam**2 * plan.T)
         )
-    if config.bound_set is not None:
-        missing = set(config.bound_set) - set(rhs)
-        if missing:
-            raise ValueError(
-                f"requested bounds {sorted(missing)} need ingredients "
-                "(kappa2s, phi_max, or alpha) that were not supplied"
-            )
-        rhs = {name: rhs[name] for name in config.bound_set}
-    return rhs
+    names = rhs if config.bound_set is None else config.bound_set
+    missing = set(names) - set(rhs)
+    if missing:
+        raise ValueError(
+            f"requested bounds {sorted(missing)} need ingredients "
+            "(kappa2s, phi_max, or alpha) that were not supplied"
+        )
+    lhs = {
+        "prediction": metrics.prediction_error,
+        "err21": metrics.err_21,
+        "err2": metrics.err_2,
+        "err2_sq": metrics.err_2**2,
+        "supnorm": metrics.err_2inf,
+        "sparsity": float(metrics.m_hat),
+        "sparsity_from_prediction": float(metrics.m_hat),
+        "correlation": metrics.correlation_stat,
+        **{f"err2p_{p:g}": err for p, err in zip(config.p_values, metrics.err_2p)},
+    }
+    return {name: (lhs[name], rhs[name]) for name in names}
 
 
 def _resolve_kappas(config):
@@ -448,13 +450,8 @@ def _map_in_key_order(fn, keys):
     blocks = [keys[a:b] for a, b in zip(cuts, cuts[1:])]
     children = []  # (pid, read end, block), not yet reaped
     if workers > 1:
-        import pickle
-
         sys.stdout.flush()
         sys.stderr.flush()
-        # Keep the children's collections off the pages they share with
-        # this process, which would otherwise be copied on write.
-        gc.freeze()
     try:
         for block in blocks[1:]:
             read_end, write_end = os.pipe()
@@ -485,8 +482,6 @@ def _map_in_key_order(fn, keys):
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        if workers > 1:
-            gc.unfreeze()
 
 
 def _run_child_block(fn, block, read_end, write_end):
@@ -497,8 +492,6 @@ def _run_child_block(fn, block, read_end, write_end):
     ignores SIGINT (on Ctrl-C the parent kills it) and closes its copy
     of the read end, so a write to a dead parent fails instead of
     blocking."""
-    import pickle
-
     code = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -538,12 +531,12 @@ def _required_confidence(config, metrics):
     return finite_variance_confidence(plan.M, plan.delta, worst_c_prime)
 
 
-def _run_bound_experiment(kind, config, kappas, certify, draw, score=None):
+def _run_bound_experiment(kind, config, certify, draw, score=None):
     """Monte Carlo runner of the oracle and selection runs.  Replicate r
     draws ``(dataset, beta_star) = draw(r)`` and is diagnosed, solved and
     scored; a selection run's ``score(metrics, beta_star, result)`` adds
     the support and sign outcomes, whose recovery rates are checked too."""
-    kappa, kappa2s = kappas
+    kappas = _resolve_kappas(config)
     solver_cfg = _solver_config(config, config.plan.lam)
 
     def worker(r):
@@ -553,21 +546,15 @@ def _run_bound_experiment(kind, config, kappas, certify, draw, score=None):
         metrics = _error_metrics(r, dataset, beta_star, result, config, diag)
         if score is not None:
             metrics = score(metrics, beta_star, result)
-        phi = config.phi_max if config.phi_max is not None else diag.phi_max
-        return metrics, _replicate_rhs(config, metrics, phi, kappa, kappa2s)
+        return metrics, _bound_table(config, metrics, kappas)
 
-    rows = _map_in_key_order(worker, range(config.replicates))
-    metrics = tuple(m for m, _ in rows)
+    metrics, tables = zip(*_map_in_key_order(worker, range(config.replicates)))
     required, vacuous = _required_confidence(config, metrics)
-    checks = [
-        _frequency_check(
-            name,
-            max(rhs[name] for _, rhs in rows),
-            [bool(_bound_lhs(name, m, config.p_values) <= rhs[name]) for m, rhs in rows],
-            required,
-        )
-        for name in rows[0][1]
-    ]
+    checks = []
+    for name in tables[0]:
+        pairs = [table[name] for table in tables]
+        holds = [bool(lhs <= rhs) for lhs, rhs in pairs]
+        checks.append(_frequency_check(name, max(rhs for _, rhs in pairs), holds, required))
     if score is not None:
         for name, holds in (
             ("support_recovery", [m.support_exact for m in metrics]),
@@ -590,15 +577,13 @@ def run_oracle_experiment(config):
     if config.signal.s < 1:
         raise ValueError("oracle experiments need at least one active group")
 
-    kappas = _resolve_kappas(config)
-
     def draw(r):
         return generate_dataset(
             config.design, config.signal, config.noise, [config.seed, r]
         )
 
     certify = config.kappa_source == "coherence-lemma"
-    return _run_bound_experiment("oracle", config, kappas, certify, draw)
+    return _run_bound_experiment("oracle", config, certify, draw)
 
 
 def run_selection_experiment(config):
@@ -610,9 +595,7 @@ def run_selection_experiment(config):
         raise ValueError(
             f"selection experiments need a beta-min margin > 2, got {config.margin}"
         )
-    kappas = _resolve_kappas(config)
-    c = threshold_constant_c(config.alpha, plan.sigma, plan.regime)
-    tau = selection_threshold(c, plan.n, plan.M, plan.T, plan.A, plan.regime, plan.delta)
+    tau = _threshold(plan, config.alpha)
 
     def draw(r):
         beta_star = generate_beta_for_selection(
@@ -639,7 +622,7 @@ def run_selection_experiment(config):
     certify = (
         config.design.kind != "orthogonal" and config.kappa_source == "coherence-lemma"
     )
-    return _run_bound_experiment("selection", config, kappas, certify, draw, score)
+    return _run_bound_experiment("selection", config, certify, draw, score)
 
 
 def run_lasso_comparison(config, T_grid):

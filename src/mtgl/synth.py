@@ -10,7 +10,7 @@ sqrt((nu-2)/nu)), keeping the noise level comparable across kinds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -209,10 +209,6 @@ def generate_beta_for_selection(signal, tau, margin, M, T, seed):
         raise ValueError(f"margin must exceed 2, got {margin}")
     if signal.s < 1:
         raise ValueError(f"selection truths need s >= 1, got {signal.s}")
-    if signal.s > M:
-        raise ValueError(f"sparsity s={signal.s} exceeds M={M}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    values = np.zeros((M, T))
-    support = np.sort(rng.choice(M, size=signal.s, replace=False))
-    values[support] = margin * tau
-    return GroupCoefficients(values)
+    constant = replace(signal, amplitude="constant", mu=margin * tau)
+    return GroupCoefficients(_draw_beta(constant, M, T, rng))

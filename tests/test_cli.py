@@ -631,11 +631,14 @@ def test_no_run_record_after_a_failure(tmp_path, capsys, monkeypatch, error, cod
 def test_absent_config_keys_keep_the_library_defaults(tmp_path):
     required = "kind=oracle\ndesign_kind=orthogonal\nn=32\nM=8\nT=4\nsignal_s=2\n" \
         "A=9\nreplicates=4\nseed=0\n"
-    config = cli._experiment_config(cli._Config(_write(tmp_path / "exp.cfg", required)))
-    for spec in (config, config.design, config.signal, config.noise):
-        for field in dataclasses.fields(spec):
-            if field.default is not dataclasses.MISSING:
-                assert getattr(spec, field.name) == field.default, field.name
+    for kind in ("oracle", "selection", "lasso-comparison"):
+        config = cli._experiment_config(
+            cli._Config(_write(tmp_path / "exp.cfg", required)), kind
+        )
+        for spec in (config, config.design, config.signal, config.noise):
+            for field in dataclasses.fields(spec):
+                if field.default is not dataclasses.MISSING:
+                    assert getattr(spec, field.name) == field.default, field.name
 
 
 def test_experiment_oracle_passes(tmp_path, capsys):
@@ -704,6 +707,27 @@ def test_experiment_unknown_kind_and_key(tmp_path, capsys):
     config = _write(tmp_path / "exp2.cfg", ORACLE_CONFIG + "T_grid=1,4\n")
     code, _, err = _run(capsys, "experiment", "--config", config, "--out", str(tmp_path / "o"))
     assert code == 1 and "T_grid" in err  # only lasso-comparison reads T_grid
+
+
+@pytest.mark.parametrize("kind, key", [
+    ("oracle", "margin=2.5"),
+    ("lasso-comparison", "margin=2.5"),
+    ("oracle", "lasso_A=3"),
+    ("selection", "lasso_A=3"),
+])
+def test_experiment_rejects_a_key_its_kind_does_not_read(kind, key, tmp_path, capsys):
+    # margin is read only by selection runs, lasso_A only by comparisons
+    text = {
+        "oracle": ORACLE_CONFIG,
+        "selection": SELECTION_CONFIG,
+        "lasso-comparison": COMPARISON_CONFIG,
+    }[kind]
+    config = _write(tmp_path / "exp.cfg", text + key + "\n")
+    out_dir = tmp_path / "o"
+    code, out, err = _run(capsys, "experiment", "--config", config, "--out", str(out_dir))
+    assert code == 1 and out == ""
+    assert f"unknown keys ['{key.split('=')[0]}']" in err
+    assert not out_dir.exists()
 
 
 SELECTION_CONFIG = ORACLE_CONFIG.replace("kind=oracle", "kind=selection") + """\

@@ -12,6 +12,7 @@ from mtgl.experiments import (
     ComparisonRow,
     ExperimentConfig,
     ExperimentReport,
+    ReplicateMetrics,
     oracle_bounds_rhs,
     run_lasso_comparison,
     run_oracle_experiment,
@@ -303,7 +304,67 @@ def test_kappa_resolution_errors():
     with pytest.raises(ValueError, match="kappa"):
         run_oracle_experiment(_small_config(kappa=None))
     with pytest.raises(ValueError, match="alpha"):
-        run_oracle_experiment(_small_config(kappa_source="coherence-lemma", alpha=None))
+        run_oracle_experiment(
+            _small_config(kappa_source="coherence-lemma", kappa=None, alpha=None)
+        )
+
+
+def test_kappa_is_rejected_under_the_coherence_lemma():
+    # the lemma derives kappa from alpha, so a supplied one would be ignored
+    with pytest.raises(ValueError, match="kappa=0.01 conflicts with kappa_source"):
+        _small_config(kappa_source="coherence-lemma", kappa=0.01, alpha=8.0)
+    config = _small_config(kappa_source="coherence-lemma", kappa=None, alpha=8.0)
+    assert config.kappa is None
+
+
+# Every ingredient of the bound table: kappa2s, phi_max measured per
+# replicate (so sparsity_from_prediction is scored too), alpha, and p
+# values including a fractional one and infinity.
+_ALL_INGREDIENTS = dict(
+    kappa2s=1.0, phi_max=None, alpha=8.0, p_values=(1.0, 1.5, 2.0, math.inf)
+)
+
+
+@pytest.mark.parametrize("regime", ["gaussian", "finite-variance"])
+def test_every_bound_has_one_left_side(regime):
+    if regime == "gaussian":
+        config = _small_config(replicates=2, **_ALL_INGREDIENTS)
+    else:
+        config = _small_config(
+            design=DesignSpec(kind="orthogonal", n=100, M=32, T=4),
+            noise=NoiseSpec(kind="student-t", sigma=1.0, nu=3.0),
+            plan=RegularizationPlan.finite_variance(1.0, 100, 4, 32, 3.0),
+            replicates=2,
+            **_ALL_INGREDIENTS,
+        )
+    plan = config.plan
+    rhs = oracle_bounds_rhs(
+        plan, config.signal.s, 1.0, 1.0, 2.0, config.alpha, config.p_values
+    )
+    if regime == "gaussian":
+        rhs["sparsity_from_prediction"] = 4.0 * 2.0 * 2.0 / (plan.lam**2 * plan.T)
+    # distinct values per error functional, so each left side is pinned
+    metrics = ReplicateMetrics(
+        replicate=0, converged=True, iterations=1, kkt_residual=0.0,
+        prediction_error=2.0, err_21=3.0, err_2=5.0, err_2inf=7.0,
+        err_2p=(11.0, 13.0, 17.0, 19.0), m_hat=23, correlation_stat=29.0,
+        phi_max=2.0,
+    )
+    lhs = {
+        "prediction": 2.0, "err21": 3.0, "err2": 5.0, "err2_sq": 25.0,
+        "supnorm": 7.0, "err2p_1": 11.0, "err2p_1.5": 13.0, "err2p_2": 17.0,
+        "err2p_inf": 19.0, "sparsity": 23.0, "sparsity_from_prediction": 23.0,
+        "correlation": 29.0,
+    }
+    table = experiments._bound_table(config, metrics, (1.0, 1.0))
+    assert list(table) == list(rhs)
+    assert table == {name: (lhs[name], rhs[name]) for name in rhs}
+    # and a run scores each of them, alone or all together
+    report = run_oracle_experiment(config)
+    assert [check.name for check in report.bounds] == list(rhs)
+    for name in rhs:
+        only = run_oracle_experiment(replace(config, bound_set=(name,), replicates=1))
+        assert [check.name for check in only.bounds] == [name]
 
 
 def test_kappa_from_coherence_lemma():
