@@ -53,6 +53,7 @@ from .dataio import (
 )
 from .experiments import (
     ExperimentConfig,
+    err2p_name,
     run_lasso_comparison,
     run_oracle_experiment,
     run_selection_experiment,
@@ -68,12 +69,11 @@ from .regularization import (
     GAUSSIAN,
     REGIMES,
     RegularizationPlan,
+    coherence_threshold,
     finite_variance_confidence,
     lambda_finite_variance,
     lambda_gaussian,
     norm_bound_constant_c1,
-    selection_threshold,
-    threshold_constant_c,
 )
 from .selection import average_sign_estimate, select_support
 from .solver import ALGORITHMS, SolverConfig, solve_group_lasso
@@ -292,9 +292,9 @@ def _cmd_solve(args, run):
 
 def _threshold(args):
     """(c, tau) from the flags that ``_add_threshold_flags`` registers."""
-    c = threshold_constant_c(args.alpha, args.sigma, args.regime)
-    tau = selection_threshold(c, args.n, args.M, args.T, args.A, args.regime, args.delta)
-    return c, tau
+    return coherence_threshold(
+        args.alpha, args.sigma, args.n, args.M, args.T, args.A, args.regime, args.delta
+    )
 
 
 def _resolve_tau(args):
@@ -506,7 +506,7 @@ def _cmd_experiment(args, run):
     if kind == "lasso-comparison":
         write_records(csv_path, report.comparison_rows)
     else:
-        err2p = [f"err2p_{p:g}" for p in config.p_values]
+        err2p = [err2p_name(p) for p in config.p_values]
         write_records(csv_path, report.metrics, {"err_2p": err2p})
     _report(_summary_pairs(report), run.path("summary.txt"))
     return 0 if report.required_pass() else 2

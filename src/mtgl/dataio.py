@@ -17,7 +17,11 @@ CSV the manifest names and of both sidecars.  ``read_dataset`` loads the
 sidecars instead of parsing the CSVs only when that digest matches and
 they hold float64 arrays of exactly the manifest's shapes; otherwise
 (hand-written data, an edited CSV, a missing or damaged sidecar) it
-parses the CSVs, which remain the source of truth.
+parses the CSVs, which remain the source of truth.  Formatting the CSVs
+is most of the cost of writing a dataset, so ``write_dataset`` writes
+each task's pair on the worker pool of ``pool``; every file's bytes are
+the same at any worker count, and the parent writes the sidecars,
+digest and manifest after them.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from dataclasses import fields
 import numpy as np
 
 from .model import GroupCoefficients, MultiTaskDataset
+from .pool import _map_in_key_order
 
 
 class ParseError(ValueError):
@@ -188,18 +193,23 @@ def _files_digest(paths):
 
 def write_dataset(data, directory):
     """Write manifest.txt, per-task design/response CSVs and the
-    digest-checked binary sidecars; returns the manifest path."""
+    digest-checked binary sidecars; returns the manifest path.  The CSVs
+    of task t are written on the worker pool, keyed by t."""
     os.makedirs(directory, exist_ok=True)
     pairs = [("n", data.n), ("M", data.M), ("T", data.T)]
     files = []
     for t in range(data.T):
         design_name = f"task{t}_design.csv"
         response_name = f"task{t}_response.csv"
-        write_matrix_csv(os.path.join(directory, design_name), data.designs[t])
-        write_matrix_csv(os.path.join(directory, response_name), data.responses[t])
         pairs.append((f"design_{t}", design_name))
         pairs.append((f"response_{t}", response_name))
         files += [design_name, response_name]
+
+    def write_task(t):
+        write_matrix_csv(os.path.join(directory, files[2 * t]), data.designs[t])
+        write_matrix_csv(os.path.join(directory, files[2 * t + 1]), data.responses[t])
+
+    _map_in_key_order(write_task, range(data.T))
     for name, values in zip(SIDECAR_NAMES, (data.designs, data.responses)):
         np.save(os.path.join(directory, name), values)
     files += SIDECAR_NAMES

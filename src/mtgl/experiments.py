@@ -5,17 +5,11 @@ baseline comparison.
 Every replicate draws from its own streams: oracle replicate r from
 (seed, r), selection replicate r its data from (seed, r, 0) and its truth
 from (seed, r, 1), and comparison replicate r at T tasks from
-(seed, T, r).  A result depends on its key alone, so replicates may run
-anywhere: ``_map_in_key_order`` splits the keys into contiguous blocks,
-one per worker, runs the first block itself and each other block in a
-forked child, and merges the results in key order.  There is one worker
-per ``len(os.sched_getaffinity(0)) // b`` cores, where b is the BLAS
-thread count the environment declares (OPENBLAS_NUM_THREADS, else
-OMP_NUM_THREADS), so workers and their BLAS threads share the cores
-without oversubscribing them.  With neither variable set BLAS takes
-every core and the replicates run in this process alone.  Reports are
-bit-for-bit the same at any worker count.  Replicates whose solver
-fails to converge are reported as such, never dropped.
+(seed, T, r).  A result depends on its key alone, so the replicates
+run on ``pool._map_in_key_order``: on as many forked workers as the
+cores and the declared BLAS threads allow, merged in key order, so that
+reports are bit-for-bit the same at any worker count.  Replicates whose
+solver fails to converge are reported as such, never dropped.
 
 Each replicate yields one record, a row of replicates.csv in field
 order.  ``m_hat`` counts nonzero groups: both solvers return exact zeros.
@@ -24,11 +18,6 @@ order.  ``m_hat`` counts nonzero groups: both solvers return exact zeros.
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
-import sys
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,15 +29,15 @@ from .assumptions import (
     re_lower_bound_from_coherence,
 )
 from .model import GroupCoefficients, group_support, mixed_norm
+from .pool import _map_in_key_order
 from .probability import frequency_verdict
 from .regularization import (
     FINITE_VARIANCE,
     GAUSSIAN,
     RegularizationPlan,
+    coherence_threshold,
     finite_variance_confidence,
     norm_bound_constant_c1,
-    selection_threshold,
-    threshold_constant_c,
 )
 from .selection import average_sign_estimate, score_selection, select_support
 from .solver import ALGORITHMS, SolverConfig, solve_group_lasso, solve_lasso_baseline
@@ -58,6 +47,12 @@ KAPPA_SOURCES = ("coherence-lemma", "user-supplied")
 
 # Plain-Lasso tuning constant must exceed 2*sqrt(2).
 _LASSO_MIN_CONSTANT = 2.0 * math.sqrt(2.0)
+
+
+def err2p_name(p):
+    """The name of the (2,p)-norm error bound and its replicates.csv
+    column: p to 6 significant digits."""
+    return f"err2p_{p:g}"
 
 
 @dataclass(frozen=True)
@@ -118,6 +113,15 @@ class ExperimentConfig:
             raise ValueError(f"alpha must be finite and exceed 1, got {self.alpha}")
         if any(not p >= 1 for p in self.p_values):
             raise ValueError(f"every p must be >= 1, got {self.p_values}")
+        named = {}
+        for p in self.p_values:
+            name = err2p_name(p)
+            if name in named:
+                raise ValueError(
+                    f"p_values {named[name]!r} and {p!r} both name the bound {name}; "
+                    "give p values that differ in their first 6 significant digits"
+                )
+            named[name] = p
         got = (self.design.n, self.design.T, self.design.M)
         want = (self.plan.n, self.plan.T, self.plan.M)
         if got != want:
@@ -274,7 +278,7 @@ def oracle_bounds_rhs(plan, s, kappa, kappa2s=None, phi_max=None, alpha=None, p_
         out["supnorm"] = _threshold(plan, alpha)
         for p in p_values if plan.regime == GAUSSIAN else ():  # c1 is gaussian-only
             c1 = norm_bound_constant_c1(alpha, p)
-            out[f"err2p_{p:g}"] = (
+            out[err2p_name(p)] = (
                 c1 * sigma * s ** (1.0 / p) * math.sqrt(rate) / math.sqrt(n)
             )
     if phi_max is not None:
@@ -287,8 +291,9 @@ def oracle_bounds_rhs(plan, s, kappa, kappa2s=None, phi_max=None, alpha=None, p_
 def _threshold(plan, alpha):
     """The selection threshold tau of ``plan`` at coherence slack alpha,
     which is also the right side of the sup-norm bound."""
-    c = threshold_constant_c(alpha, plan.sigma, plan.regime)
-    return selection_threshold(c, plan.n, plan.M, plan.T, plan.A, plan.regime, plan.delta)
+    return coherence_threshold(
+        alpha, plan.sigma, plan.n, plan.M, plan.T, plan.A, plan.regime, plan.delta
+    )[1]
 
 
 def _prediction_error(X, diff):
@@ -357,7 +362,7 @@ def _bound_table(config, metrics, kappas):
         "sparsity": float(metrics.m_hat),
         "sparsity_from_prediction": float(metrics.m_hat),
         "correlation": metrics.correlation_stat,
-        **{f"err2p_{p:g}": err for p, err in zip(config.p_values, metrics.err_2p)},
+        **{err2p_name(p): err for p, err in zip(config.p_values, metrics.err_2p)},
     }
     return {name: (lhs[name], rhs[name]) for name in names}
 
@@ -410,101 +415,6 @@ def _diagnose(config, r, dataset, certify):
     if certify:
         _check_coherence(config, r, diag)
     return diag
-
-
-def _worker_count():
-    """Replicate workers this process can run: its usable cores divided
-    by the BLAS threads each worker declares (OPENBLAS_NUM_THREADS, else
-    OMP_NUM_THREADS).  With neither set BLAS takes every core, so one.
-    One also where the process cannot fork, or runs other threads,
-    whose locks a forked child would inherit without the threads."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    if threading.active_count() > 1:
-        return 1
-    declared = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
-    try:
-        blas_threads = int(declared)
-    except (TypeError, ValueError):
-        return 1
-    if blas_threads < 1:
-        return 1
-    return max(1, len(os.sched_getaffinity(0)) // blas_threads)
-
-
-def _map_in_key_order(fn, keys):
-    """``[fn(key) for key in keys]`` on ``_worker_count()`` workers.
-
-    The keys are split into contiguous blocks, one per worker (at most
-    one per key).  This process runs the first block; a forked child
-    runs each other block and pickles its results, or its first
-    exception, down a pipe.  Every result depends on its key alone, so
-    the list is the same at any worker count, and a failing run raises
-    the exception of its lowest failing key, as the serial loop would.
-    A child that dies without its results raises RuntimeError naming
-    its keys.  Every child is reaped before this returns or raises.
-    """
-    keys = list(keys)
-    workers = max(1, min(len(keys), _worker_count()))
-    cuts = [len(keys) * i // workers for i in range(workers + 1)]
-    blocks = [keys[a:b] for a, b in zip(cuts, cuts[1:])]
-    children = []  # (pid, read end, block), not yet reaped
-    if workers > 1:
-        sys.stdout.flush()
-        sys.stderr.flush()
-    try:
-        for block in blocks[1:]:
-            read_end, write_end = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _run_child_block(fn, block, read_end, write_end)
-            os.close(write_end)
-            children.append((pid, os.fdopen(read_end, "rb"), block))
-        rows = [fn(key) for key in blocks[0]]
-        while children:
-            pid, pipe, block = children[0]
-            payload = pipe.read()
-            pipe.close()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(0)
-            if code != 0:
-                raise RuntimeError(
-                    f"the worker for keys {block[0]!r} to {block[-1]!r} ended "
-                    f"with status {code} before sending its results"
-                )
-            results, error = pickle.loads(payload)
-            if error is not None:
-                raise error
-            rows += results
-        return rows
-    finally:
-        for pid, pipe, _ in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _run_child_block(fn, block, read_end, write_end):
-    """Body of a forked worker: pickle ``(results, None)``, or ``(None,
-    first exception)``, of ``block`` down the pipe.  It leaves only
-    through os._exit, so no ``finally`` or atexit handler of the caller
-    runs twice; exit status 0 means the whole payload was written.  It
-    ignores SIGINT (on Ctrl-C the parent kills it) and closes its copy
-    of the read end, so a write to a dead parent fails instead of
-    blocking."""
-    code = 1
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        os.close(read_end)
-        try:
-            payload = ([fn(key) for key in block], None)
-        except Exception as exc:
-            payload = (None, exc)
-        with os.fdopen(write_end, "wb") as pipe:
-            pipe.write(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def _frequency_check(name, rhs, holds, required):

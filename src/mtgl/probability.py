@@ -10,10 +10,12 @@ Three checks, each returning a TailCheckReport:
 
 The moment constant, lam and q come from ``regularization``.  Every
 check draws from streams derived from (seed, chunk index) with a fixed
-chunk size of 4096 replicates and aggregates in chunk order, so results
-are reproducible bit for bit regardless of how the work is scheduled.
-Chunks fix the streams; within a chunk the draws are made and reduced
-in consecutive blocks of about 2 MiB.  A split draw continues the same
+chunk size of 4096 replicates.  The chunks run on the worker pool of
+``pool``: each is reduced where it is drawn to a few numbers (its event
+counts, or its sums for the moment check), and the caller adds those up
+in chunk order, so results are the same bit for bit at any worker
+count.  Chunks fix the streams; within a chunk the draws are made in
+consecutive blocks of about 2 MiB.  A split draw continues the same
 stream and every reduction is per replicate, so blocks only bound the
 memory and never change a result: a check's memory does not grow with
 M, n_vectors, T, n or the replicate count.  The chi-square check takes
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .pool import _map_in_key_order
 from .regularization import lambda_gaussian, moment_constant
 
 _CHUNK = 4096
@@ -80,32 +83,43 @@ def _freq_report(count, replicates, bound):
     )
 
 
-def _per_replicate(replicates, seed, row_bytes, sample):
-    """Yield each chunk's per-replicate values, in chunk order.
+def _draw_chunk(seed, index, size, row_bytes, sample):
+    """The per-replicate values of chunk ``index``, ``size`` replicates.
 
     ``sample(rng, rows)`` draws ``rows`` replicates from ``rng`` and
-    returns a tuple of k arrays of their per-replicate values; each
-    yield is the chunk's float array of shape (k, chunk size).  A chunk
-    of the stream (seed, chunk index) is sampled in consecutive blocks
-    of about _BLOCK_BYTES of draws, ``row_bytes`` per replicate.  No
-    block has a single replicate unless its chunk does: numpy's matmul
-    takes a matrix-vector BLAS path for one row, which may round
-    differently.
+    returns a tuple of k arrays of their per-replicate values; the chunk
+    is their float array of shape (k, size).  The chunk's stream is
+    (seed, index), sampled in consecutive blocks of about _BLOCK_BYTES
+    of draws, ``row_bytes`` per replicate.  No block has a single
+    replicate unless its chunk does: numpy's matmul takes a
+    matrix-vector BLAS path for one row, which may round differently.
     """
     rows = max(2, _BLOCK_BYTES // row_bytes)
-    for index, start in enumerate(range(0, replicates, _CHUNK)):
-        size = min(_CHUNK, replicates - start)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-        values = None
-        lo = 0
-        while lo < size:
-            hi = size if size - lo <= rows + 1 else lo + rows
-            block = sample(rng, hi - lo)
-            if values is None:
-                values = np.empty((len(block), size))
-            values[:, lo:hi] = block
-            lo = hi
-        yield values
+    rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+    values = None
+    lo = 0
+    while lo < size:
+        hi = size if size - lo <= rows + 1 else lo + rows
+        block = sample(rng, hi - lo)
+        if values is None:
+            values = np.empty((len(block), size))
+        values[:, lo:hi] = block
+        lo = hi
+    return values
+
+
+def _reduce_chunks(replicates, seed, row_bytes, sample, reduce):
+    """``reduce(*values)`` of each chunk's per-replicate values, in chunk
+    order (see ``_draw_chunk``).  The chunks run on the worker pool, so
+    only what ``reduce`` returns leaves a worker; the caller adds those
+    up in chunk order, which keeps every sum the same at any worker
+    count."""
+
+    def chunk(index):
+        size = min(_CHUNK, replicates - index * _CHUNK)
+        return reduce(*_draw_chunk(seed, index, size, row_bytes, sample))
+
+    return _map_in_key_order(chunk, range(math.ceil(replicates / _CHUNK)))
 
 
 def chi_square_tail_bound(T, x):
@@ -135,10 +149,11 @@ def chi_square_tail_empirical(T, offsets, replicates, seed):
         draws = rng.standard_normal((rows, T))
         return (np.sum(draws * draws, axis=1),)
 
-    counts = [0] * len(offsets)
-    for (stats,) in _per_replicate(replicates, seed, 8 * T, sample):
-        for k, x in enumerate(offsets):
-            counts[k] += int(np.count_nonzero(stats > T + x))
+    def reduce(stats):
+        return [int(np.count_nonzero(stats > T + x)) for x in offsets]
+
+    chunks = _reduce_chunks(replicates, seed, 8 * T, sample, reduce)
+    counts = [sum(column) for column in zip(*chunks)]
     return [
         _freq_report(count, replicates, bound)
         for count, bound in zip(counts, bounds)
@@ -185,17 +200,29 @@ def nemirovski_check(M, n_vectors, distribution, replicates, seed):
             left = np.max(np.abs(sums), axis=1).astype(float) ** 2
             return left, np.full(rows, float(n_vectors))
 
+    def reduce(left, right):
+        diff = left - const * right
+        return (
+            float(np.sum(left)),
+            float(np.sum(right)),
+            float(np.sum(diff)),
+            float(np.sum(diff * diff)),
+        )
+
+    # Added one chunk at a time, in chunk order: from Python 3.12 the
+    # builtin sum() of floats compensates its rounding.
     sum_l = 0.0
     sum_r = 0.0
     sum_d = 0.0
     sum_d2 = 0.0
     # Both draws (float64 normals, int64 bits) take 8 bytes an entry.
-    for left, right in _per_replicate(replicates, seed, 8 * n_vectors * M, sample):
-        diff = left - const * right
-        sum_l += float(np.sum(left))
-        sum_r += float(np.sum(right))
-        sum_d += float(np.sum(diff))
-        sum_d2 += float(np.sum(diff * diff))
+    for chunk_l, chunk_r, chunk_d, chunk_d2 in _reduce_chunks(
+        replicates, seed, 8 * n_vectors * M, sample, reduce
+    ):
+        sum_l += chunk_l
+        sum_r += chunk_r
+        sum_d += chunk_d
+        sum_d2 += chunk_d2
 
     mean_l = sum_l / replicates
     mean_r = sum_r / replicates
@@ -238,7 +265,8 @@ def noise_correlation_violation_rate(data, sigma, A, replicates, seed):
         corr = np.matmul(w.transpose(1, 0, 2), X)
         return (np.max(np.sqrt(np.sum(corr * corr, axis=0)), axis=1) / (n * T),)
 
-    count = 0
-    for (stat,) in _per_replicate(replicates, seed, 8 * T * n, sample):
-        count += int(np.count_nonzero(stat > cutoff))
+    def reduce(stat):
+        return int(np.count_nonzero(stat > cutoff))
+
+    count = sum(_reduce_chunks(replicates, seed, 8 * T * n, sample, reduce))
     return _freq_report(count, replicates, bound)

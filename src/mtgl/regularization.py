@@ -158,6 +158,14 @@ def selection_threshold(c, n, M, T=None, A=None, regime=GAUSSIAN, delta=None):
     return c * math.sqrt(finite_variance_rate(M, delta) / n)
 
 
+def coherence_threshold(alpha, sigma, n, M, T=None, A=None, regime=GAUSSIAN, delta=None):
+    """(c, tau) at coherence slack alpha: the sup-norm constant
+    ``threshold_constant_c`` and the selection threshold it gives, which
+    is also the right side of the sup-norm bound."""
+    c = threshold_constant_c(alpha, sigma, regime)
+    return c, selection_threshold(c, n, M, T, A, regime, delta)
+
+
 @dataclass(frozen=True)
 class RegularizationPlan:
     """A fully resolved penalty choice for one problem size.

@@ -16,7 +16,7 @@ import pytest
 
 import mtgl
 import mtgl.cli as cli
-import mtgl.experiments as experiments
+import mtgl.pool as pool
 from mtgl.experiments import (
     ExperimentConfig,
     run_lasso_comparison,
@@ -324,7 +324,7 @@ def test_12_cli_determinism(capsys, tmp_path, monkeypatch):
     # the same run in this process on 1, 2 and 3 replicate workers
     workers_same = True
     for workers in (1, 2, 3):
-        monkeypatch.setattr(experiments, "_worker_count", lambda: workers)
+        monkeypatch.setattr(pool, "_worker_count", lambda: workers)
         out = tmp_path / f"w{workers}"
         code = cli.dispatch(
             ["experiment", "--config", str(tmp_path / "exp.cfg"), "--out", str(out)]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import mtgl.cli as cli
-import mtgl.experiments as experiments
+import mtgl.pool as pool
 from mtgl.dataio import format_float, read_coefficients, read_dataset, read_keyvalue
 from mtgl.model import group_support
 from mtgl.regularization import selection_threshold, threshold_constant_c
@@ -504,6 +504,22 @@ def test_verify_lemmas_small_run(tmp_path, capsys):
     assert saved == out.strip()
 
 
+def test_verify_lemmas_worker_count_does_not_change_outputs(tmp_path, capsys, use_workers):
+    # replicate counts that end each check in a partial chunk
+    outputs = {}
+    for workers in (1, 2, 3):
+        use_workers(workers)
+        out_dir = tmp_path / f"w{workers}"
+        code, out, _ = _run(
+            capsys, "verify-lemmas", "--chi-replicates", "8193",
+            "--nem-replicates", "4097", "--event-replicates", "4500",
+            "--out", str(out_dir),
+        )
+        assert code == 0
+        outputs[workers] = (out, (out_dir / "lemma_checks.txt").read_bytes())
+    assert outputs[1] == outputs[2] == outputs[3]
+
+
 @pytest.mark.parametrize(
     "flag, value, least",
     [("--chi-replicates", "999", 1000), ("--nem-replicates", "1", 2),
@@ -765,7 +781,7 @@ def test_experiment_worker_count_does_not_change_outputs(
     config = _write(tmp_path / "exp.cfg", text)
     outputs = {}
     for workers in (1, 2, 3):
-        monkeypatch.setattr(experiments, "_worker_count", lambda: workers)
+        monkeypatch.setattr(pool, "_worker_count", lambda: workers)
         out_dir = tmp_path / f"w{workers}"
         code, out, _ = _run(capsys, "experiment", "--config", config, "--out", str(out_dir))
         assert code == exit_code
@@ -775,6 +791,17 @@ def test_experiment_worker_count_does_not_change_outputs(
             (out_dir / "summary.txt").read_bytes(),
         )
     assert outputs[1] == outputs[2] == outputs[3]
+
+
+def test_experiment_rejects_p_values_that_share_a_column(tmp_path, capsys):
+    config = _write(
+        tmp_path / "exp.cfg", ORACLE_CONFIG + "alpha=8\np_values=1.0000001,1.0000002\n"
+    )
+    out_dir = tmp_path / "out"
+    code, out, err = _run(capsys, "experiment", "--config", config, "--out", str(out_dir))
+    assert code == 1 and out == ""
+    assert "1.0000001 and 1.0000002" in err and "err2p_1" in err
+    assert not out_dir.exists()
 
 
 def test_experiment_outputs_ignore_thread_env(tmp_path, capsys, monkeypatch):

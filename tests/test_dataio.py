@@ -202,6 +202,23 @@ def test_dataset_round_trip(tmp_path):
     assert (back.n, back.M, back.T) == (data.n, data.M, data.T)
 
 
+def _directory_bytes(directory):
+    return {name: (directory / name).read_bytes() for name in sorted(os.listdir(directory))}
+
+
+def test_dataset_files_do_not_depend_on_the_worker_count(tmp_path, use_workers):
+    # 5 tasks on 1, 2 and 3 workers: the CSVs of a task are written
+    # wherever its block runs, then the sidecars, digest and manifest
+    data = _dataset(T=5)
+    written = {}
+    for count in (1, 2, 3):
+        use_workers(count)
+        write_dataset(data, tmp_path / f"w{count}")
+        written[count] = _directory_bytes(tmp_path / f"w{count}")
+    assert len(written[1]) == 2 * 5 + 3
+    assert written[1] == written[2] == written[3]
+
+
 def test_dataset_shape_mismatch_cites_file_and_counts(tmp_path):
     data = _dataset(n=10)
     manifest = write_dataset(data, tmp_path / "d")

@@ -1,6 +1,4 @@
 import math
-import os
-import signal
 from dataclasses import replace
 
 import numpy as np
@@ -134,6 +132,15 @@ def test_config_validation():
         _small_config(design=DesignSpec(kind="orthogonal", n=64, M=8, T=4))
 
 
+def test_config_rejects_p_values_that_share_a_bound_name():
+    # both print as err2p_1, so one column would shadow the other
+    with pytest.raises(ValueError, match="1.0000001 and 1.0000002 both name the bound err2p_1"):
+        _small_config(alpha=8.0, p_values=(1.0000001, 1.0000002))
+    with pytest.raises(ValueError, match="2.0 and 2.0 both name the bound err2p_2"):
+        _small_config(alpha=8.0, p_values=(2.0, 2.0))
+    assert _small_config(alpha=8.0, p_values=(1.0, 1.00001)).p_values == (1.0, 1.00001)
+
+
 def test_oracle_experiment_shapes_and_coverage():
     config = _small_config()
     report = run_oracle_experiment(config)
@@ -184,61 +191,19 @@ def test_err2p_at_infinity_is_the_supnorm_error():
     assert report.metrics[0].err_2inf != 1.0 / math.sqrt(4)
 
 
-def _use_workers(monkeypatch, count):
-    monkeypatch.setattr(experiments, "_worker_count", lambda: count)
-
-
-def test_oracle_experiment_deterministic_at_any_worker_count(monkeypatch):
+def test_oracle_experiment_deterministic_at_any_worker_count(use_workers):
     base = _small_config()
-    _use_workers(monkeypatch, 1)
+    use_workers(1)
     serial = run_oracle_experiment(base)
     assert run_oracle_experiment(base) == serial
     for count in (2, 3, 8):  # 8 workers for 6 replicates: one each
-        _use_workers(monkeypatch, count)
+        use_workers(count)
         assert run_oracle_experiment(base) == serial
 
 
-def test_worker_count_divides_cores_by_declared_blas_threads(monkeypatch):
-    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(8)))
-    for openblas, omp, want in (
-        (None, None, 1),  # BLAS takes every core
-        ("1", None, 8),
-        ("2", "8", 4),  # OPENBLAS_NUM_THREADS wins
-        (None, "3", 2),
-        ("16", None, 1),
-        ("0", None, 1),
-        ("many", None, 1),
-    ):
-        for name, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
-            if value is None:
-                monkeypatch.delenv(name, raising=False)
-            else:
-                monkeypatch.setenv(name, value)
-        assert experiments._worker_count() == want, (openblas, omp)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setattr(experiments.threading, "active_count", lambda: 2)
-    assert experiments._worker_count() == 1
-
-
-def test_key_order_map_splits_contiguous_blocks(monkeypatch):
-    _use_workers(monkeypatch, 3)
-    keys = [(T, r) for T in (1, 4) for r in range(4)]
-    pids = experiments._map_in_key_order(lambda key: (key, os.getpid()), keys)
-    assert [key for key, _ in pids] == keys
-    owners = [pid for _, pid in pids]
-    # blocks of 2, 3 and 3 keys; the first runs in this process
-    assert owners[:2] == [os.getpid()] * 2
-    assert len({*owners[2:5]}) == len({*owners[5:]}) == 1
-    assert len(set(owners)) == 3
-    assert experiments._map_in_key_order(lambda key: key, []) == []
-
-
-def _assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_coherence_failure_in_a_worker_names_the_lowest_replicate(monkeypatch):
+def test_coherence_failure_in_a_worker_names_the_lowest_replicate(
+    monkeypatch, use_workers, assert_no_children
+):
     # replicates 3 and 5 draw a correlated design; with 3 workers on 6
     # replicates they fall in the second and third blocks
     draw = experiments.generate_dataset
@@ -255,34 +220,10 @@ def test_coherence_failure_in_a_worker_names_the_lowest_replicate(monkeypatch):
         phi_max=None, alpha=8.0,
     )
     for count in (1, 2, 3):
-        _use_workers(monkeypatch, count)
+        use_workers(count)
         with pytest.raises(ValueError, match="^replicate 3: .*coherence"):
             run_oracle_experiment(config)
-        _assert_no_children()
-
-
-def test_worker_killed_mid_block_raises(monkeypatch):
-    def fn(key):
-        if key == 3:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return key
-
-    _use_workers(monkeypatch, 2)
-    with pytest.raises(RuntimeError, match="keys 2 to 3 ended with status -9"):
-        experiments._map_in_key_order(fn, range(4))
-    _assert_no_children()
-
-
-def test_failure_in_the_first_block_reaps_the_workers(monkeypatch):
-    def fn(key):
-        if key == 0:
-            raise KeyboardInterrupt
-        return key
-
-    _use_workers(monkeypatch, 3)
-    with pytest.raises(KeyboardInterrupt):
-        experiments._map_in_key_order(fn, range(6))
-    _assert_no_children()
+        assert_no_children()
 
 
 def test_oracle_experiment_measures_phi_when_unset():
@@ -393,7 +334,9 @@ def test_certification_rejects_correlated_design():
         run_oracle_experiment(config)
 
 
-def test_certified_run_generates_and_diagnoses_once_per_replicate(monkeypatch, tmp_path):
+def test_certified_run_generates_and_diagnoses_once_per_replicate(
+    monkeypatch, tmp_path, use_workers
+):
     # every call, in this process or a worker, appends its name to one log
     log = tmp_path / "calls.log"
     names = ("gram_diagnostics", "generate_dataset")
@@ -410,7 +353,7 @@ def test_certified_run_generates_and_diagnoses_once_per_replicate(monkeypatch, t
         kappa_source="coherence-lemma", kappa=None, kappa2s=None,
         phi_max=None, alpha=8.0, replicates=3,
     )
-    _use_workers(monkeypatch, 3)
+    use_workers(3)
     report = run_oracle_experiment(config)
     assert report.n_converged == 3
     calls = log.read_text().split()

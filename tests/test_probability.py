@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import mtgl.pool as pool
 import mtgl.probability as probability
 from mtgl.model import MultiTaskDataset
 from mtgl.probability import (
@@ -241,23 +242,39 @@ def test_noise_event_matches_whole_chunk_reference(scale, block_bytes, monkeypat
         assert 0.3 < report.empirical_frequency < 0.7
 
 
-_PER_REPLICATE = probability._per_replicate
+_DRAW_CHUNK = probability._draw_chunk
 
 
 def _chunk_values(monkeypatch, block_bytes, call):
     """Every chunk's per-replicate values that ``call`` reduces, with the
-    block budget set to ``block_bytes``."""
+    block budget set to ``block_bytes``, drawn in this process."""
     seen = []
 
     def spy(*args):
-        for values in _PER_REPLICATE(*args):
-            seen.append(values.tobytes())
-            yield values
+        values = _DRAW_CHUNK(*args)
+        seen.append(values.tobytes())
+        return values
 
-    monkeypatch.setattr(probability, "_per_replicate", spy)
+    monkeypatch.setattr(pool, "_worker_count", lambda: 1)
+    monkeypatch.setattr(probability, "_draw_chunk", spy)
     monkeypatch.setattr(probability, "_BLOCK_BYTES", block_bytes)
     call()
     return seen
+
+
+def _calls_of_every_check(replicates, seed):
+    """A zero-argument call of each check at ``replicates``."""
+    data = _noise_test_dataset()
+    return {
+        "chi-square": lambda: chi_square_tail_empirical(
+            16, [4.0, 8.0, 32.0], replicates, seed
+        ),
+        "rademacher": lambda: nemirovski_check(100, 20, "rademacher", replicates, seed),
+        "gaussian": lambda: nemirovski_check(100, 20, "gaussian", replicates, seed),
+        "noise-event": lambda: noise_correlation_violation_rate(
+            data, 0.7, 9.0, replicates, seed
+        ),
+    }
 
 
 @pytest.mark.parametrize(
@@ -267,19 +284,44 @@ def test_per_replicate_values_do_not_depend_on_the_block_size(check, monkeypatch
     # 4501 replicates: one full chunk and a partial one of 405.  The
     # budgets give whole chunks, the two-replicate floor (the partial
     # chunk ends in a three-replicate block) and a few replicates a block.
-    data = _noise_test_dataset()
-    calls = {
-        "chi-square": lambda: chi_square_tail_empirical(16, [8.0], 4501, seed=2),
-        "rademacher": lambda: nemirovski_check(100, 20, "rademacher", 4501, seed=2),
-        "gaussian": lambda: nemirovski_check(100, 20, "gaussian", 4501, seed=2),
-        "noise-event": lambda: noise_correlation_violation_rate(
-            data, 0.7, 9.0, 4501, seed=2
-        ),
-    }
-    whole = _chunk_values(monkeypatch, 1 << 40, calls[check])
+    call = _calls_of_every_check(4501, seed=2)[check]
+    whole = _chunk_values(monkeypatch, 1 << 40, call)
     assert len(whole) == 2
     for block_bytes in (1, 100_000):
-        assert _chunk_values(monkeypatch, block_bytes, calls[check]) == whole
+        assert _chunk_values(monkeypatch, block_bytes, call) == whole
+
+
+@pytest.mark.parametrize("replicates", [4097, 8193])
+@pytest.mark.parametrize(
+    "check", ["chi-square", "rademacher", "gaussian", "noise-event"]
+)
+def test_reports_do_not_depend_on_the_worker_count(check, replicates, use_workers):
+    # 4097 and 8193 replicates end in a one-replicate chunk, so the
+    # workers' blocks of chunks are uneven and one holds the remainder
+    call = _calls_of_every_check(replicates, seed=3)[check]
+    use_workers(1)
+    serial = call()
+    for count in (2, 3):
+        use_workers(count)
+        assert call() == serial, count
+
+
+def test_failing_chunk_raises_the_lowest_chunk_error(
+    monkeypatch, use_workers, assert_no_children
+):
+    # five chunks; chunks 2 and 4 fail, each in a worker's block at 2 and
+    # 3 workers, and the caller sees chunk 2's error as a serial loop would
+    def failing(seed, index, *args):
+        if index in (2, 4):
+            raise ValueError(f"chunk {index} failed")
+        return _DRAW_CHUNK(seed, index, *args)
+
+    monkeypatch.setattr(probability, "_draw_chunk", failing)
+    for count in (1, 2, 3):
+        use_workers(count)
+        with pytest.raises(ValueError, match="^chunk 2 failed$"):
+            chi_square_tail_empirical(4, [2.0], 5 * 4096, seed=0)
+        assert_no_children()
 
 
 def _traced_peak(call):
@@ -306,6 +348,16 @@ def test_checks_draw_in_bounded_blocks(check):
         )
     else:
         peak = _traced_peak(lambda: nemirovski_check(100, 20, check, 5000, seed=0))
+    assert peak < 8 * 2**20, peak
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pooled_chunks_keep_memory_bounded(workers, use_workers):
+    # 20 chunks of 4096 chi-square(200) draws, 6.6 MB a chunk; what the
+    # workers send back is a few counts per chunk, so the traced peak of
+    # this process stays within the blocks' pin however many chunks run
+    use_workers(workers)
+    peak = _traced_peak(lambda: chi_square_tail_empirical(200, [20.0], 20 * 4096, seed=0))
     assert peak < 8 * 2**20, peak
 
 

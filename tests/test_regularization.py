@@ -6,6 +6,7 @@ from mtgl.regularization import (
     FINITE_VARIANCE,
     GAUSSIAN,
     RegularizationPlan,
+    coherence_threshold,
     finite_variance_confidence,
     lambda_finite_variance,
     lambda_gaussian,
@@ -137,6 +138,11 @@ def test_selection_threshold_frozen_values():
         c_fv, 100, 32, regime=FINITE_VARIANCE, delta=3.0
     )
     assert tau_fv == pytest.approx(TAU_FV, rel=1e-14)
+    # the one recipe from alpha gives the same (c, tau)
+    assert coherence_threshold(2.0, 1.0, 100, 10, 4, 9.0, GAUSSIAN) == (c_g, tau)
+    assert coherence_threshold(
+        2.0, 1.0, 100, 32, regime=FINITE_VARIANCE, delta=3.0
+    ) == (c_fv, tau_fv)
 
     # scales as 1/sqrt(n)
     tau4 = selection_threshold(c_g, 400, 10, T=4, A=9.0, regime=GAUSSIAN)
