@@ -3,7 +3,7 @@
 Subcommands: gen, solve, select, check, bounds, verify-lemmas,
 experiment.  Exit codes: 0 success, 1 invalid input (bad flags, bad
 config, unreadable or malformed files), 2 a requested statistical check
-failed, 3 internal error.
+failed or a solve did not converge, 3 internal error.
 
 Config files are flat key=value text; unknown keys are rejected.
 Reports are printed as key=value lines; every output file has the text
@@ -69,10 +69,9 @@ from .regularization import (
     GAUSSIAN,
     REGIMES,
     RegularizationPlan,
+    check_regime_constant,
     coherence_threshold,
     finite_variance_confidence,
-    lambda_finite_variance,
-    lambda_gaussian,
     norm_bound_constant_c1,
 )
 from .selection import average_sign_estimate, select_support
@@ -227,12 +226,15 @@ _EXPERIMENT_KEYS = {
     "bounds": ("bound_set", _parse_list(str)),
     "solver_algorithm": ("algorithm", str), "solver_tol": ("kkt_tolerance", float),
     "solver_max_iter": ("max_iterations", int),
+    "regime": ("regime", str), "plan_sigma": ("plan_sigma", float),
+    "A": ("A", float), "delta": ("delta", float),
 }
 # The keys only one kind of experiment reads; any other kind rejects them
 # as unknown.
 _KIND_KEYS = {
     "selection": {"margin": ("margin", float)},
-    "lasso-comparison": {"lasso_A": ("lasso_constant", float)},
+    "lasso-comparison": {"lasso_A": ("lasso_constant", float),
+                         "T_grid": ("T_grid", _parse_list(int))},
 }
 
 
@@ -287,14 +289,7 @@ def _cmd_solve(args, run):
         ("objective", result.objective_trace[-1]),
         ("converged", result.converged),
     ], run.path("report.txt"))
-    return 0
-
-
-def _threshold(args):
-    """(c, tau) from the flags that ``_add_threshold_flags`` registers."""
-    return coherence_threshold(
-        args.alpha, args.sigma, args.n, args.M, args.T, args.A, args.regime, args.delta
-    )
+    return 0 if result.converged else 2
 
 
 def _resolve_tau(args):
@@ -308,7 +303,10 @@ def _resolve_tau(args):
             "pass --tau directly, or --sigma --alpha --n --M "
             "(plus --T and --A for the gaussian regime, --delta for finite-variance)"
         )
-    return _threshold(args)[1]
+    check_regime_constant(args.regime, args.A, args.delta, "--")
+    return coherence_threshold(
+        args.alpha, args.sigma, args.n, args.M, args.T, args.A, args.regime, args.delta
+    )[1]
 
 
 def _cmd_select(args, run):
@@ -360,24 +358,16 @@ def _cmd_bounds(args, run):
         raise ValueError("--p: the c1 constants are defined for the gaussian regime only")
     if args.p and args.alpha is None:
         raise ValueError("--p: the c1 constants need --alpha")
-    pairs = []
-    if args.regime == GAUSSIAN:
-        if args.A is None:
-            raise ValueError("the gaussian regime needs --A")
-        lam, q, confidence = lambda_gaussian(args.sigma, args.n, args.T, args.M, args.A)
-        pairs += [("lambda", lam), ("q", q), ("confidence", confidence)]
-    else:
-        if args.delta is None:
-            raise ValueError("the finite-variance regime needs --delta")
-        lam = lambda_finite_variance(args.sigma, args.n, args.T, args.M, args.delta)
-        pairs.append(("lambda", lam))
-        if args.c_prime is not None:
-            confidence, vacuous = finite_variance_confidence(
-                args.M, args.delta, args.c_prime
-            )
-            pairs += [("confidence", confidence), ("confidence_vacuous", vacuous)]
+    check_regime_constant(args.regime, args.A, args.delta, "--")
+    plan = RegularizationPlan(args.regime, args.sigma, args.n, args.T, args.M, args.A, args.delta)
+    pairs = [("lambda", plan.lam)]
+    if plan.confidence is not None:
+        pairs += [("q", plan.q), ("confidence", plan.confidence)]
+    elif args.c_prime is not None:  # the level waits for the design statistic c'
+        confidence, vacuous = finite_variance_confidence(plan.M, plan.delta, args.c_prime)
+        pairs += [("confidence", confidence), ("confidence_vacuous", vacuous)]
     if args.alpha is not None:
-        c, tau = _threshold(args)
+        c, tau = plan.threshold(args.alpha)
         pairs += [("c", c), ("tau", tau)]
         for p in args.p:
             pairs.append((f"c1_{p:g}", norm_bound_constant_c1(args.alpha, p)))
@@ -436,20 +426,9 @@ def _cmd_verify_lemmas(args, run):
 
 def _experiment_config(cfg, kind):
     design, signal, noise = _data_specs(cfg)
-    regime = cfg.get("regime", str, GAUSSIAN)
-    if regime not in REGIMES:
-        raise ValueError(f"unknown regime {regime!r}, expected one of {REGIMES}")
-    sigma = cfg.get("plan_sigma", float, noise.sigma)
-    sizes = dict(n=design.n, T=design.T, M=design.M)
-    if regime == GAUSSIAN:
-        plan = RegularizationPlan.gaussian(sigma, A=cfg.get("A", float), **sizes)
-    else:
-        plan = RegularizationPlan.finite_variance(
-            sigma, delta=cfg.get("delta", float), **sizes
-        )
     return _from_config(
         cfg, ExperimentConfig, {**_EXPERIMENT_KEYS, **_KIND_KEYS.get(kind, {})},
-        design=design, signal=signal, noise=noise, plan=plan,
+        design=design, signal=signal, noise=noise,
     )
 
 
@@ -470,15 +449,7 @@ def _summary_pairs(report):
         pairs.append((f"{prefix}_se", check.standard_error))
         pairs.append((f"{prefix}_passed", check.passed))
     for row in report.comparison:
-        prefix = f"T{row.T}"
-        pairs += [
-            (f"{prefix}_lambda_group", row.lam_group),
-            (f"{prefix}_lambda_plain", row.lam_plain),
-            (f"{prefix}_mean_group_error", row.mean_group_error),
-            (f"{prefix}_mean_plain_error", row.mean_plain_error),
-            (f"{prefix}_ratio", row.ratio),
-            (f"{prefix}_win_rate", row.win_rate),
-        ]
+        pairs += [(f"T{row.T}_{name}", value) for name, value in record_pairs(row)[1:]]
     pairs.append(("required_pass", report.required_pass()))
     return pairs
 
@@ -491,7 +462,6 @@ def _cmd_experiment(args, run):
             f"{args.config}: kind must be oracle, selection, or lasso-comparison, "
             f"got {kind!r}"
         )
-    grid = cfg.get("T_grid", _parse_list(int), ()) if kind == "lasso-comparison" else ()
     config = _experiment_config(cfg, kind)
     cfg.finish()
 
@@ -500,14 +470,10 @@ def _cmd_experiment(args, run):
     elif kind == "selection":
         report = run_selection_experiment(config)
     else:
-        report = run_lasso_comparison(config, grid)
+        report = run_lasso_comparison(config)
 
-    csv_path = run.path("replicates.csv")
-    if kind == "lasso-comparison":
-        write_records(csv_path, report.comparison_rows)
-    else:
-        err2p = [err2p_name(p) for p in config.p_values]
-        write_records(csv_path, report.metrics, {"err_2p": err2p})
+    err2p = [err2p_name(p) for p in config.p_values]
+    write_records(run.path("replicates.csv"), report.metrics, {"err_2p": err2p})
     _report(_summary_pairs(report), run.path("summary.txt"))
     return 0 if report.required_pass() else 2
 

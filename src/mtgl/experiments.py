@@ -18,7 +18,7 @@ order.  ``m_hat`` counts nonzero groups: both solvers return exact zeros.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .regularization import (
     FINITE_VARIANCE,
     GAUSSIAN,
     RegularizationPlan,
-    coherence_threshold,
     finite_variance_confidence,
     norm_bound_constant_c1,
 )
@@ -59,6 +58,10 @@ def err2p_name(p):
 class ExperimentConfig:
     """Everything one Monte Carlo run needs.
 
+    ``plan`` is derived: the RegularizationPlan of ``regime`` at the
+    design's (n, T, M), noise level ``plan_sigma`` (None: the noise's
+    sigma) and the regime's constant ``A`` or ``delta``.  ``T_grid``
+    holds a lasso comparison's task counts.
     kappa_source selects where the RE constant in the bound formulas
     comes from: "coherence-lemma" derives kappa = sqrt(1 - 1/alpha) and
     insists every replicate's design passes the coherence check before
@@ -75,9 +78,12 @@ class ExperimentConfig:
     design: object
     signal: object
     noise: object
-    plan: RegularizationPlan
     replicates: int
     seed: int
+    regime: str = GAUSSIAN
+    plan_sigma: float | None = None
+    A: float | None = None
+    delta: float | None = None
     kappa_source: str = "user-supplied"
     kappa: float | None = None
     kappa2s: float | None = None
@@ -90,6 +96,8 @@ class ExperimentConfig:
     kkt_tolerance: float = 1e-8
     max_iterations: int = 2000
     lasso_constant: float = 3.0
+    T_grid: tuple = ()
+    plan: RegularizationPlan = field(init=False)
 
     def __post_init__(self):
         if self.replicates < 1:
@@ -122,14 +130,10 @@ class ExperimentConfig:
                     "give p values that differ in their first 6 significant digits"
                 )
             named[name] = p
-        got = (self.design.n, self.design.T, self.design.M)
-        want = (self.plan.n, self.plan.T, self.plan.M)
-        if got != want:
-            raise ValueError(
-                f"design dimensions (n, T, M)={got} disagree with the "
-                f"regularization plan's {want}; the bound formulas would be "
-                "evaluated at the wrong sizes"
-            )
+        sigma = self.noise.sigma if self.plan_sigma is None else self.plan_sigma
+        d = self.design
+        plan = RegularizationPlan(self.regime, sigma, d.n, d.T, d.M, self.A, self.delta)
+        object.__setattr__(self, "plan", plan)
 
 
 @dataclass(frozen=True)
@@ -158,9 +162,8 @@ class BoundCheck:
     """Coverage of one bound (or recovery event) across replicates.
 
     ``rhs`` is the bound's right side; when it varies per replicate
-    (measured phi_max) the largest value is recorded.  ``passed`` states
-    whether coverage >= required_confidence - 3 * standard_error (the
-    rule of ``probability.frequency_verdict``).
+    (measured phi_max) the largest value is recorded.  ``passed`` is the
+    exact binomial verdict of ``probability.frequency_verdict``.
     """
 
     name: str
@@ -173,11 +176,12 @@ class BoundCheck:
 
 @dataclass(frozen=True)
 class ComparisonRow:
-    """Group-vs-plain summary for one task count."""
+    """Group-vs-plain summary for one task count; its fields after T are
+    summary.txt's T<T>_<field> keys."""
 
     T: int
-    lam_group: float
-    lam_plain: float
+    lambda_group: float
+    lambda_plain: float
     mean_group_error: float
     mean_plain_error: float
     ratio: float
@@ -196,12 +200,14 @@ class ComparisonReplicate:
 
 @dataclass(frozen=True)
 class ExperimentReport:
+    """One run's checks and records, the rows of replicates.csv: one
+    ReplicateMetrics per replicate, or ComparisonReplicate per (T, r)."""
+
     kind: str
     replicates: int
     metrics: tuple
     bounds: tuple
     comparison: tuple = ()
-    comparison_rows: tuple = ()
     n_converged: int = 0
     required_confidence: float | None = None
     confidence_vacuous: bool = False
@@ -275,7 +281,7 @@ def oracle_bounds_rhs(plan, s, kappa, kappa2s=None, phi_max=None, alpha=None, p_
         if kappa2s is not None:
             out["err2_sq"] = 160.0 * sigma**2 * s * rate / (kappa2s**4 * n)
     if alpha is not None:
-        out["supnorm"] = _threshold(plan, alpha)
+        out["supnorm"] = plan.threshold(alpha)[1]
         for p in p_values if plan.regime == GAUSSIAN else ():  # c1 is gaussian-only
             c1 = norm_bound_constant_c1(alpha, p)
             out[err2p_name(p)] = (
@@ -286,14 +292,6 @@ def oracle_bounds_rhs(plan, s, kappa, kappa2s=None, phi_max=None, alpha=None, p_
     if plan.regime == GAUSSIAN:
         out["correlation"] = 1.5 * plan.lam
     return out
-
-
-def _threshold(plan, alpha):
-    """The selection threshold tau of ``plan`` at coherence slack alpha,
-    which is also the right side of the sup-norm bound."""
-    return coherence_threshold(
-        alpha, plan.sigma, plan.n, plan.M, plan.T, plan.A, plan.regime, plan.delta
-    )[1]
 
 
 def _prediction_error(X, diff):
@@ -505,7 +503,7 @@ def run_selection_experiment(config):
         raise ValueError(
             f"selection experiments need a beta-min margin > 2, got {config.margin}"
         )
-    tau = _threshold(plan, config.alpha)
+    tau = plan.threshold(config.alpha)[1]
 
     def draw(r):
         beta_star = generate_beta_for_selection(
@@ -535,12 +533,14 @@ def run_selection_experiment(config):
     return _run_bound_experiment("selection", config, certify, draw, score)
 
 
-def run_lasso_comparison(config, T_grid):
-    """Group estimator vs entrywise Lasso across a grid of task counts.
+def run_lasso_comparison(config):
+    """Group estimator vs entrywise Lasso across the task counts of
+    ``config.T_grid``.
 
     The grid must be strictly increasing; the group estimator is
     expected to pull ahead as tasks accumulate (nonincreasing mean-error
-    ratio, and a win rate of at least 90% at the largest T).  The
+    ratio, and a win rate of at least 90% at the largest T).  Each T
+    runs ``config`` at a design of T tasks, with that config's plan.  The
     (T, replicate) pairs are keyed in grid order, replicates within each T.
 
     The baseline's level at T tasks is lam_plain = c*sigma*sqrt(log(MT)/n)/T
@@ -551,37 +551,33 @@ def run_lasso_comparison(config, T_grid):
     single-task level of Bickel, Ritov & Tsybakov (2009) over MT
     coefficients, from which the c > 2*sqrt(2) condition comes.
     """
-    grid = [int(T) for T in T_grid]
+    grid = config.T_grid
     if not grid or any(T < 1 for T in grid):
-        raise ValueError(f"T_grid must contain task counts >= 1, got {T_grid}")
+        raise ValueError(f"T_grid must contain task counts >= 1, got {grid}")
     if any(later <= earlier for earlier, later in zip(grid, grid[1:])):
-        raise ValueError(f"T_grid must be strictly increasing, got {T_grid}")
+        raise ValueError(f"T_grid must be strictly increasing, got {grid}")
     if not config.lasso_constant > _LASSO_MIN_CONSTANT:
         raise ValueError(
             f"plain-Lasso constant must exceed 2*sqrt(2) ~= {_LASSO_MIN_CONSTANT:.4f}, "
             f"got {config.lasso_constant}"
         )
-    plan = config.plan
-    if plan.regime != GAUSSIAN:
+    if config.regime != GAUSSIAN:
         raise ValueError("the baseline comparison is defined for the gaussian regime")
 
-    # per T: the design, the group solver's config and the plain-Lasso lambda
-    setups = {}
-    for T in grid:
-        plan_t = RegularizationPlan.gaussian(plan.sigma, plan.n, T, plan.M, plan.A)
-        lam_plain = config.lasso_constant * plan.sigma * math.sqrt(
-            math.log(plan.M * T) / plan.n
-        ) / T
-        design_t = replace(config.design, T=T)
-        setups[T] = (design_t, _solver_config(config, plan_t.lam), lam_plain)
+    def at(T):
+        """The config of T tasks and its baseline's level."""
+        config_t = replace(config, design=replace(config.design, T=T))
+        p = config_t.plan
+        level = config.lasso_constant * p.sigma * math.sqrt(math.log(p.M * T) / p.n) / T
+        return config_t, level
 
     def worker(key):
         T, r = key
-        design_t, group_cfg, lam_plain = setups[T]
+        config_t, lam_plain = at(T)
         dataset, beta_star = generate_dataset(
-            design_t, config.signal, config.noise, [config.seed, T, r]
+            config_t.design, config.signal, config.noise, [config.seed, T, r]
         )
-        group = solve_group_lasso(dataset, group_cfg)
+        group = solve_group_lasso(dataset, _solver_config(config, config_t.plan.lam))
         plain = solve_lasso_baseline(
             dataset, lam_plain,
             max_iterations=config.max_iterations,
@@ -599,21 +595,20 @@ def run_lasso_comparison(config, T_grid):
     summaries = []
     for i, T in enumerate(grid):
         results = rows[i * R:(i + 1) * R]
-        _, group_cfg, lam_plain = setups[T]
+        config_t, lam_plain = at(T)
         mean_group = sum(row.group_error for row in results) / R
         mean_plain = sum(row.plain_error for row in results) / R
         wins = sum(row.group_error <= row.plain_error for row in results)
         summaries.append(ComparisonRow(
-            T, group_cfg.lam, lam_plain, mean_group, mean_plain,
+            T, config_t.plan.lam, lam_plain, mean_group, mean_plain,
             mean_group / mean_plain, wins / R,
         ))
 
     return ExperimentReport(
         kind="lasso-comparison",
         replicates=R,
-        metrics=(),
+        metrics=tuple(rows),
         bounds=(),
         comparison=tuple(summaries),
-        comparison_rows=tuple(rows),
         n_converged=sum(row.group_converged and row.plain_converged for row in rows),
     )

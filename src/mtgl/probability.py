@@ -8,19 +8,20 @@ Three checks, each returning a TailCheckReport:
 * the noise-correlation event behind the gaussian penalty: the rate of
   (1/nT) max_j sqrt(sum_t (x_tj . W_t)^2) > lam/2 is at most M^(1-q).
 
-The moment constant, lam and q come from ``regularization``.  Every
-check draws from streams derived from (seed, chunk index) with a fixed
-chunk size of 4096 replicates.  The chunks run on the worker pool of
-``pool``: each is reduced where it is drawn to a few numbers (its event
-counts, or its sums for the moment check), and the caller adds those up
-in chunk order, so results are the same bit for bit at any worker
-count.  Chunks fix the streams; within a chunk the draws are made in
-consecutive blocks of about 2 MiB.  A split draw continues the same
-stream and every reduction is per replicate, so blocks only bound the
-memory and never change a result: a check's memory does not grow with
-M, n_vectors, T, n or the replicate count.  The chi-square check takes
-every offset x at one T in one call, so one sample serves them all:
-only the cutoff T + x differs.
+A frequency passes by the exact binomial test of ``frequency_verdict``,
+a mean within three standard errors.  The moment constant, lam and q
+come from ``regularization``.  Every check draws from streams derived
+from (seed, chunk index) with a fixed chunk size of 4096 replicates.
+The chunks run on the worker pool of ``pool``: each is reduced where it
+is drawn to a few numbers (its event counts, or its sums for the moment
+check), and the caller adds those up in chunk order, so results are the
+same bit for bit at any worker count.  Chunks fix the streams; within a
+chunk the draws are made in consecutive blocks of about 2 MiB.  A split
+draw continues the same stream and every reduction is per replicate, so
+blocks only bound the memory and never change a result: a check's memory
+does not grow with M, n_vectors, T, n or the replicate count.  The
+chi-square check takes every offset x at one T in one call, so one
+sample serves them all: only the cutoff T + x differs.
 """
 
 from __future__ import annotations
@@ -49,8 +50,9 @@ class TailCheckReport:
     ``empirical_frequency`` holds the measured left side (a frequency for
     the tail checks, a mean squared sup-norm for the moment check) and
     ``analytic_bound`` the right side it must not exceed.  ``passed`` is
-    True iff empirical <= analytic + 3 * standard_error (for a frequency,
-    the rule of ``frequency_verdict``).
+    the verdict of ``frequency_verdict`` for a frequency; for the moment
+    check it is True iff the mean paired difference is at most three
+    standard errors.
     """
 
     analytic_bound: float
@@ -60,16 +62,50 @@ class TailCheckReport:
     passed: bool
 
 
+# The one-sided three-sigma level 1 - Phi(3): a frequency fails when, at
+# a true rate of its limit, an outcome as far out is less likely than this.
+PASS_LEVEL = 0.00135
+
+
+def binomial_lower_tail(k, n, p, q):
+    """P(X <= k) for X ~ Binomial(n, p); q = 1 - p is passed on its own so
+    that a small p or q keeps its digits.  The terms are summed from k
+    down until one no longer changes the sum: for k up to about the mean
+    they fall all the way, so that takes a few standard deviations of X."""
+    if k >= n or p == 0.0:
+        return 1.0
+    if q == 0.0:
+        return 0.0
+    term = math.exp(
+        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+        + k * math.log(p) + (n - k) * math.log(q)
+    )
+    total, i = 0.0, k
+    while i >= 0 and term > total * 1e-17:
+        total += term
+        term *= i * q / ((n - i + 1) * p)
+        i -= 1
+    return min(total, 1.0)
+
+
 def frequency_verdict(count, replicates, limit, at_least):
     """(frequency, standard error, passed) of ``count`` events in
-    ``replicates`` trials against ``limit``.  The one pass rule of every
-    Monte Carlo frequency: the frequency must be at least (``at_least``)
-    or at most ``limit``, give or take three standard errors."""
+    ``replicates`` trials.  The one pass rule of every Monte Carlo
+    frequency, an exact one-sided binomial test: the frequency must be at
+    least (``at_least``) or at most the probability ``limit``, and fails
+    when, at a true rate of ``limit``, as few (or as many) events have a
+    probability below ``PASS_LEVEL``.  The standard error is reported only."""
+    if not 0.0 <= limit <= 1.0:
+        raise ValueError(f"limit must be a probability in [0, 1], got {limit}")
     freq = count / replicates
     se = math.sqrt(freq * (1.0 - freq) / replicates)
-    if at_least:
-        return freq, se, bool(freq >= limit - 3.0 * se)
-    return freq, se, bool(freq <= limit + 3.0 * se)
+    # the tested tail itself, as a lower tail of the events or the non-events
+    k, p, q = (count, limit, 1.0 - limit) if at_least else (
+        replicates - count, 1.0 - limit, limit
+    )
+    # a tail holding a median, at most ceil(np) (Kaas & Buhrman 1980), passes
+    passed = k >= replicates * p + 1 or binomial_lower_tail(k, replicates, p, q) >= PASS_LEVEL
+    return freq, se, bool(passed)
 
 
 def _freq_report(count, replicates, bound):

@@ -14,18 +14,34 @@ here once, as a function of one rate term per noise regime:
   1 - (2e*log M - e) * c' / rate, where c' is the design statistic
   (1/nT) * sum_{t,i} max_j (x_ti)_j^2.
 
-Constant validity windows (A > 8, alpha > 1, and so on) are enforced,
-and sigma, A, delta, c' and alpha must be finite.
+``RegularizationPlan`` computes lam, q and the confidence of one problem
+size and its regime's one constant, A or delta (giving the other is an
+error).  Constant validity windows (A > 8, alpha > 1, and so on) are
+enforced, and sigma, A, delta, c' and alpha must be finite.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 GAUSSIAN = "gaussian"
 FINITE_VARIANCE = "finite-variance"
 REGIMES = (GAUSSIAN, FINITE_VARIANCE)
+
+
+def check_regime_constant(regime, A, delta, prefix=""):
+    """Raise unless ``regime`` is known and exactly its constant is given:
+    A for gaussian, delta for finite-variance.  The errors name each
+    constant as ``prefix`` + its name (a command line passes "--")."""
+    if regime not in REGIMES:
+        raise ValueError(f"unknown regime {regime!r}, expected one of {REGIMES}")
+    reads, other = ("A", "delta") if regime == GAUSSIAN else ("delta", "A")
+    given = {"A": A, "delta": delta}
+    if given[reads] is None:
+        raise ValueError(f"the {regime} regime needs {prefix}{reads}")
+    if given[other] is not None:
+        raise ValueError(f"the {regime} regime does not read {prefix}{other}")
 
 
 def _check_above(label, value, low=0):
@@ -135,8 +151,7 @@ def selection_threshold(c, n, M, T=None, A=None, regime=GAUSSIAN, delta=None):
     gaussian:        tau = (c/sqrt(n)) * sqrt(1 + A*log(M)/sqrt(T))
     finite-variance: tau = c * sqrt((log M)^(1+delta) / n)
     """
-    if regime not in REGIMES:
-        raise ValueError(f"unknown regime {regime!r}, expected one of {REGIMES}")
+    check_regime_constant(regime, A, delta)
     if not c > 0:
         raise ValueError(f"threshold constant c must be positive, got {c}")
     if n < 1:
@@ -144,16 +159,12 @@ def selection_threshold(c, n, M, T=None, A=None, regime=GAUSSIAN, delta=None):
     if regime == GAUSSIAN:
         if M < 2:
             raise ValueError(f"need M >= 2, got {M}")
-        if T is None or A is None:
-            raise ValueError("gaussian threshold needs both T and A")
-        if T < 1:
-            raise ValueError(f"need T >= 1, got {T}")
+        if T is None or T < 1:
+            raise ValueError(f"the gaussian threshold needs T >= 1, got T={T}")
         _check_above("tuning constant A", A, 8)
         return (c / math.sqrt(n)) * math.sqrt(gaussian_rate(A, M, T))
     if M < 3:
         raise ValueError(f"finite-variance threshold needs M >= 3, got {M}")
-    if delta is None:
-        raise ValueError("finite-variance threshold needs delta")
     _check_above("tail exponent delta", delta)
     return c * math.sqrt(finite_variance_rate(M, delta) / n)
 
@@ -168,11 +179,12 @@ def coherence_threshold(alpha, sigma, n, M, T=None, A=None, regime=GAUSSIAN, del
 
 @dataclass(frozen=True)
 class RegularizationPlan:
-    """A fully resolved penalty choice for one problem size.
+    """The penalty choice of one problem size, computed from it and the
+    regime's constant (A or delta; the other must stay None).
 
-    ``confidence`` is the guarantee level 1 - M^(1-q) in the gaussian
-    regime; in the finite-variance regime it stays None until the design
-    statistic c' is known (see ``finite_variance_confidence``).
+    ``confidence`` is the gaussian guarantee level 1 - M^(1-q); in the
+    finite-variance regime it and ``q`` stay None, as the level waits for
+    the design statistic c' (see ``finite_variance_confidence``).
     ``rate`` is the regime's rate term that every bound scales with.
     """
 
@@ -181,11 +193,21 @@ class RegularizationPlan:
     n: int
     T: int
     M: int
-    lam: float
     A: float | None = None
     delta: float | None = None
-    q: float | None = None
-    confidence: float | None = None
+    lam: float = field(init=False)
+    q: float | None = field(init=False)
+    confidence: float | None = field(init=False)
+
+    def __post_init__(self):
+        check_regime_constant(self.regime, self.A, self.delta)
+        sizes = (self.sigma, self.n, self.T, self.M)
+        if self.regime == GAUSSIAN:
+            values = lambda_gaussian(*sizes, self.A)
+        else:
+            values = lambda_finite_variance(*sizes, self.delta), None, None
+        for name, value in zip(("lam", "q", "confidence"), values):
+            object.__setattr__(self, name, value)
 
     @property
     def rate(self):
@@ -193,30 +215,9 @@ class RegularizationPlan:
             return gaussian_rate(self.A, self.M, self.T)
         return finite_variance_rate(self.M, self.delta)
 
-    @classmethod
-    def gaussian(cls, sigma, n, T, M, A):
-        lam, q, confidence = lambda_gaussian(sigma, n, T, M, A)
-        return cls(
-            regime=GAUSSIAN,
-            sigma=sigma,
-            n=n,
-            T=T,
-            M=M,
-            lam=lam,
-            A=A,
-            q=q,
-            confidence=confidence,
-        )
-
-    @classmethod
-    def finite_variance(cls, sigma, n, T, M, delta):
-        lam = lambda_finite_variance(sigma, n, T, M, delta)
-        return cls(
-            regime=FINITE_VARIANCE,
-            sigma=sigma,
-            n=n,
-            T=T,
-            M=M,
-            lam=lam,
-            delta=delta,
+    def threshold(self, alpha):
+        """(c, tau) of this plan at coherence slack alpha; tau is the
+        selection threshold and the right side of the sup-norm bound."""
+        return coherence_threshold(
+            alpha, self.sigma, self.n, self.M, self.T, self.A, self.regime, self.delta
         )

@@ -29,7 +29,7 @@ from mtgl.probability import (
     nemirovski_check,
     noise_correlation_violation_rate,
 )
-from mtgl.regularization import RegularizationPlan, lambda_gaussian
+from mtgl.regularization import FINITE_VARIANCE, lambda_gaussian
 from mtgl.solver import SolverConfig, block_soft_threshold, solve_group_lasso
 from mtgl.synth import DesignSpec, NoiseSpec, SignalSpec, generate_dataset
 
@@ -110,7 +110,7 @@ def _oracle_config(**overrides):
         design=DesignSpec(kind="orthogonal", n=64, M=32, T=9),
         signal=SignalSpec(s=4),
         noise=NoiseSpec(sigma=1.0),
-        plan=RegularizationPlan.gaussian(1.0, 64, 9, 32, 9.0),
+        A=9.0,
         replicates=200,
         seed=SEED,
         kappa=1.0,
@@ -175,7 +175,8 @@ def test_07_heavy_tail_coverage(capsys):
         design=DesignSpec(kind="orthogonal", n=100, M=32, T=9),
         signal=SignalSpec(s=4),
         noise=NoiseSpec(kind="student-t", sigma=1.0, nu=3.0),
-        plan=RegularizationPlan.finite_variance(1.0, 100, 9, 32, 3.0),
+        regime=FINITE_VARIANCE,
+        delta=3.0,
         replicates=200,
         seed=SEED,
         kappa=1.0,
@@ -201,11 +202,12 @@ def test_08_baseline_comparison(capsys):
         design=DesignSpec(kind="gaussian-iid", n=50, M=32, T=1),
         signal=SignalSpec(s=4),
         noise=NoiseSpec(sigma=1.0),
-        plan=RegularizationPlan.gaussian(1.0, 50, 1, 32, 9.0),
+        A=9.0,
         replicates=100,
         seed=SEED,
+        T_grid=(1, 4, 16),
     )
-    report = run_lasso_comparison(config, (1, 4, 16))
+    report = run_lasso_comparison(config)
     ratios = [row.ratio for row in report.comparison]
     win_rate = report.comparison[-1].win_rate
     monotone = all(b <= a + 1e-12 for a, b in zip(ratios, ratios[1:]))

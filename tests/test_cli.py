@@ -145,6 +145,17 @@ FV_BOUNDS = ("bounds", "--regime", "finite-variance", "--sigma", "1", "--n", "10
              "--T", "9", "--M", "32")
 
 
+@pytest.mark.parametrize("argv, other", [
+    (GAUSSIAN_BOUNDS + ("--A", "9", "--delta", "3"), "--delta"),
+    (FV_BOUNDS + ("--delta", "3", "--A", "9"), "--A"),
+    (FV_BOUNDS + ("--delta", "3", "--A", "9", "--alpha", "2"), "--A"),
+])
+def test_bounds_rejects_the_other_regimes_constant(capsys, argv, other):
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert f"does not read {other}" in err
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(("bounds", "--sigma", "inf", "--n", "100", "--T", "4", "--M", "10",
                   "--A", "9"), id="sigma"),
@@ -272,6 +283,24 @@ def test_solve_select_pipeline(tmp_path, capsys):
     assert len(averages) == 8  # one row per coefficient group
 
 
+def test_solve_exits_2_when_it_does_not_converge(tmp_path, capsys):
+    # one sweep on a correlated design cannot reach a 1e-14 KKT residual;
+    # the fit is still written, with converged=false in its report
+    gen = GEN_CONFIG.replace("design_kind=orthogonal", "design_kind=ar1\nrho=0.6")
+    data_dir = tmp_path / "data"
+    assert _run(capsys, "gen", "--config", _write(tmp_path / "gen.cfg", gen),
+                "--out", str(data_dir))[0] == 0
+    fit_dir = tmp_path / "fit"
+    code, out, _ = _run(
+        capsys, "solve", "--data", str(data_dir / "manifest.txt"), "--lambda", "0.3",
+        "--max-iter", "1", "--tol", "1e-14", "--out", str(fit_dir),
+    )
+    assert code == 2
+    assert _stdout_pairs(out)["converged"] == "false"
+    assert read_keyvalue(fit_dir / "report.txt")["converged"] == "false"
+    assert sorted(os.listdir(fit_dir)) == ["beta_hat.csv", "report.txt", "run_manifest.txt"]
+
+
 def test_select_computes_threshold_from_plan(tmp_path, capsys):
     beta_path = tmp_path / "beta.csv"
     beta_path.write_text("3,3\n0,0\n")
@@ -292,6 +321,22 @@ def test_select_rejects_bad_tau_and_missing_plan(tmp_path, capsys):
     assert code == 1 and "tau" in err
     code, _, err = _run(capsys, "select", "--beta", str(beta_path), "--sigma", "1")
     assert code == 1 and "--alpha" in err
+
+
+@pytest.mark.parametrize("flags, other", [
+    (("--T", "4", "--A", "9", "--delta", "3"), "--delta"),
+    (("--regime", "finite-variance", "--delta", "3", "--A", "9"), "--A"),
+])
+def test_select_rejects_the_other_regimes_constant(flags, other, tmp_path, capsys):
+    # the computed threshold reads --A or --delta, never both
+    beta_path = tmp_path / "beta.csv"
+    beta_path.write_text("3,3\n0,0\n")
+    code, out, err = _run(
+        capsys, "select", "--beta", str(beta_path), "--sigma", "2", "--alpha", "2",
+        "--n", "100", "--M", "10", *flags,
+    )
+    assert code == 1 and out == ""
+    assert f"does not read {other}" in err
 
 
 def test_select_rejects_non_finite_coefficients(tmp_path, capsys):
@@ -653,7 +698,8 @@ def test_absent_config_keys_keep_the_library_defaults(tmp_path):
         )
         for spec in (config, config.design, config.signal, config.noise):
             for field in dataclasses.fields(spec):
-                if field.default is not dataclasses.MISSING:
+                # A is the one field with a default that the file sets
+                if field.default is not dataclasses.MISSING and field.name != "A":
                     assert getattr(spec, field.name) == field.default, field.name
 
 
@@ -743,6 +789,20 @@ def test_experiment_rejects_a_key_its_kind_does_not_read(kind, key, tmp_path, ca
     code, out, err = _run(capsys, "experiment", "--config", config, "--out", str(out_dir))
     assert code == 1 and out == ""
     assert f"unknown keys ['{key.split('=')[0]}']" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("extra, other", [
+    ("delta=3\n", "delta"),
+    ("regime=finite-variance\ndelta=3\n", "A"),
+])
+def test_experiment_rejects_the_other_regimes_constant(extra, other, tmp_path, capsys):
+    # ORACLE_CONFIG sets A, which only the gaussian regime reads
+    config = _write(tmp_path / "exp.cfg", ORACLE_CONFIG + extra)
+    out_dir = tmp_path / "o"
+    code, out, err = _run(capsys, "experiment", "--config", config, "--out", str(out_dir))
+    assert code == 1 and out == ""
+    assert f"does not read {other}" in err
     assert not out_dir.exists()
 
 
@@ -861,6 +921,44 @@ def test_tracer_hooks_resolve_to_callables():
     for module_name, attribute in tracer.LAYERS:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attribute, None)), (module_name, attribute)
+
+
+def test_dispatch_calls_the_hooked_functions_through_the_cli_module(
+    tmp_path, capsys, monkeypatch
+):
+    # the tracer replaces these mtgl.cli attributes after import; a command
+    # that held the functions from before (a dispatch table built at import,
+    # say) would leave a traced round without their spans
+    names = (
+        "generate_dataset", "read_dataset", "solve_group_lasso",
+        "run_oracle_experiment", "run_selection_experiment", "run_lasso_comparison",
+    )
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(cli, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    data_dir = tmp_path / "data"
+    gen = _write(tmp_path / "gen.cfg", GEN_CONFIG)
+    assert _run(capsys, "gen", "--config", gen, "--out", str(data_dir))[0] == 0
+    assert _run(
+        capsys, "solve", "--data", str(data_dir / "manifest.txt"), "--lambda", "0.3",
+        "--out", str(tmp_path / "fit"),
+    )[0] == 0
+    for kind, text, exit_code in (
+        ("oracle", ORACLE_CONFIG, 0),
+        ("selection", SELECTION_CONFIG, 0),
+        ("comparison", COMPARISON_CONFIG, COMPARISON_EXIT),
+    ):
+        config = _write(tmp_path / f"{kind}.cfg", text)
+        assert _run(
+            capsys, "experiment", "--config", config, "--out", str(tmp_path / kind)
+        )[0] == exit_code
+    assert calls == dict.fromkeys(names, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from mtgl.experiments import (
     run_selection_experiment,
 )
 from mtgl.model import GroupCoefficients, MultiTaskDataset
-from mtgl.regularization import RegularizationPlan
+from mtgl.regularization import FINITE_VARIANCE, GAUSSIAN, RegularizationPlan
 from mtgl.solver import (
     SolverConfig,
     lasso_kkt_residual,
@@ -42,7 +42,7 @@ FV_ERR2SQ_RHS = 923.3403943323339
 
 
 def _gaussian_plan(sigma=1.0, n=64, T=9, M=32, A=9.0):
-    return RegularizationPlan.gaussian(sigma, n, T, M, A)
+    return RegularizationPlan(GAUSSIAN, sigma, n, T, M, A=A)
 
 
 def _small_config(**overrides):
@@ -50,7 +50,7 @@ def _small_config(**overrides):
         design=DesignSpec(kind="orthogonal", n=32, M=8, T=4),
         signal=SignalSpec(s=2),
         noise=NoiseSpec(sigma=1.0),
-        plan=RegularizationPlan.gaussian(1.0, 32, 4, 8, 9.0),
+        A=9.0,
         replicates=6,
         seed=0,
         kappa=1.0,
@@ -76,7 +76,7 @@ def test_gaussian_rhs_frozen_values():
 
 
 def test_finite_variance_rhs_frozen_values():
-    plan = RegularizationPlan.finite_variance(1.0, 100, 9, 32, 3.0)
+    plan = RegularizationPlan(FINITE_VARIANCE, 1.0, 100, 9, 32, delta=3.0)
     rhs = oracle_bounds_rhs(plan, s=4, kappa=1.0, kappa2s=1.0)
     assert rhs["prediction"] == pytest.approx(FV_PREDICTION_RHS, rel=1e-15)
     assert rhs["err21"] == pytest.approx(FV_ERR21_RHS, rel=1e-15)
@@ -93,7 +93,7 @@ def test_rhs_optional_ingredients_control_keys():
     assert set(with_alpha) == {
         "prediction", "err21", "correlation", "supnorm", "err2p_1", "err2p_4",
     }
-    fv = RegularizationPlan.finite_variance(1.0, 100, 9, 32, 3.0)
+    fv = RegularizationPlan(FINITE_VARIANCE, 1.0, 100, 9, 32, delta=3.0)
     fv_full = oracle_bounds_rhs(fv, s=4, kappa=1.0, kappa2s=1.0, phi_max=2.0, alpha=4.0)
     assert set(fv_full) == {"prediction", "err21", "err2_sq", "supnorm", "sparsity"}
 
@@ -128,8 +128,22 @@ def test_config_validation():
         _small_config(alpha=1.0)
     with pytest.raises(ValueError):
         _small_config(p_values=(0.5,))
-    with pytest.raises(ValueError, match="disagree"):
-        _small_config(design=DesignSpec(kind="orthogonal", n=64, M=8, T=4))
+    with pytest.raises(ValueError, match="does not read delta"):
+        _small_config(delta=3.0)
+    with pytest.raises(ValueError, match="needs A"):
+        _small_config(A=None)
+
+
+def test_config_derives_its_plan_from_its_own_design():
+    config = _small_config(design=DesignSpec(kind="orthogonal", n=64, M=8, T=4))
+    assert config.plan == _gaussian_plan(n=64, T=4, M=8)
+    assert replace(config, design=replace(config.design, T=9)).plan == _gaussian_plan(
+        n=64, T=9, M=8
+    )
+    # plan_sigma, when given, replaces the noise's sigma
+    assert _small_config(plan_sigma=0.5).plan == _gaussian_plan(sigma=0.5, n=32, T=4, M=8)
+    fv = _small_config(regime=FINITE_VARIANCE, A=None, delta=3.0)
+    assert fv.plan == RegularizationPlan(FINITE_VARIANCE, 1.0, 32, 4, 8, delta=3.0)
 
 
 def test_config_rejects_p_values_that_share_a_bound_name():
@@ -168,6 +182,7 @@ def test_oracle_experiment_noiseless_coverage():
     # shrinkage bias, so every bound holds and the support is exact
     config = _small_config(
         noise=NoiseSpec(sigma=0.0),
+        plan_sigma=1.0,
         signal=SignalSpec(s=2, mu=10.0),
         replicates=3,
     )
@@ -274,7 +289,9 @@ def test_every_bound_has_one_left_side(regime):
         config = _small_config(
             design=DesignSpec(kind="orthogonal", n=100, M=32, T=4),
             noise=NoiseSpec(kind="student-t", sigma=1.0, nu=3.0),
-            plan=RegularizationPlan.finite_variance(1.0, 100, 4, 32, 3.0),
+            regime=FINITE_VARIANCE,
+            A=None,
+            delta=3.0,
             replicates=2,
             **_ALL_INGREDIENTS,
         )
@@ -373,11 +390,12 @@ def test_selection_certifies_non_orthogonal_design():
 
 
 def test_finite_variance_experiment_confidence():
-    plan = RegularizationPlan.finite_variance(1.0, 100, 4, 32, 3.0)
     config = _small_config(
         design=DesignSpec(kind="orthogonal", n=100, M=32, T=4),
         noise=NoiseSpec(kind="student-t", sigma=1.0, nu=3.0),
-        plan=plan,
+        regime=FINITE_VARIANCE,
+        A=None,
+        delta=3.0,
         replicates=4,
         kappa2s=None,
         phi_max=None,
@@ -408,58 +426,56 @@ def test_selection_experiment_validation_and_recovery():
 
 
 def test_comparison_grid_validation():
-    config = _small_config(
-        design=DesignSpec(kind="gaussian-iid", n=32, M=8, T=1),
-        plan=RegularizationPlan.gaussian(1.0, 32, 1, 8, 9.0),
-    )
+    config = _small_config(design=DesignSpec(kind="gaussian-iid", n=32, M=8, T=1))
     with pytest.raises(ValueError):
-        run_lasso_comparison(config, ())
+        run_lasso_comparison(config)  # no T_grid
     with pytest.raises(ValueError):
-        run_lasso_comparison(config, (4, 1))
+        run_lasso_comparison(replace(config, T_grid=(4, 1)))
     with pytest.raises(ValueError):
-        run_lasso_comparison(config, (0, 4))
+        run_lasso_comparison(replace(config, T_grid=(0, 4)))
     with pytest.raises(ValueError, match="constant"):
-        run_lasso_comparison(_small_config(lasso_constant=2.0), (1, 4))
-    fv_plan = RegularizationPlan.finite_variance(1.0, 32, 4, 8, 3.0)
+        run_lasso_comparison(_small_config(lasso_constant=2.0, T_grid=(1, 4)))
+    fv = _small_config(regime=FINITE_VARIANCE, A=None, delta=3.0, T_grid=(1, 4))
     with pytest.raises(ValueError, match="gaussian"):
-        run_lasso_comparison(_small_config(plan=fv_plan), (1, 4))
+        run_lasso_comparison(fv)
 
 
 def test_comparison_rejects_repeated_task_counts():
     # A repeated T would rerun the same [seed, T, r] streams and write
     # duplicate T<k>_* summary keys.
-    config = _small_config(
-        design=DesignSpec(kind="gaussian-iid", n=32, M=8, T=1),
-        plan=RegularizationPlan.gaussian(1.0, 32, 1, 8, 9.0),
-    )
+    config = _small_config(design=DesignSpec(kind="gaussian-iid", n=32, M=8, T=1))
     for grid in ((1, 1), (1, 4, 4)):
         with pytest.raises(ValueError, match="strictly increasing"):
-            run_lasso_comparison(config, grid)
+            run_lasso_comparison(replace(config, T_grid=grid))
 
 
 def test_comparison_runs_and_reports():
     config = _small_config(
         design=DesignSpec(kind="gaussian-iid", n=40, M=8, T=1),
-        plan=RegularizationPlan.gaussian(1.0, 40, 1, 8, 9.0),
         replicates=5,
         kappa=None,  # never needed for the baseline comparison
         kappa2s=None,
         phi_max=None,
+        T_grid=(1, 4),
     )
-    report = run_lasso_comparison(config, (1, 4))
+    report = run_lasso_comparison(config)
     assert report.kind == "lasso-comparison"
     assert [row.T for row in report.comparison] == [1, 4]
     for row in report.comparison:
         expected_plain = 3.0 * math.sqrt(math.log(8 * row.T) / 40) / row.T
-        assert row.lam_plain == pytest.approx(expected_plain, rel=1e-12)
+        assert row.lambda_plain == pytest.approx(expected_plain, rel=1e-12)
         assert row.ratio == pytest.approx(
             row.mean_group_error / row.mean_plain_error, rel=1e-12
         )
         assert 0.0 <= row.win_rate <= 1.0
-    assert len(report.comparison_rows) == 10
+    for row in report.comparison:
+        # each T's group lambda is the plan of the config at T tasks
+        at_T = replace(config, design=replace(config.design, T=row.T))
+        assert row.lambda_group == at_T.plan.lam
+    assert len(report.metrics) == 10
     assert report.n_converged == 10
     # rerun is bit-identical
-    assert run_lasso_comparison(config, (1, 4)) == report
+    assert run_lasso_comparison(config) == report
 
 
 def test_comparison_baseline_is_one_single_task_lasso_per_task():
@@ -468,11 +484,11 @@ def test_comparison_baseline_is_one_single_task_lasso_per_task():
     T = 4
     config = _small_config(
         design=DesignSpec(kind="gaussian-iid", n=40, M=8, T=1),
-        plan=RegularizationPlan.gaussian(1.0, 40, 1, 8, 9.0),
         replicates=1,
+        T_grid=(T,),
     )
-    report = run_lasso_comparison(config, (T,))
-    lam_plain = report.comparison[0].lam_plain
+    report = run_lasso_comparison(config)
+    lam_plain = report.comparison[0].lambda_plain
     single_level = 3.0 * math.sqrt(math.log(8 * T) / 40)
     assert lam_plain * T == pytest.approx(single_level, rel=1e-15)
 
@@ -493,7 +509,7 @@ def test_comparison_baseline_is_one_single_task_lasso_per_task():
     assert lasso_kkt_residual(dataset, GroupCoefficients(separate), lam_plain) <= tol
     np.testing.assert_allclose(joint.beta_hat.values, separate, rtol=0, atol=tol)
     fits = np.einsum("tnm,mt->tn", dataset.designs, joint.beta_hat.values - beta_star.values)
-    assert report.comparison_rows[0].plain_error == np.sum(fits * fits) / (40 * T)
+    assert report.metrics[0].plain_error == np.sum(fits * fits) / (40 * T)
 
 
 def test_comparison_baseline_is_not_the_zero_fit_at_many_tasks():
@@ -503,11 +519,12 @@ def test_comparison_baseline_is_not_the_zero_fit_at_many_tasks():
         design=DesignSpec(kind="gaussian-iid", n=50, M=32, T=1),
         signal=SignalSpec(s=4, mu=3.0),
         noise=NoiseSpec(sigma=1.0),
-        plan=RegularizationPlan.gaussian(1.0, 50, 1, 32, 9.0),
+        A=9.0,
         replicates=2,
         seed=0,
+        T_grid=(64,),
     )
-    report = run_lasso_comparison(config, (64,))
+    report = run_lasso_comparison(config)
     zero_fit = 4 * 3.0**2
     assert report.comparison[0].mean_plain_error < zero_fit / 2
 
@@ -515,20 +532,20 @@ def test_comparison_baseline_is_not_the_zero_fit_at_many_tasks():
 def test_comparison_replicates_draw_from_task_count_keyed_streams():
     config = _small_config(
         design=DesignSpec(kind="gaussian-iid", n=40, M=8, T=1),
-        plan=RegularizationPlan.gaussian(1.0, 40, 1, 8, 9.0),
         replicates=3,
         seed=5,
+        T_grid=(1, 4),
     )
-    report = run_lasso_comparison(config, (1, 4))
-    assert [(row.T, row.replicate) for row in report.comparison_rows] == [
+    report = run_lasso_comparison(config)
+    assert [(row.T, row.replicate) for row in report.metrics] == [
         (T, r) for T in (1, 4) for r in range(3)
     ]
-    row = report.comparison_rows[4]
+    row = report.metrics[4]
     dataset, beta_star = generate_dataset(
         DesignSpec(kind="gaussian-iid", n=40, M=8, T=4), config.signal,
         config.noise, [5, 4, 1],
     )
-    lam = report.comparison[1].lam_group
+    lam = report.comparison[1].lambda_group
     beta_hat = solve_group_lasso(dataset, SolverConfig(lam=lam)).beta_hat
     fits = np.einsum("tnm,mt->tn", dataset.designs, beta_hat.values - beta_star.values)
     assert row.group_error == np.sum(fits * fits) / (40 * 4)
@@ -543,7 +560,7 @@ def _comparison_report(rows):
 
 def _row(T, ratio, win_rate):
     return ComparisonRow(
-        T=T, lam_group=0.1, lam_plain=0.1, mean_group_error=ratio,
+        T=T, lambda_group=0.1, lambda_plain=0.1, mean_group_error=ratio,
         mean_plain_error=1.0, ratio=ratio, win_rate=win_rate,
     )
 

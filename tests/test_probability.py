@@ -9,7 +9,9 @@ import mtgl.pool as pool
 import mtgl.probability as probability
 from mtgl.model import MultiTaskDataset
 from mtgl.probability import (
+    PASS_LEVEL,
     TailCheckReport,
+    binomial_lower_tail,
     chi_square_tail_bound,
     chi_square_tail_empirical,
     frequency_verdict,
@@ -102,6 +104,13 @@ def _chi_square_reference(T, x, replicates, seed):
     return _freq(count, replicates, chi_square_tail_bound(T, x))
 
 
+def _exact_ceiling_verdict(count, replicates, bound):
+    """scipy's exact one-sided binomial verdict on a frequency that must
+    stay at most ``bound``: P(X >= count) at rate bound >= PASS_LEVEL."""
+    binom = pytest.importorskip("scipy.stats").binom
+    return bool(binom.sf(count - 1, replicates, bound) >= PASS_LEVEL)
+
+
 def _freq(count, replicates, bound):
     freq = count / replicates
     se = math.sqrt(freq * (1.0 - freq) / replicates)
@@ -110,7 +119,7 @@ def _freq(count, replicates, bound):
         empirical_frequency=float(freq),
         replicates=replicates,
         standard_error=float(se),
-        passed=bool(freq <= bound + 3.0 * se),
+        passed=_exact_ceiling_verdict(count, replicates, bound),
     )
 
 
@@ -368,10 +377,8 @@ def test_noise_event_rate_below_bound():
     assert q == 4.5
     assert report.analytic_bound == pytest.approx(8.0 ** (1.0 - 4.5), rel=1e-12)
     assert report.passed
-    assert (
-        report.empirical_frequency
-        <= report.analytic_bound + 3.0 * report.standard_error
-    )
+    count = round(report.empirical_frequency * 4000)
+    assert _exact_ceiling_verdict(count, 4000, report.analytic_bound)
 
 
 def test_noise_event_rate_inflated_lambda():
@@ -408,13 +415,11 @@ def test_noise_event_deterministic():
 
 
 def test_report_pass_rule():
-    # the pass flag is exactly "empirical <= bound + 3*se"
+    # the pass flag is exactly the exact binomial test of the count
     for seed in range(5):
         [report] = chi_square_tail_empirical(4, [2.0], 2000, seed=seed)
-        assert report.passed == (
-            report.empirical_frequency
-            <= report.analytic_bound + 3.0 * report.standard_error
-        )
+        count = round(report.empirical_frequency * 2000)
+        assert report.passed == _exact_ceiling_verdict(count, 2000, report.analytic_bound)
         se = math.sqrt(
             report.empirical_frequency
             * (1.0 - report.empirical_frequency)
@@ -433,12 +438,93 @@ def test_frequency_verdict_is_the_rule_of_both_check_kinds():
     assert frequency_verdict(1, 3, 0.01, at_least=False)[:2] == (
         1 / 3, math.sqrt((1 / 3) * (1 - 1 / 3) / 3)
     )
-    # a frequency of 0 or 1 has no standard error, so no slack
     assert frequency_verdict(9, 10, 0.95, at_least=True) == (0.9, 0.09486832980505137, True)
     assert frequency_verdict(10, 10, 1.0, at_least=True) == (1.0, 0.0, True)
     assert frequency_verdict(0, 10, 0.0, at_least=False) == (0.0, 0.0, True)
-    assert not frequency_verdict(1, 1, 0.5, at_least=False)[2]
-    assert not frequency_verdict(0, 1, 0.5, at_least=True)[2]
+    # the verdict is exact, so a frequency of 0 or 1 with no standard
+    # error still has its slack: one trial at rate 0.5 lands either way
+    # with probability 0.5
+    assert frequency_verdict(1, 1, 0.5, at_least=False)[2]
+    assert frequency_verdict(0, 1, 0.5, at_least=True)[2]
+    assert not frequency_verdict(1, 10, 0.0, at_least=False)[2]
+    assert not frequency_verdict(9, 10, 1.0, at_least=True)[2]
+
+
+@pytest.mark.parametrize("count, replicates, limit, at_least, tail, passed", [
+    (4, 8, 0.99999, True, 7.0e-19, False),
+    (297, 300, 0.99973, True, 8.3e-5, False),
+    (298, 300, 0.99973, True, 3.1e-3, True),
+    (1, 1000, 1e-6, False, 1.0e-3, False),
+])
+def test_frequency_verdict_fails_where_the_wald_rule_passed(
+    count, replicates, limit, at_least, tail, passed
+):
+    # Wald, freq >= limit - 3*se, passed all four; the exact tails come
+    # from scipy.stats.binom
+    freq = count / replicates
+    se = math.sqrt(freq * (1.0 - freq) / replicates)
+    if at_least:
+        assert freq >= limit - 3.0 * se
+        exact = binomial_lower_tail(count, replicates, limit, 1.0 - limit)
+    else:
+        assert freq <= limit + 3.0 * se
+        exact = binomial_lower_tail(replicates - count, replicates, 1.0 - limit, limit)
+    assert exact == pytest.approx(tail, rel=0.05)
+    assert frequency_verdict(count, replicates, limit, at_least)[2] == passed
+
+
+_LIMITS = (0.0, 1e-12, 1e-6, 0.01, 0.3, 0.5, 0.9, 0.99973, 0.99999, 1.0 - 1e-12, 1.0)
+
+
+@pytest.mark.parametrize("replicates", [1, 2, 8, 300, 1000, 100_000])
+def test_frequency_verdict_matches_scipy_binomial(replicates):
+    binom = pytest.importorskip("scipy.stats").binom
+    counts = sorted({
+        0, 1, 2, replicates // 3, replicates // 2, replicates - 2, replicates - 1,
+        replicates,
+    } & set(range(replicates + 1)))
+    for limit in _LIMITS:
+        mean = replicates * limit
+        sd = math.sqrt(mean * (1.0 - limit))
+        near = {int(mean + k * sd) for k in (-6, -4, -3, -2, -1, 0, 1, 2, 3, 4, 6)}
+        for count in sorted(set(counts) | (near & set(range(replicates + 1)))):
+            lower = binom.cdf(count, replicates, limit)
+            upper = binom.sf(count - 1, replicates, limit)
+            case = (count, replicates, limit)
+            assert frequency_verdict(count, replicates, limit, True)[2] == (
+                lower >= PASS_LEVEL
+            ), case
+            assert frequency_verdict(count, replicates, limit, False)[2] == (
+                upper >= PASS_LEVEL
+            ), case
+            # each tail is computed itself, to full relative precision
+            # however small it is
+            if count <= mean + 1:
+                got = binomial_lower_tail(count, replicates, limit, 1.0 - limit)
+                assert got == pytest.approx(lower, rel=1e-9, abs=1e-300), case
+            if count >= mean - 1:
+                got = binomial_lower_tail(
+                    replicates - count, replicates, 1.0 - limit, limit
+                )
+                assert got == pytest.approx(upper, rel=1e-9, abs=1e-300), case
+
+
+def test_frequency_verdict_does_not_walk_all_replicates():
+    # a sum over all n terms would take minutes at n = 10^9; the tail
+    # that holds a median passes uncomputed, and the other one stops
+    # within a few standard deviations (about 16,000 here) of its start
+    n = 10**9
+    for count in (0, 10, n // 2 - 40_000, n // 2, n // 2 + 40_000, n - 10, n):
+        for at_least in (True, False):
+            frequency_verdict(count, n, 0.5, at_least)
+    assert not frequency_verdict(n // 2 - 100_000, n, 0.5, at_least=True)[2]
+    assert frequency_verdict(n // 2 - 40_000, n, 0.5, at_least=True)[2]
+
+
+@pytest.mark.parametrize("limit", [-0.1, 1.5, math.nan])
+def test_frequency_verdict_rejects_a_limit_that_is_not_a_probability(limit):
+    with pytest.raises(ValueError, match="probability"):
+        frequency_verdict(1, 10, limit, at_least=True)
 
 
 def test_frozen_tail_constant_matches_live_oracle():

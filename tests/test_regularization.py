@@ -161,23 +161,54 @@ def test_gaussian_confidence_monotone_in_T():
 
 
 def test_plan_constructors():
-    plan = RegularizationPlan.gaussian(1.0, 100, 4, 10, 9.0)
+    # one constructor for both regimes; lam, q and confidence are computed
+    plan = RegularizationPlan(GAUSSIAN, 1.0, 100, 4, 10, A=9.0)
     assert plan.regime == GAUSSIAN
     assert plan.lam == pytest.approx(LAM_G, rel=1e-15)
     assert plan.q == Q_G
     assert plan.confidence == pytest.approx(CONF_G, rel=1e-15)
     assert plan.A == 9.0
 
-    fv = RegularizationPlan.finite_variance(1.0, 100, 9, 32, 3.0)
+    fv = RegularizationPlan(FINITE_VARIANCE, 1.0, 100, 9, 32, delta=3.0)
     assert fv.regime == FINITE_VARIANCE
     assert fv.lam == pytest.approx(LAM_FV, rel=1e-15)
     assert fv.confidence is None  # needs a measured c' to price the guarantee
+    assert fv.q is None
     assert fv.delta == 3.0
+    with pytest.raises(TypeError):
+        RegularizationPlan(GAUSSIAN, 1.0, 100, 4, 10, A=9.0, lam=0.1)
+
+
+@pytest.mark.parametrize("regime, constants, message", [
+    (GAUSSIAN, {}, "the gaussian regime needs A"),
+    (GAUSSIAN, {"A": 9.0, "delta": 3.0}, "does not read delta"),
+    (FINITE_VARIANCE, {}, "the finite-variance regime needs delta"),
+    (FINITE_VARIANCE, {"A": 9.0, "delta": 3.0}, "does not read A"),
+    ("laplace", {"A": 9.0}, "unknown regime"),
+])
+def test_plan_reads_exactly_its_regimes_constant(regime, constants, message):
+    with pytest.raises(ValueError, match=message):
+        RegularizationPlan(regime, 1.0, 100, 9, 32, **constants)
+
+
+def test_selection_threshold_rejects_the_other_regimes_constant():
+    with pytest.raises(ValueError, match="does not read delta"):
+        selection_threshold(1.0, 100, 32, T=4, A=9.0, regime=GAUSSIAN, delta=3.0)
+    with pytest.raises(ValueError, match="does not read A"):
+        selection_threshold(1.0, 100, 32, A=9.0, regime=FINITE_VARIANCE, delta=3.0)
+
+
+def test_plan_threshold_is_the_coherence_threshold_at_its_sizes():
+    plan = RegularizationPlan(GAUSSIAN, 1.0, 100, 4, 10, A=9.0)
+    assert plan.threshold(2.0) == coherence_threshold(2.0, 1.0, 100, 10, 4, 9.0, GAUSSIAN)
+    assert plan.threshold(2.0)[1] == pytest.approx(TAU_G, rel=1e-14)
+    fv = RegularizationPlan(FINITE_VARIANCE, 1.0, 100, 9, 32, delta=3.0)
+    assert fv.threshold(2.0)[1] == pytest.approx(TAU_FV, rel=1e-14)
 
 
 def test_plan_rate_reproduces_lambda_and_tau_bit_for_bit():
     sigma, n, T, M, A = 1.3, 77, 5, 12, 10.0
-    plan = RegularizationPlan.gaussian(sigma, n, T, M, A)
+    plan = RegularizationPlan(GAUSSIAN, sigma, n, T, M, A=A)
     assert plan.rate == 1.0 + A * math.log(M) / math.sqrt(T)
     assert plan.lam == (2.0 * sigma / math.sqrt(n * T)) * math.sqrt(plan.rate)
     c = threshold_constant_c(2.0, sigma, GAUSSIAN)
@@ -185,7 +216,7 @@ def test_plan_rate_reproduces_lambda_and_tau_bit_for_bit():
     assert tau == (c / math.sqrt(n)) * math.sqrt(plan.rate)
 
     sigma, n, T, M, delta = 0.7, 64, 3, 9, 1.5
-    fv = RegularizationPlan.finite_variance(sigma, n, T, M, delta)
+    fv = RegularizationPlan(FINITE_VARIANCE, sigma, n, T, M, delta=delta)
     assert fv.rate == math.log(M) ** (1.0 + delta)
     assert fv.lam == sigma * math.sqrt(fv.rate / (n * T))
     c = threshold_constant_c(2.0, sigma, FINITE_VARIANCE)
