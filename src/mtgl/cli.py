@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -58,6 +59,7 @@ from .experiments import (
     run_oracle_experiment,
     run_selection_experiment,
 )
+from .pool import _map_in_key_order
 from .probability import (
     MIN_MOMENT_REPLICATES,
     MIN_TAIL_REPLICATES,
@@ -292,8 +294,20 @@ def _cmd_solve(args, run):
     return 0 if result.converged else 2
 
 
-def _resolve_tau(args):
+# The select flags that compute tau; an explicit --tau reads none of them.
+_TAU_FLAGS = ("regime", "sigma", "n", "T", "M", "A", "delta", "alpha")
+
+
+def _resolve_tau(args, run):
+    """--tau, or the threshold the other flags compute; the regime, gaussian
+    unless --regime says otherwise, joins the run's settings."""
     if args.tau is not None:
+        unread = [f"--{flag}" for flag in _TAU_FLAGS if getattr(args, flag) is not None]
+        if unread:
+            raise ValueError(
+                f"--tau is given, so {', '.join(unread)} would be ignored; "
+                "pass --tau or the flags that compute it"
+            )
         if not 0 < args.tau < math.inf:
             raise ValueError(f"--tau must be positive and finite, got {args.tau}")
         return args.tau
@@ -303,15 +317,16 @@ def _resolve_tau(args):
             "pass --tau directly, or --sigma --alpha --n --M "
             "(plus --T and --A for the gaussian regime, --delta for finite-variance)"
         )
-    check_regime_constant(args.regime, args.A, args.delta, "--")
+    regime = run.settings["regime"] = args.regime or GAUSSIAN
+    check_regime_constant(regime, args.A, args.delta, "--")
     return coherence_threshold(
-        args.alpha, args.sigma, args.n, args.M, args.T, args.A, args.regime, args.delta
+        args.alpha, args.sigma, args.n, args.M, args.T, args.A, regime, args.delta
     )[1]
 
 
 def _cmd_select(args, run):
     beta = read_coefficients(args.beta)
-    tau = run.settings["tau"] = _resolve_tau(args)
+    tau = run.settings["tau"] = _resolve_tau(args, run)
     result = select_support(beta, tau)
     averages = average_sign_estimate(beta, tau)
 
@@ -354,12 +369,15 @@ def _cmd_check(args, run):
 
 
 def _cmd_bounds(args, run):
-    if args.p and args.regime != GAUSSIAN:
+    regime = args.regime or GAUSSIAN
+    if args.p and regime != GAUSSIAN:
         raise ValueError("--p: the c1 constants are defined for the gaussian regime only")
     if args.p and args.alpha is None:
         raise ValueError("--p: the c1 constants need --alpha")
-    check_regime_constant(args.regime, args.A, args.delta, "--")
-    plan = RegularizationPlan(args.regime, args.sigma, args.n, args.T, args.M, args.A, args.delta)
+    if args.c_prime is not None and regime == GAUSSIAN:
+        raise ValueError("--c-prime: only the finite-variance confidence reads c'")
+    check_regime_constant(regime, args.A, args.delta, "--")
+    plan = RegularizationPlan(regime, args.sigma, args.n, args.T, args.M, args.A, args.delta)
     pairs = [("lambda", plan.lam)]
     if plan.confidence is not None:
         pairs += [("q", plan.q), ("confidence", plan.confidence)]
@@ -383,45 +401,48 @@ def _cmd_verify_lemmas(args, run):
     ):
         if replicates < least:
             raise ValueError(f"{flag} must be at least {least}, got {replicates}")
-    lines = []
-    failures = 0
 
-    for T in (4, 16):
+    # Each check returns its report lines as (leading pairs, report).
+    def chi_square(T):
         offsets = (T / 2.0, float(T), 4.0 * T)
         reports = chi_square_tail_empirical(T, offsets, args.chi_replicates, args.seed)
-        for x, report in zip(offsets, reports):
-            failures += not report.passed
-            lines.append(
-                [("check", "chi-square-tail"), ("T", T), ("x", x)]
-                + record_pairs(report)
-            )
-    for M in (3, 10, 100):
-        for distribution in ("rademacher", "gaussian"):
-            report = nemirovski_check(M, 20, distribution, args.nem_replicates, args.seed)
-            failures += not report.passed
-            lines.append(
-                [("check", "sup-norm-moment"), ("M", M), ("distribution", distribution)]
-                + record_pairs(report)
-            )
+        return [
+            ([("check", "chi-square-tail"), ("T", T), ("x", x)], report)
+            for x, report in zip(offsets, reports)
+        ]
 
-    design = DesignSpec(kind="orthogonal", n=64, M=8, T=16)
-    signal = SignalSpec(s=0)
-    noise = NoiseSpec(kind="gaussian", sigma=1.0)
-    dataset, _ = generate_dataset(design, signal, noise, args.seed)
-    report = noise_correlation_violation_rate(
-        dataset, 1.0, 9.0, args.event_replicates, args.seed
-    )
-    failures += not report.passed
-    lines.append(
-        [("check", "noise-correlation-event"), ("n", 64), ("T", 16), ("M", 8), ("A", 9.0)]
-        + record_pairs(report)
-    )
+    def moment(M, distribution):
+        report = nemirovski_check(M, 20, distribution, args.nem_replicates, args.seed)
+        return [([("check", "sup-norm-moment"), ("M", M), ("distribution", distribution)],
+                 report)]
 
-    text = [" ".join(keyvalue_lines(pairs)) for pairs in lines]
+    def noise_event():
+        design = DesignSpec(kind="orthogonal", n=64, M=8, T=16)
+        signal = SignalSpec(s=0)
+        noise = NoiseSpec(kind="gaussian", sigma=1.0)
+        dataset, _ = generate_dataset(design, signal, noise, args.seed)
+        report = noise_correlation_violation_rate(
+            dataset, 1.0, 9.0, args.event_replicates, args.seed
+        )
+        return [([("check", "noise-correlation-event"), ("n", 64), ("T", 16), ("M", 8),
+                  ("A", 9.0)], report)]
+
+    checks = [functools.partial(chi_square, T) for T in (4, 16)]
+    checks += [
+        functools.partial(moment, M, distribution)
+        for M in (3, 10, 100) for distribution in ("rademacher", "gaussian")
+    ]
+    checks.append(noise_event)
+    # One map, one key a check, each check's chunks run where it runs.
+    # The costliest checks end the report, so they are dealt first.
+    results = _map_in_key_order(lambda check: check(), checks[::-1])[::-1]
+    rows = [row for lines in results for row in lines]
+
+    text = [" ".join(keyvalue_lines(pairs + record_pairs(report))) for pairs, report in rows]
     print("\n".join(text))
     if args.out:
         write_lines(run.path("lemma_checks.txt"), text)
-    return 2 if failures else 0
+    return 2 if any(not report.passed for _, report in rows) else 0
 
 
 def _experiment_config(cfg, kind):
@@ -483,8 +504,10 @@ def _cmd_experiment(args, run):
 
 def _add_threshold_flags(p, required):
     """The flags ``select`` and ``bounds`` share; ``bounds`` requires the
-    noise level and problem sizes."""
-    p.add_argument("--regime", default=GAUSSIAN, choices=list(REGIMES))
+    noise level and problem sizes.  An absent --regime stays None, so that
+    ``select --tau`` can tell it from an explicit one; it reads as
+    gaussian."""
+    p.add_argument("--regime", choices=list(REGIMES))
     p.add_argument("--sigma", type=float, required=required)
     p.add_argument("--n", type=int, required=required)
     p.add_argument("--T", type=int, required=required)

@@ -12,10 +12,12 @@ A frequency passes by the exact binomial test of ``frequency_verdict``,
 a mean within three standard errors.  The moment constant, lam and q
 come from ``regularization``.  Every check draws from streams derived
 from (seed, chunk index) with a fixed chunk size of 4096 replicates.
-The chunks run on the worker pool of ``pool``: each is reduced where it
+The chunks are dealt to the workers of ``pool``: each is reduced where it
 is drawn to a few numbers (its event counts, or its sums for the moment
 check), and the caller adds those up in chunk order, so results are the
-same bit for bit at any worker count.  Chunks fix the streams; within a
+same bit for bit at any worker count.  A check called from inside a pool
+map (``mtgl verify-lemmas`` runs its nine checks as one) runs its chunks
+in the worker that runs it.  Chunks fix the streams; within a
 chunk the draws are made in consecutive blocks of about 2 MiB.  A split
 draw continues the same stream and every reduction is per replicate, so
 blocks only bound the memory and never change a result: a check's memory

@@ -179,6 +179,14 @@ def test_bounds_allows_p_inf(capsys):
     assert float(_stdout_pairs(out)["c1_inf"]) == threshold_constant_c(2.0, 1.0, "gaussian")
 
 
+@pytest.mark.parametrize("regime", [(), ("--regime", "gaussian")])
+def test_bounds_rejects_c_prime_in_gaussian_regime(capsys, regime):
+    # the gaussian confidence needs no design statistic, so c' would be ignored
+    code, out, err = _run(capsys, *GAUSSIAN_BOUNDS, *regime, "--A", "9", "--c-prime", "4")
+    assert code == 1 and out == ""
+    assert "--c-prime" in err
+
+
 def test_bounds_rejects_p_in_finite_variance_regime(capsys):
     # The c1 constants come from the gaussian (2,1) and (2,inf) bounds.
     code, out, err = _run(
@@ -337,6 +345,18 @@ def test_select_rejects_the_other_regimes_constant(flags, other, tmp_path, capsy
     )
     assert code == 1 and out == ""
     assert f"does not read {other}" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--regime", "gaussian"), ("--sigma", "3"), ("--n", "100"), ("--T", "4"),
+    ("--M", "10"), ("--A", "9"), ("--delta", "3"), ("--alpha", "2"),
+])
+def test_select_rejects_tau_with_a_flag_that_computes_it(flag, value, tmp_path, capsys):
+    # --tau replaces the computed threshold, so each of these would be ignored
+    beta_path = _write(tmp_path / "beta.csv", "3,3\n0,0\n")
+    code, out, err = _run(capsys, "select", "--beta", beta_path, "--tau", "1.5", flag, value)
+    assert code == 1 and out == ""
+    assert f"--tau is given, so {flag} would be ignored" in err
 
 
 def test_select_rejects_non_finite_coefficients(tmp_path, capsys):
@@ -563,6 +583,27 @@ def test_verify_lemmas_worker_count_does_not_change_outputs(tmp_path, capsys, us
         assert code == 0
         outputs[workers] = (out, (out_dir / "lemma_checks.txt").read_bytes())
     assert outputs[1] == outputs[2] == outputs[3]
+
+
+def test_verify_lemmas_forks_once(monkeypatch, capsys, use_workers):
+    # the nine checks are one map; each check's chunks run in its worker
+    forks = []
+    fork = pool.os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(pool.os, "fork", counted)
+    use_workers(2)
+    code, out, _ = _run(
+        capsys, "verify-lemmas", "--chi-replicates", "8193",
+        "--nem-replicates", "4097", "--event-replicates", "4500",
+    )
+    assert code == 0 and len(out.splitlines()) == 13
+    assert len(forks) == 1
 
 
 @pytest.mark.parametrize(
@@ -932,13 +973,16 @@ def test_dispatch_calls_the_hooked_functions_through_the_cli_module(
     names = (
         "generate_dataset", "read_dataset", "solve_group_lasso",
         "run_oracle_experiment", "run_selection_experiment", "run_lasso_comparison",
+        "chi_square_tail_empirical", "nemirovski_check", "noise_correlation_violation_rate",
     )
-    calls = dict.fromkeys(names, 0)
+    # every call, in this process or a worker, appends its name to one log
+    log = tmp_path / "calls.log"
     for name in names:
         original = getattr(cli, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
+            with open(log, "a") as handle:
+                handle.write(_name + "\n")
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(cli, name, counted)
@@ -958,7 +1002,15 @@ def test_dispatch_calls_the_hooked_functions_through_the_cli_module(
         assert _run(
             capsys, "experiment", "--config", config, "--out", str(tmp_path / kind)
         )[0] == exit_code
-    assert calls == dict.fromkeys(names, 1)
+    assert _run(
+        capsys, "verify-lemmas", "--chi-replicates", "1000",
+        "--nem-replicates", "1000", "--event-replicates", "1000",
+    )[0] == 0
+    calls = log.read_text().split()
+    assert {name: calls.count(name) for name in names} == {
+        **dict.fromkeys(names, 1), "generate_dataset": 2,
+        "chi_square_tail_empirical": 2, "nemirovski_check": 6,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -208,7 +208,7 @@ def _directory_bytes(directory):
 
 def test_dataset_files_do_not_depend_on_the_worker_count(tmp_path, use_workers):
     # 5 tasks on 1, 2 and 3 workers: the CSVs of a task are written
-    # wherever its block runs, then the sidecars, digest and manifest
+    # by whichever worker it is dealt to, then the sidecars, digest and manifest
     data = _dataset(T=5)
     written = {}
     for count in (1, 2, 3):

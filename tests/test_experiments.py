@@ -219,8 +219,8 @@ def test_oracle_experiment_deterministic_at_any_worker_count(use_workers):
 def test_coherence_failure_in_a_worker_names_the_lowest_replicate(
     monkeypatch, use_workers, assert_no_children
 ):
-    # replicates 3 and 5 draw a correlated design; with 3 workers on 6
-    # replicates they fall in the second and third blocks
+    # replicates 3 and 5 draw a correlated design; with 2 or 3 workers
+    # they may run in any worker, and replicate 3's error is raised
     draw = experiments.generate_dataset
     correlated = DesignSpec(kind="ar1", n=32, M=8, T=4, rho=0.6)
 

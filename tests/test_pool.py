@@ -1,6 +1,7 @@
 import ast
 import os
 import signal
+import time
 from pathlib import Path
 
 import pytest
@@ -32,42 +33,117 @@ def test_worker_count_divides_cores_by_declared_blas_threads(monkeypatch):
     assert pool._worker_count() == 1
 
 
-def test_key_order_map_splits_contiguous_blocks(use_workers):
+def test_key_order_map_returns_results_in_key_order(use_workers):
     use_workers(3)
     keys = [(T, r) for T in (1, 4) for r in range(4)]
     pids = pool._map_in_key_order(lambda key: (key, os.getpid()), keys)
     assert [key for key, _ in pids] == keys
-    owners = [pid for _, pid in pids]
-    # blocks of 2, 3 and 3 keys; the first runs in this process
-    assert owners[:2] == [os.getpid()] * 2
-    assert len({*owners[2:5]}) == len({*owners[5:]}) == 1
-    assert len(set(owners)) == 3
+    # this process and two forked children share the keys
+    assert len({pid for _, pid in pids}) <= 3
     assert pool._map_in_key_order(lambda key: key, []) == []
     # a map of one key never forks
     assert pool._map_in_key_order(lambda key: os.getpid(), ["only"]) == [os.getpid()]
 
 
-def test_worker_killed_mid_block_raises(use_workers, assert_no_children):
+def _wait_for(paths, seconds=10.0):
+    """True once every path exists, False after ``seconds``."""
+    deadline = time.monotonic() + seconds
+    while not all(path.exists() for path in paths):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
+
+
+def test_keys_are_dealt_to_whichever_worker_is_free(use_workers, tmp_path):
+    # key 0 holds its worker until keys 1..5 have all run, so the other
+    # worker must take every one of them; a static split (contiguous or
+    # strided) gives key 0's worker some of keys 1..5 and times out
     def fn(key):
-        if key == 3:
+        if key == 0:
+            if not _wait_for([tmp_path / str(k) for k in range(1, 6)], seconds=5.0):
+                raise TimeoutError("keys 1..5 did not all run while key 0 waited")
+        else:
+            (tmp_path / str(key)).touch()
+        return key * key
+
+    use_workers(2)
+    assert pool._map_in_key_order(fn, range(6)) == [0, 1, 4, 9, 16, 25]
+
+
+def test_map_inside_a_map_runs_in_the_callers_process(use_workers):
+    def fn(key):
+        inner = pool._map_in_key_order(lambda _: os.getpid(), range(4))
+        return os.getpid(), inner
+
+    use_workers(2)
+    for pid, inner in pool._map_in_key_order(fn, range(4)):
+        assert inner == [pid] * 4
+    # the flag that keeps an inner map in its process is cleared on return
+    assert not pool._in_map
+
+
+def test_every_key_runs_once_with_more_workers_than_cores(use_workers):
+    # eight workers race for 20,000 keys; a lost update of the shared
+    # counter would run some key twice (or never).  Each worker counts
+    # its runs, and forks before it runs any, so the counts add up to
+    # the runs made.
+    runs = []
+
+    def fn(key):
+        runs.append(key)
+        return key, os.getpid(), len(runs)
+
+    use_workers(8)
+    started = time.monotonic()
+    rows = pool._map_in_key_order(fn, range(20_000))
+    assert time.monotonic() - started < 60
+    assert [key for key, _, _ in rows] == list(range(20_000))
+    made = {}
+    for _, pid, count in rows:
+        made[pid] = max(made.get(pid, 0), count)
+    assert sum(made.values()) == 20_000
+
+
+def test_worker_killed_mid_key_raises(use_workers, assert_no_children, tmp_path):
+    # the forked worker notes its first key and kills itself mid-key;
+    # this process holds its own first key until then, so the worker has
+    # claimed one key before it dies
+    me = os.getpid()
+    marker = tmp_path / "killed"
+
+    def fn(key):
+        if os.getpid() != me:
+            marker.write_text(str(key))
             os.kill(os.getpid(), signal.SIGKILL)
+        assert _wait_for([marker])
         return key
 
     use_workers(2)
-    with pytest.raises(RuntimeError, match="keys 2 to 3 ended with status -9"):
+    with pytest.raises(RuntimeError, match="ended with status -9") as failure:
         pool._map_in_key_order(fn, range(4))
+    assert str(failure.value).endswith(f"its keys [{marker.read_text()}]")
     assert_no_children()
 
 
-def test_failure_in_the_first_block_reaps_the_workers(use_workers, assert_no_children):
+def test_interrupt_in_this_process_kills_the_workers_at_once(
+    use_workers, assert_no_children
+):
+    # the forked workers would each take a minute a key; the interrupt in
+    # this process kills and reaps them without waiting for one
+    me = os.getpid()
+
     def fn(key):
-        if key == 0:
+        if os.getpid() == me:
             raise KeyboardInterrupt
+        time.sleep(60)
         return key
 
     use_workers(3)
+    started = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         pool._map_in_key_order(fn, range(6))
+    assert time.monotonic() - started < 10
     assert_no_children()
 
 

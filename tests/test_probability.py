@@ -306,7 +306,7 @@ def test_per_replicate_values_do_not_depend_on_the_block_size(check, monkeypatch
 )
 def test_reports_do_not_depend_on_the_worker_count(check, replicates, use_workers):
     # 4097 and 8193 replicates end in a one-replicate chunk, so the
-    # workers' blocks of chunks are uneven and one holds the remainder
+    # chunks dealt to the workers are uneven and one holds the remainder
     call = _calls_of_every_check(replicates, seed=3)[check]
     use_workers(1)
     serial = call()
@@ -318,7 +318,7 @@ def test_reports_do_not_depend_on_the_worker_count(check, replicates, use_worker
 def test_failing_chunk_raises_the_lowest_chunk_error(
     monkeypatch, use_workers, assert_no_children
 ):
-    # five chunks; chunks 2 and 4 fail, each in a worker's block at 2 and
+    # five chunks; chunks 2 and 4 fail wherever they are dealt at 2 and
     # 3 workers, and the caller sees chunk 2's error as a serial loop would
     def failing(seed, index, *args):
         if index in (2, 4):
