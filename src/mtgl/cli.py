@@ -54,7 +54,7 @@ from .dataio import (
 )
 from .experiments import (
     ExperimentConfig,
-    err2p_name,
+    distinct_p_names,
     run_lasso_comparison,
     run_oracle_experiment,
     run_selection_experiment,
@@ -199,6 +199,20 @@ def _parse_bool(value):
     raise ValueError(value)
 
 
+def _seed(value):
+    """A seed, which numpy's SeedSequence takes only as an integer >= 0.
+    Checked where it is read, so a negative seed names its flag or key
+    before anything is drawn."""
+    seed = int(value)
+    if seed < 0:
+        raise ValueError(value)
+    return seed
+
+
+# argparse names a flag's type in its error message
+_seed.__name__ = "non-negative integer"
+
+
 def _parse_list(parse):
     """Parser of a comma-separated list of ``parse`` values."""
 
@@ -221,7 +235,7 @@ _DATA_KEYS = (
                  "noise_nu": ("nu", float)}),
 )
 _EXPERIMENT_KEYS = {
-    "replicates": ("replicates", int), "seed": ("seed", int),
+    "replicates": ("replicates", int), "seed": ("seed", _seed),
     "kappa_source": ("kappa_source", str), "kappa": ("kappa", float),
     "kappa2s": ("kappa2s", float), "phi_max": ("phi_max", float),
     "alpha": ("alpha", float), "p_values": ("p_values", _parse_list(float)),
@@ -263,7 +277,7 @@ def _data_specs(cfg):
 
 def _cmd_gen(args, run):
     design, signal, noise = _data_specs(run.cfg)
-    seed = run.cfg.get("seed", int)
+    seed = run.cfg.get("seed", _seed)
     run.cfg.finish()
 
     dataset, beta_star = generate_dataset(design, signal, noise, seed)
@@ -369,6 +383,7 @@ def _cmd_check(args, run):
 
 
 def _cmd_bounds(args, run):
+    c1_names = distinct_p_names("c1", args.p, "--p")
     regime = args.regime or GAUSSIAN
     if args.p and regime != GAUSSIAN:
         raise ValueError("--p: the c1 constants are defined for the gaussian regime only")
@@ -387,8 +402,8 @@ def _cmd_bounds(args, run):
     if args.alpha is not None:
         c, tau = plan.threshold(args.alpha)
         pairs += [("c", c), ("tau", tau)]
-        for p in args.p:
-            pairs.append((f"c1_{p:g}", norm_bound_constant_c1(args.alpha, p)))
+        pairs += [(name, norm_bound_constant_c1(args.alpha, p))
+                  for name, p in zip(c1_names, args.p)]
     _report(pairs)
     return 0
 
@@ -493,7 +508,7 @@ def _cmd_experiment(args, run):
     else:
         report = run_lasso_comparison(config)
 
-    err2p = [err2p_name(p) for p in config.p_values]
+    err2p = distinct_p_names("err2p", config.p_values, "p_values")
     write_records(run.path("replicates.csv"), report.metrics, {"err_2p": err2p})
     _report(_summary_pairs(report), run.path("summary.txt"))
     return 0 if report.required_pass() else 2
@@ -548,7 +563,7 @@ def _build_parser():
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--re-samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_check)
 
@@ -559,7 +574,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("verify-lemmas", help="run the probability checks")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--chi-replicates", type=int, default=100_000)
     p.add_argument("--nem-replicates", type=int, default=10_000)
     p.add_argument("--event-replicates", type=int, default=10_000)

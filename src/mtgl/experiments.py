@@ -48,10 +48,27 @@ KAPPA_SOURCES = ("coherence-lemma", "user-supplied")
 _LASSO_MIN_CONSTANT = 2.0 * math.sqrt(2.0)
 
 
-def err2p_name(p):
-    """The name of the (2,p)-norm error bound and its replicates.csv
-    column: p to 6 significant digits."""
-    return f"err2p_{p:g}"
+def p_name(prefix, p):
+    """``<prefix>_<p>`` with p to 6 significant digits: the name of the
+    (2,p)-norm error bound and its replicates.csv column (``err2p``) or
+    of the bound's constant (``c1``)."""
+    return f"{prefix}_{p:g}"
+
+
+def distinct_p_names(prefix, p_values, source):
+    """``p_name(prefix, p)`` for each p.  Two p values that share a name
+    would report one bound twice or score it once, so they raise
+    ValueError naming ``source`` and both values."""
+    named = {}
+    for p in p_values:
+        name = p_name(prefix, p)
+        if name in named:
+            raise ValueError(
+                f"{source} {named[name]!r} and {p!r} both name the bound {name}; "
+                "give p values that differ in their first 6 significant digits"
+            )
+        named[name] = p
+    return list(named)
 
 
 @dataclass(frozen=True)
@@ -121,15 +138,7 @@ class ExperimentConfig:
             raise ValueError(f"alpha must be finite and exceed 1, got {self.alpha}")
         if any(not p >= 1 for p in self.p_values):
             raise ValueError(f"every p must be >= 1, got {self.p_values}")
-        named = {}
-        for p in self.p_values:
-            name = err2p_name(p)
-            if name in named:
-                raise ValueError(
-                    f"p_values {named[name]!r} and {p!r} both name the bound {name}; "
-                    "give p values that differ in their first 6 significant digits"
-                )
-            named[name] = p
+        distinct_p_names("err2p", self.p_values, "p_values")
         sigma = self.noise.sigma if self.plan_sigma is None else self.plan_sigma
         d = self.design
         plan = RegularizationPlan(self.regime, sigma, d.n, d.T, d.M, self.A, self.delta)
@@ -284,7 +293,7 @@ def oracle_bounds_rhs(plan, s, kappa, kappa2s=None, phi_max=None, alpha=None, p_
         out["supnorm"] = plan.threshold(alpha)[1]
         for p in p_values if plan.regime == GAUSSIAN else ():  # c1 is gaussian-only
             c1 = norm_bound_constant_c1(alpha, p)
-            out[err2p_name(p)] = (
+            out[p_name("err2p", p)] = (
                 c1 * sigma * s ** (1.0 / p) * math.sqrt(rate) / math.sqrt(n)
             )
     if phi_max is not None:
@@ -360,7 +369,7 @@ def _bound_table(config, metrics, kappas):
         "sparsity": float(metrics.m_hat),
         "sparsity_from_prediction": float(metrics.m_hat),
         "correlation": metrics.correlation_stat,
-        **{err2p_name(p): err for p, err in zip(config.p_values, metrics.err_2p)},
+        **{p_name("err2p", p): err for p, err in zip(config.p_values, metrics.err_2p)},
     }
     return {name: (lhs[name], rhs[name]) for name in names}
 

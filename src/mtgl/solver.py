@@ -248,18 +248,25 @@ def _coordinate_sweep(data, lam, width):
     Only nonzero rows and zero rows holding a group whose correlation
     norm exceeds lam are visited: every other group has ||c|| <= lam*T
     and would stay 0.  That set is empty only at KKT residual 0, which
-    already stopped the driver.
+    already stopped the driver.  Row j's columns are copied into a
+    contiguous block, and its steps and thresholds computed, the first
+    time the sweep visits j; they are kept for the rest of the solve,
+    so a design is copied only as far as the working set reaches.
     """
-    M, n = data.M, data.n
-    # G[j] is row j's (T, n) block of columns, contiguous in memory.
-    G = np.ascontiguousarray(data.designs.transpose(2, 0, 1))
-    curvature = (np.einsum("jtn,jtn->jt", G, G) / n).reshape(M, -1, width).max(axis=2)
-    step = 1.0 / np.where(curvature > 0, curvature, 1.0)
-    thresh = lam * data.T * step
-    scale = step / n    # turns X_j^T r into the gradient step c_j / L
-    if width > 1:
-        # One step per row, as Python floats: cheaper than 0-d arrays.
-        scale, thresh = scale[:, 0].tolist(), thresh[:, 0].tolist()
+    X, M, n = data.designs, data.M, data.n
+    blocks = [None] * M    # row j's (cols, scale, thresh) once visited
+
+    def block(j):
+        cols = np.ascontiguousarray(X[:, :, j])           # (T, n)
+        diagonal = np.einsum("tn,tn->t", cols, cols) / n  # d_tj
+        if width > 1:
+            # One step per row, as a Python float: cheaper than 0-d arrays.
+            step = 1.0 / (max(diagonal.tolist()) or 1.0)
+        else:
+            step = 1.0 / np.where(diagonal > 0, diagonal, 1.0)
+        # step / n turns X_j^T r into the gradient step c_j / L
+        blocks[j] = cols, step / n, lam * data.T * step
+        return blocks[j]
 
     buf = np.empty_like(data.responses)     # (T, n) rank-one update
 
@@ -269,15 +276,16 @@ def _coordinate_sweep(data, lam, width):
         working = np.flatnonzero(nonzero | violated.reshape(M, -1).any(axis=1))
         # Each row is visited once, so nonzero[j] still holds when j is.
         for j in working.tolist():
-            cols, row = G[j], values[j]                    # (T, n), (T,)
-            v = row + np.vecdot(cols, resid) * scale[j]
+            cols, scale, thresh = blocks[j] or block(j)
+            row = values[j]
+            v = row + np.vecdot(cols, resid) * scale
             if width == 1:
-                v = _soft_threshold(v, thresh[j])
+                v = _soft_threshold(v, thresh)
             else:
                 # block_soft_threshold inlined: the call cost more than the work
                 norm = math.sqrt(v.dot(v))
-                if norm > thresh[j]:
-                    v *= 1.0 - thresh[j] / norm
+                if norm > thresh:
+                    v *= 1.0 - thresh / norm
                 elif nonzero[j]:
                     v[:] = 0.0
                 else:

@@ -119,26 +119,28 @@ def _check_finite(name, value):
         raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _draw_design(spec, rng):
-    n, M = spec.n, spec.M
-    if spec.kind == "gaussian-iid":
-        x = rng.standard_normal((n, M))
-    elif spec.kind == "ar1":
-        z = rng.standard_normal((n, M))
-        x = np.empty((n, M))
-        x[:, 0] = z[:, 0]
+def _shape_designs(designs, spec):
+    """Turn the (T, n, M) standard normals in ``designs`` into the spec's
+    designs, in place: the same arithmetic on every entry as shaping
+    each task's draw on its own."""
+    n = spec.n
+    if spec.kind == "ar1":
+        # x_j = rho x_{j-1} + sqrt(1 - rho^2) z_j, for all tasks at once.
         scale = np.sqrt(1.0 - spec.rho**2)
-        for j in range(1, M):
-            x[:, j] = spec.rho * x[:, j - 1] + scale * z[:, j]
-    else:
-        q, _ = np.linalg.qr(rng.standard_normal((n, M)))
-        x = np.sqrt(n) * q
+        previous = np.empty(designs.shape[:2])
+        for j in range(1, spec.M):
+            column = designs[:, :, j]
+            column *= scale
+            column += np.multiply(spec.rho, designs[:, :, j - 1], out=previous)
+    elif spec.kind == "orthogonal":
+        for x in designs:
+            x[...] = np.linalg.qr(x)[0]
+        designs *= np.sqrt(n)
     if spec.normalize:
-        norms = np.linalg.norm(x, axis=0)
+        norms = np.array([np.linalg.norm(x, axis=0) for x in designs])  # (T, M)
         if np.any(norms == 0.0):
             raise ValueError("cannot normalise a design with an all-zero column")
-        x = x * (np.sqrt(n) / norms)
-    return x
+        designs *= (np.sqrt(n) / norms)[:, None, :]
 
 
 def _draw_beta(signal, M, T, rng):
@@ -183,15 +185,15 @@ def generate_dataset(design, signal, noise, seed, beta_star=None):
                 f"(M={design.M}, T={design.T})"
             )
 
-    designs = np.empty((design.T, design.n, design.M))
-    responses = np.empty((design.T, design.n))
-    for t in range(design.T):
-        design_rng = np.random.default_rng(children[1 + t])
-        noise_rng = np.random.default_rng(children[1 + design.T + t])
-        x = _draw_design(design, design_rng)
-        w = _draw_noise(noise, design.n, noise_rng)
-        designs[t] = x
-        responses[t] = x @ values[:, t] + w
+    T, n = design.T, design.n
+    designs = np.empty((T, n, design.M))
+    for t in range(T):
+        np.random.default_rng(children[1 + t]).standard_normal(out=designs[t])
+    _shape_designs(designs, design)
+    responses = np.empty((T, n))
+    for t in range(T):
+        noise_rng = np.random.default_rng(children[1 + T + t])
+        responses[t] = designs[t] @ values[:, t] + _draw_noise(noise, n, noise_rng)
     return MultiTaskDataset._adopt(designs, responses), GroupCoefficients(values)
 
 

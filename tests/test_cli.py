@@ -208,6 +208,18 @@ def test_bounds_rejects_p_without_alpha(capsys):
     assert "--p" in err and "--alpha" in err
 
 
+@pytest.mark.parametrize("p, first, second, name", [
+    ("1,1.0000001", "1.0", "1.0000001", "c1_1"),
+    ("4,2,2", "2.0", "2.0", "c1_2"),
+])
+def test_bounds_rejects_p_values_that_share_a_name(capsys, p, first, second, name):
+    # Two p that agree to 6 significant digits would print one c1 name
+    # twice; ExperimentConfig's p_values follow the same rule.
+    code, out, err = _run(capsys, *GAUSSIAN_BOUNDS, "--A", "9", "--alpha", "2", "--p", p)
+    assert code == 1 and out == ""
+    assert f"--p {first} and {second} both name the bound {name}" in err
+
+
 def test_gen_writes_dataset_and_manifest(tmp_path, capsys):
     config = _write(tmp_path / "gen.cfg", GEN_CONFIG)
     out_dir = tmp_path / "data"
@@ -626,6 +638,52 @@ def test_verify_lemmas_checks_replicate_counts_before_drawing(
     )
     assert code == 1 and out == ""
     assert err == f"error: {flag} must be at least {least}, got {value}\n"
+    assert not out_dir.exists()
+
+
+def _forbid_draws(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("ran before the seed was checked")
+
+    for name in ("generate_dataset", "read_dataset", "run_oracle_experiment",
+                 "chi_square_tail_empirical", "nemirovski_check",
+                 "noise_correlation_violation_rate", "re_upper_estimate"):
+        monkeypatch.setattr(cli, name, no_draws)
+
+
+@pytest.mark.parametrize("command, template, old", [
+    ("gen", GEN_CONFIG, "seed=3"), ("experiment", ORACLE_CONFIG, "seed=0"),
+], ids=["gen", "experiment"])
+def test_negative_config_seed_is_rejected_by_its_key(
+    command, template, old, tmp_path, capsys, monkeypatch
+):
+    # numpy's SeedSequence takes no negative seed; its own message
+    # ("expected non-negative integer") named neither the key nor the file.
+    config = _write(tmp_path / "run.cfg", template.replace(old, "seed=-1"))
+    _forbid_draws(monkeypatch)
+    out_dir = tmp_path / "out"
+    code, out, err = _run(capsys, command, "--config", config, "--out", str(out_dir))
+    assert code == 1 and out == ""
+    assert err == f"error: {config}: key 'seed' has invalid value '-1'\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["check", "verify-lemmas"])
+def test_negative_seed_flag_is_rejected_by_its_flag(command, tmp_path, capsys, monkeypatch):
+    # check rejects it even when --re-samples 0 would not draw with it.
+    config = _write(tmp_path / "gen.cfg", GEN_CONFIG)
+    assert _run(capsys, "gen", "--config", config, "--out", str(tmp_path / "data"))[0] == 0
+    flags = {
+        "check": ("--data", str(tmp_path / "data" / "manifest.txt"), "--s", "2",
+                  "--alpha", "2", "--re-samples", "0"),
+        "verify-lemmas": ("--chi-replicates", "1000", "--nem-replicates", "2",
+                          "--event-replicates", "1000"),
+    }[command]
+    _forbid_draws(monkeypatch)
+    out_dir = tmp_path / "out"
+    code, out, err = _run(capsys, command, *flags, "--seed", "-1", "--out", str(out_dir))
+    assert code == 1 and out == ""
+    assert err == "error: argument --seed: invalid non-negative integer value: '-1'\n"
     assert not out_dir.exists()
 
 

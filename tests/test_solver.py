@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtgl.model import GroupCoefficients, MultiTaskDataset, group_support, objective
+from mtgl.regularization import RegularizationPlan
 from mtgl.solver import (
     SolverConfig,
     _correlation,
@@ -412,6 +414,25 @@ def test_coordinate_sweep_is_bit_identical_to_plain_row_loop(design, width):
         assert res.iterations == ref.iterations
         assert np.array_equal(res.beta_hat.values, ref.beta_hat.values)
         assert res.objective_trace == ref.objective_trace
+
+
+def test_sparse_block_coordinate_solve_copies_only_the_rows_it_visits():
+    # A replicate of the certified orthogonal run: its sweeps visit the
+    # few rows of the support, so the solve copies their columns and
+    # not the (T, n, M) design, which the old (M, T, n) layout held twice.
+    design = DesignSpec(kind="orthogonal", n=400, M=200, T=8)
+    data, _ = generate_dataset(design, SignalSpec(s=4), NoiseSpec(), 0)
+    lam = RegularizationPlan("gaussian", 1.0, data.n, data.T, data.M, 9.0).lam
+    config = SolverConfig(lam=lam)
+    solve_group_lasso(_ar1_dataset(), SolverConfig(lam=0.5))  # first-call imports
+    tracemalloc.start()
+    try:
+        result = solve_group_lasso(data, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.converged
+    assert peak < 0.1 * data.designs.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mtgl.model import group_support
+from mtgl import synth
+from mtgl.model import GroupCoefficients, group_support
 from mtgl.synth import (
     DesignSpec,
     NoiseSpec,
@@ -190,3 +192,94 @@ def test_generate_beta_for_selection():
     boundary = generate_beta_for_selection(signal, tau, 2.01, M, T, seed=13)
     boundary_norms = np.linalg.norm(boundary.values, axis=1) / math.sqrt(T)
     assert np.min(boundary_norms[list(group_support(boundary, 0.0))]) > 2.0 * tau
+
+
+def _per_task_generation(design, signal, noise, seed, beta_star=None):
+    """generate_dataset written task by task: each task draws its own
+    n x M normals, shapes and normalises them alone, then draws its
+    noise.  The batched generator must reproduce it bit for bit."""
+    n, M, T = design.n, design.M, design.T
+    children = np.random.SeedSequence(seed).spawn(1 + 2 * T)
+    if beta_star is None:
+        values = synth._draw_beta(signal, M, T, np.random.default_rng(children[0]))
+    else:
+        values = np.asarray(beta_star.values, dtype=float)
+    designs, responses = np.empty((T, n, M)), np.empty((T, n))
+    for t in range(T):
+        rng = np.random.default_rng(children[1 + t])
+        if design.kind == "gaussian-iid":
+            x = rng.standard_normal((n, M))
+        elif design.kind == "ar1":
+            z = rng.standard_normal((n, M))
+            x = np.empty((n, M))
+            x[:, 0] = z[:, 0]
+            scale = np.sqrt(1.0 - design.rho**2)
+            for j in range(1, M):
+                x[:, j] = design.rho * x[:, j - 1] + scale * z[:, j]
+        else:
+            q, _ = np.linalg.qr(rng.standard_normal((n, M)))
+            x = np.sqrt(n) * q
+        if design.normalize:
+            x = x * (np.sqrt(n) / np.linalg.norm(x, axis=0))
+        w = synth._draw_noise(noise, n, np.random.default_rng(children[1 + T + t]))
+        designs[t] = x
+        responses[t] = x @ values[:, t] + w
+    return designs, responses, values
+
+
+_NOISES = {
+    "gaussian": NoiseSpec(sigma=0.7),
+    "student-t": NoiseSpec(kind="student-t", sigma=0.7, nu=4.0),
+    "rademacher": NoiseSpec(kind="rademacher", sigma=0.7),
+}
+
+
+@pytest.mark.parametrize("noise", sorted(_NOISES))
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("kind", ["gaussian-iid", "ar1", "orthogonal"])
+def test_generation_is_bit_identical_to_the_per_task_loop(kind, normalize, noise):
+    rho = 0.6 if kind == "ar1" else None
+    # (n, M, T): tall and square (n = M) designs, one task and three.
+    for seed, (n, M, T) in enumerate([(20, 7, 1), (20, 7, 3), (7, 7, 3)]):
+        design = DesignSpec(kind, n, M, T, rho=rho, normalize=normalize)
+        signal = SignalSpec(s=2, amplitude="gaussian")
+        data, beta = generate_dataset(design, signal, _NOISES[noise], seed)
+        designs, responses, values = _per_task_generation(
+            design, signal, _NOISES[noise], seed
+        )
+        assert data.designs.tobytes() == designs.tobytes()
+        assert data.responses.tobytes() == responses.tobytes()
+        assert beta.values.tobytes() == values.tobytes()
+
+
+def test_generation_with_supplied_coefficients_matches_the_per_task_loop():
+    design = DesignSpec("ar1", 15, 6, 3, rho=-0.3)
+    beta_star = GroupCoefficients(np.arange(18.0).reshape(6, 3) / 7.0)
+    data, beta = generate_dataset(design, SignalSpec(s=1), NoiseSpec(), 4, beta_star)
+    designs, responses, _ = _per_task_generation(
+        design, SignalSpec(s=1), NoiseSpec(), 4, beta_star
+    )
+    assert data.designs.tobytes() == designs.tobytes()
+    assert data.responses.tobytes() == responses.tobytes()
+    assert np.array_equal(beta.values, beta_star.values)
+
+
+@pytest.mark.parametrize("kind", ["gaussian-iid", "ar1", "orthogonal"])
+def test_generation_holds_about_one_copy_of_the_designs(kind):
+    # Designs are drawn into their (T, n, M) slots and shaped there, so
+    # at its peak generation holds them once plus one task design (the
+    # squares that normalisation sums).  An orthogonal task's
+    # np.linalg.qr holds a copy of its input, Q and R: 2.6 task designs
+    # at n = 2M.  The task-by-task draw, shape and copy peaked at 3.2
+    # (gaussian-iid), 4.2 (ar1) and 4.7 (orthogonal) task designs.
+    design = DesignSpec(kind, 400, 200, 8, rho=0.6 if kind == "ar1" else None)
+    small = DesignSpec(kind, 20, 10, 2, rho=design.rho)
+    generate_dataset(small, SignalSpec(s=4), NoiseSpec(), 0)  # first-call imports
+    tracemalloc.start()
+    try:
+        data, _ = generate_dataset(design, SignalSpec(s=4), NoiseSpec(), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    task = data.designs[0].nbytes
+    assert peak <= data.designs.nbytes + (3 if kind == "orthogonal" else 2) * task
