@@ -448,7 +448,7 @@ def _cmd_verify_lemmas(args, run):
         for M in (3, 10, 100) for distribution in ("rademacher", "gaussian")
     ]
     checks.append(noise_event)
-    # One map, one key a check, each check's chunks run where it runs.
+    # One map, one key a check; a check draws its chunks in the worker that runs it.
     # The costliest checks end the report, so they are dealt first.
     results = _map_in_key_order(lambda check: check(), checks[::-1])[::-1]
     rows = [row for lines in results for row in lines]

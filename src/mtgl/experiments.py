@@ -77,8 +77,11 @@ class ExperimentConfig:
 
     ``plan`` is derived: the RegularizationPlan of ``regime`` at the
     design's (n, T, M), noise level ``plan_sigma`` (None: the noise's
-    sigma) and the regime's constant ``A`` or ``delta``.  ``T_grid``
-    holds a lasso comparison's task counts.
+    sigma) and the regime's constant ``A`` or ``delta``.  So is
+    ``solver``: the SolverConfig of ``algorithm``, ``max_iterations``
+    and ``kkt_tolerance`` at the plan's lam.  ``T_grid`` holds a lasso
+    comparison's task counts.  ``seed`` must be a non-negative integer,
+    as numpy's SeedSequence takes it.
     kappa_source selects where the RE constant in the bound formulas
     comes from: "coherence-lemma" derives kappa = sqrt(1 - 1/alpha) and
     insists every replicate's design passes the coherence check before
@@ -115,10 +118,13 @@ class ExperimentConfig:
     lasso_constant: float = 3.0
     T_grid: tuple = ()
     plan: RegularizationPlan = field(init=False)
+    solver: SolverConfig = field(init=False)
 
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError(f"need at least 1 replicate, got {self.replicates}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.kappa_source not in KAPPA_SOURCES:
             raise ValueError(
                 f"unknown kappa_source {self.kappa_source!r}, "
@@ -143,6 +149,12 @@ class ExperimentConfig:
         d = self.design
         plan = RegularizationPlan(self.regime, sigma, d.n, d.T, d.M, self.A, self.delta)
         object.__setattr__(self, "plan", plan)
+        object.__setattr__(self, "solver", SolverConfig(
+            lam=plan.lam,
+            algorithm=self.algorithm,
+            max_iterations=self.max_iterations,
+            kkt_tolerance=self.kkt_tolerance,
+        ))
 
 
 @dataclass(frozen=True)
@@ -385,15 +397,6 @@ def _resolve_kappas(config):
     return config.kappa, config.kappa2s
 
 
-def _solver_config(config, lam):
-    return SolverConfig(
-        lam=lam,
-        algorithm=config.algorithm,
-        max_iterations=config.max_iterations,
-        kkt_tolerance=config.kkt_tolerance,
-    )
-
-
 def _check_coherence(config, r, diag):
     """Raise unless replicate r's design certifies the coherence-lemma
     kappa (and kappa2s, when that is derived too)."""
@@ -454,12 +457,11 @@ def _run_bound_experiment(kind, config, certify, draw, score=None):
     scored; a selection run's ``score(metrics, beta_star, result)`` adds
     the support and sign outcomes, whose recovery rates are checked too."""
     kappas = _resolve_kappas(config)
-    solver_cfg = _solver_config(config, config.plan.lam)
 
     def worker(r):
         dataset, beta_star = draw(r)
         diag = _diagnose(config, r, dataset, certify)
-        result = solve_group_lasso(dataset, solver_cfg)
+        result = solve_group_lasso(dataset, config.solver)
         metrics = _error_metrics(r, dataset, beta_star, result, config, diag)
         if score is not None:
             metrics = score(metrics, beta_star, result)
@@ -580,13 +582,15 @@ def run_lasso_comparison(config):
         level = config.lasso_constant * p.sigma * math.sqrt(math.log(p.M * T) / p.n) / T
         return config_t, level
 
+    configs = {T: at(T) for T in grid}
+
     def worker(key):
         T, r = key
-        config_t, lam_plain = at(T)
+        config_t, lam_plain = configs[T]
         dataset, beta_star = generate_dataset(
             config_t.design, config.signal, config.noise, [config.seed, T, r]
         )
-        group = solve_group_lasso(dataset, _solver_config(config, config_t.plan.lam))
+        group = solve_group_lasso(dataset, config_t.solver)
         plain = solve_lasso_baseline(
             dataset, lam_plain,
             max_iterations=config.max_iterations,
@@ -604,7 +608,7 @@ def run_lasso_comparison(config):
     summaries = []
     for i, T in enumerate(grid):
         results = rows[i * R:(i + 1) * R]
-        config_t, lam_plain = at(T)
+        config_t, lam_plain = configs[T]
         mean_group = sum(row.group_error for row in results) / R
         mean_plain = sum(row.plain_error for row in results) / R
         wins = sum(row.group_error <= row.plain_error for row in results)

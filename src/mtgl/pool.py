@@ -1,22 +1,20 @@
 """The one worker pool: ``[fn(key) for key in keys]`` on forked workers.
 
-Four callers map keys through it: the Monte Carlo replicates of
-``experiments``, the nine checks of ``mtgl verify-lemmas`` (``cli``),
-the 4096-replicate chunks of each ``probability`` check, and the
-per-task CSV writes of ``dataio.write_dataset``.  Each result must
-depend on its key alone.  The keys are dealt one at a time, in key
-order, to whichever worker is free: this process and a forked child per
-other worker each claim the next key from a counter they share, and the
-results are merged in key order, so the list is the same at any worker
-count and keys of unequal cost balance themselves.  There is one worker
-per ``len(os.sched_getaffinity(0)) // b`` cores, where b is the BLAS
-thread count the environment declares (OPENBLAS_NUM_THREADS, else
-OMP_NUM_THREADS), so workers and their BLAS threads share the cores
-without oversubscribing them.  With neither variable set BLAS takes
-every core and every map runs in this process alone.  A map of one key
-never forks, nor does a map called from inside a map's ``fn``: it runs
-in the process that runs that ``fn``.  Nothing else in the package
-forks.
+Three command-level drivers map keys through it: the Monte Carlo
+replicates of ``experiments``, the nine checks of ``mtgl verify-lemmas``
+(``cli``), and the per-task CSV writes of ``dataio.write_dataset``.
+Library code below them runs its work in the calling process.  Each
+result must depend on its key alone.  The keys are dealt one at a time,
+in key order, to whichever worker is free: this process and a forked
+child per other worker each claim the next key from a counter they
+share, and the results are merged in key order, so the list is the same
+at any worker count and keys of unequal cost balance themselves.  There
+is one worker per ``len(os.sched_getaffinity(0)) // b`` cores, where b
+is the BLAS thread count the environment declares (OPENBLAS_NUM_THREADS,
+else OMP_NUM_THREADS), so workers and their BLAS threads share the
+cores without oversubscribing them.  With neither variable set BLAS
+takes every core and every map runs in this process alone.  A map of
+one key never forks.  Nothing else in the package forks.
 """
 
 from __future__ import annotations
@@ -29,10 +27,6 @@ import signal
 import sys
 import tempfile
 import threading
-
-# True while this process runs a map's ``fn``; a map called then runs
-# its keys here, one after another.
-_in_map = False
 
 
 def _worker_count():
@@ -69,24 +63,12 @@ def _map_in_key_order(fn, keys):
     exception of its lowest failing key, as the serial loop would.  A
     child that dies before it reports raises RuntimeError naming the
     keys it claimed.  Every child is reaped before this returns or
-    raises; a BaseException in this process kills them first.  A map
-    called from inside ``fn`` runs its keys in the process that runs
-    ``fn``, one after another.
+    raises; a BaseException in this process kills them first.
     """
-    global _in_map
     keys = list(keys)
-    workers = 1 if _in_map else max(1, min(len(keys), _worker_count()))
-    outer, _in_map = _in_map, True
-    try:
-        if workers == 1:
-            return [fn(key) for key in keys]
-        return _deal_to_workers(fn, keys, workers)
-    finally:
-        _in_map = outer
-
-
-def _deal_to_workers(fn, keys, workers):
-    """The body of ``_map_in_key_order`` on ``workers`` > 1 workers."""
+    workers = min(len(keys), _worker_count())
+    if workers <= 1:
+        return [fn(key) for key in keys]
     sys.stdout.flush()
     sys.stderr.flush()
     deal = _Deal(len(keys))

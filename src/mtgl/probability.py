@@ -12,18 +12,16 @@ A frequency passes by the exact binomial test of ``frequency_verdict``,
 a mean within three standard errors.  The moment constant, lam and q
 come from ``regularization``.  Every check draws from streams derived
 from (seed, chunk index) with a fixed chunk size of 4096 replicates.
-The chunks are dealt to the workers of ``pool``: each is reduced where it
-is drawn to a few numbers (its event counts, or its sums for the moment
-check), and the caller adds those up in chunk order, so results are the
-same bit for bit at any worker count.  A check called from inside a pool
-map (``mtgl verify-lemmas`` runs its nine checks as one) runs its chunks
-in the worker that runs it.  Chunks fix the streams; within a
-chunk the draws are made in consecutive blocks of about 2 MiB.  A split
-draw continues the same stream and every reduction is per replicate, so
-blocks only bound the memory and never change a result: a check's memory
-does not grow with M, n_vectors, T, n or the replicate count.  The
-chi-square check takes every offset x at one T in one call, so one
-sample serves them all: only the cutoff T + x differs.
+A check runs its chunks one after another in the calling process; each
+is reduced as soon as it is drawn to a few numbers (its event counts, or
+its sums for the moment check), which are added up in chunk order.
+Chunks fix the streams; within a chunk the draws are made in consecutive
+blocks of about 2 MiB.  A split draw continues the same stream and every
+reduction is per replicate, so blocks only bound the memory and never
+change a result: a check's memory does not grow with M, n_vectors, T, n
+or the replicate count.  The chi-square check takes every offset x at
+one T in one call, so one sample serves them all: only the cutoff T + x
+differs.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pool import _map_in_key_order
 from .regularization import lambda_gaussian, moment_constant
 
 _CHUNK = 4096
@@ -148,16 +145,12 @@ def _draw_chunk(seed, index, size, row_bytes, sample):
 
 def _reduce_chunks(replicates, seed, row_bytes, sample, reduce):
     """``reduce(*values)`` of each chunk's per-replicate values, in chunk
-    order (see ``_draw_chunk``).  The chunks run on the worker pool, so
-    only what ``reduce`` returns leaves a worker; the caller adds those
-    up in chunk order, which keeps every sum the same at any worker
-    count."""
-
-    def chunk(index):
-        size = min(_CHUNK, replicates - index * _CHUNK)
-        return reduce(*_draw_chunk(seed, index, size, row_bytes, sample))
-
-    return _map_in_key_order(chunk, range(math.ceil(replicates / _CHUNK)))
+    order (see ``_draw_chunk``).  Only what ``reduce`` returns outlives
+    its chunk."""
+    return [
+        reduce(*_draw_chunk(seed, index, min(_CHUNK, replicates - start), row_bytes, sample))
+        for index, start in enumerate(range(0, replicates, _CHUNK))
+    ]
 
 
 def chi_square_tail_bound(T, x):

@@ -146,6 +146,33 @@ def test_config_derives_its_plan_from_its_own_design():
     assert fv.plan == RegularizationPlan(FINITE_VARIANCE, 1.0, 32, 4, 8, delta=3.0)
 
 
+def test_config_rejects_a_negative_seed():
+    # numpy's SeedSequence takes only integers >= 0; the config says so
+    # at construction, naming the field, before any replicate draws
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+        _small_config(seed=-1)
+
+
+def test_config_builds_its_solver_settings_at_construction():
+    config = _small_config(algorithm="proximal-gradient", max_iterations=7, kkt_tolerance=1e-6)
+    assert config.solver == SolverConfig(
+        lam=config.plan.lam, algorithm="proximal-gradient", max_iterations=7,
+        kkt_tolerance=1e-6,
+    )
+    at_9 = replace(config, design=replace(config.design, T=9))
+    assert at_9.solver.lam == at_9.plan.lam
+    # bad settings fail when the config is built, with SolverConfig's
+    # messages, for a lasso comparison as for the other runs
+    for overrides, message in (
+        ({"algorithm": "newton"}, "unknown algorithm 'newton'"),
+        ({"max_iterations": 0}, "max_iterations must be >= 1, got 0"),
+        ({"kkt_tolerance": math.inf}, "kkt_tolerance"),
+    ):
+        for grid in ((), (1, 4)):
+            with pytest.raises(ValueError, match=message):
+                _small_config(T_grid=grid, **overrides)
+
+
 def test_config_rejects_p_values_that_share_a_bound_name():
     # both print as err2p_1, so one column would shadow the other
     with pytest.raises(ValueError, match="1.0000001 and 1.0000002 both name the bound err2p_1"):
@@ -476,6 +503,25 @@ def test_comparison_runs_and_reports():
     assert report.n_converged == 10
     # rerun is bit-identical
     assert run_lasso_comparison(config) == report
+
+
+def test_comparison_builds_each_task_counts_config_once(monkeypatch):
+    # one config (and plan) per T of the grid, before the replicates
+    # run, however many replicates each T has
+    config = _small_config(
+        design=DesignSpec(kind="gaussian-iid", n=40, M=8, T=1),
+        replicates=3, kappa=None, kappa2s=None, phi_max=None, T_grid=(1, 2, 4),
+    )
+    built = []
+    plan = experiments.RegularizationPlan
+
+    def counted(*args):
+        built.append(args[3])  # T
+        return plan(*args)
+
+    monkeypatch.setattr(experiments, "RegularizationPlan", counted)
+    run_lasso_comparison(config)
+    assert built == [1, 2, 4]
 
 
 def test_comparison_baseline_is_one_single_task_lasso_per_task():

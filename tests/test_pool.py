@@ -71,18 +71,6 @@ def test_keys_are_dealt_to_whichever_worker_is_free(use_workers, tmp_path):
     assert pool._map_in_key_order(fn, range(6)) == [0, 1, 4, 9, 16, 25]
 
 
-def test_map_inside_a_map_runs_in_the_callers_process(use_workers):
-    def fn(key):
-        inner = pool._map_in_key_order(lambda _: os.getpid(), range(4))
-        return os.getpid(), inner
-
-    use_workers(2)
-    for pid, inner in pool._map_in_key_order(fn, range(4)):
-        assert inner == [pid] * 4
-    # the flag that keeps an inner map in its process is cleared on return
-    assert not pool._in_map
-
-
 def test_every_key_runs_once_with_more_workers_than_cores(use_workers):
     # eight workers race for 20,000 keys; a lost update of the shared
     # counter would run some key twice (or never).  Each worker counts
@@ -171,3 +159,27 @@ def test_only_the_pool_module_forks():
     }
     assert forks.pop("pool.py"), "the pool no longer forks; update this guard"
     assert not any(forks.values()), {name: lines for name, lines in forks.items() if lines}
+
+
+def _imports_pool(path):
+    """True if ``path`` imports the pool module or a name from it."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            if any(alias.name == "mtgl.pool" for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import inside the package is one of ``mtgl``
+            module = ".".join(filter(None, ["mtgl" if node.level else None, node.module]))
+            names = {alias.name for alias in node.names}
+            if module == "mtgl.pool" or (module == "mtgl" and "pool" in names):
+                return True
+    return False
+
+
+def test_only_the_command_level_drivers_use_the_pool():
+    # library code runs its work in the calling process; a module that
+    # schedules its own work again must be named in the pool's docstring
+    users = {path.stem for path in PACKAGE.glob("*.py") if _imports_pool(path)}
+    assert users == {"cli", "experiments", "dataio"}
+    for name in users:
+        assert f"``{name}" in pool.__doc__, name

@@ -1,11 +1,11 @@
 import dataclasses
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-import mtgl.pool as pool
 import mtgl.probability as probability
 from mtgl.model import MultiTaskDataset
 from mtgl.probability import (
@@ -256,7 +256,7 @@ _DRAW_CHUNK = probability._draw_chunk
 
 def _chunk_values(monkeypatch, block_bytes, call):
     """Every chunk's per-replicate values that ``call`` reduces, with the
-    block budget set to ``block_bytes``, drawn in this process."""
+    block budget set to ``block_bytes``."""
     seen = []
 
     def spy(*args):
@@ -264,7 +264,6 @@ def _chunk_values(monkeypatch, block_bytes, call):
         seen.append(values.tobytes())
         return values
 
-    monkeypatch.setattr(pool, "_worker_count", lambda: 1)
     monkeypatch.setattr(probability, "_draw_chunk", spy)
     monkeypatch.setattr(probability, "_BLOCK_BYTES", block_bytes)
     call()
@@ -304,33 +303,22 @@ def test_per_replicate_values_do_not_depend_on_the_block_size(check, monkeypatch
 @pytest.mark.parametrize(
     "check", ["chi-square", "rademacher", "gaussian", "noise-event"]
 )
-def test_reports_do_not_depend_on_the_worker_count(check, replicates, use_workers):
-    # 4097 and 8193 replicates end in a one-replicate chunk, so the
-    # chunks dealt to the workers are uneven and one holds the remainder
+def test_reports_do_not_depend_on_the_worker_count(
+    check, replicates, use_workers, monkeypatch
+):
+    # a check draws its chunks in the calling process: with 2 workers
+    # available it forks nothing and returns the 1-worker report.  4097
+    # and 8193 replicates end in a one-replicate chunk.
     call = _calls_of_every_check(replicates, seed=3)[check]
     use_workers(1)
     serial = call()
-    for count in (2, 3):
-        use_workers(count)
-        assert call() == serial, count
 
+    def no_fork():
+        raise AssertionError("a probability check forked")
 
-def test_failing_chunk_raises_the_lowest_chunk_error(
-    monkeypatch, use_workers, assert_no_children
-):
-    # five chunks; chunks 2 and 4 fail wherever they are dealt at 2 and
-    # 3 workers, and the caller sees chunk 2's error as a serial loop would
-    def failing(seed, index, *args):
-        if index in (2, 4):
-            raise ValueError(f"chunk {index} failed")
-        return _DRAW_CHUNK(seed, index, *args)
-
-    monkeypatch.setattr(probability, "_draw_chunk", failing)
-    for count in (1, 2, 3):
-        use_workers(count)
-        with pytest.raises(ValueError, match="^chunk 2 failed$"):
-            chi_square_tail_empirical(4, [2.0], 5 * 4096, seed=0)
-        assert_no_children()
+    use_workers(2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert call() == serial
 
 
 def _traced_peak(call):
@@ -360,12 +348,10 @@ def test_checks_draw_in_bounded_blocks(check):
     assert peak < 8 * 2**20, peak
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_pooled_chunks_keep_memory_bounded(workers, use_workers):
-    # 20 chunks of 4096 chi-square(200) draws, 6.6 MB a chunk; what the
-    # workers send back is a few counts per chunk, so the traced peak of
-    # this process stays within the blocks' pin however many chunks run
-    use_workers(workers)
+def test_many_chunks_keep_memory_bounded():
+    # 20 chunks of 4096 chi-square(200) draws, 6.6 MB a chunk; what a
+    # chunk leaves behind is a few counts, so the traced peak stays
+    # within the blocks' pin however many chunks run
     peak = _traced_peak(lambda: chi_square_tail_empirical(200, [20.0], 20 * 4096, seed=0))
     assert peak < 8 * 2**20, peak
 
