@@ -348,10 +348,13 @@ def test_checks_draw_in_bounded_blocks(check):
     assert peak < 8 * 2**20, peak
 
 
-def test_many_chunks_keep_memory_bounded():
-    # 20 chunks of 4096 chi-square(200) draws, 6.6 MB a chunk; what a
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pooled_chunks_keep_memory_bounded(workers, use_workers):
+    # 20 chunks of 4096 chi-square(200) draws, 6.6 MB a chunk; whatever
+    # the pool's worker count, the chunks run in this process and what a
     # chunk leaves behind is a few counts, so the traced peak stays
     # within the blocks' pin however many chunks run
+    use_workers(workers)
     peak = _traced_peak(lambda: chi_square_tail_empirical(200, [20.0], 20 * 4096, seed=0))
     assert peak < 8 * 2**20, peak
 
