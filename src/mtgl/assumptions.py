@@ -18,7 +18,7 @@ Computing it exactly is infeasible, so this module brackets it instead:
   cone-feasible probes plus local refinement.  On a wide design the
   refinement inverts every X_t X_t^T once per search and updates that
   inverse by the probe's m support columns (Woodbury), so a probe
-  solves only m x m systems.
+  solves only m x m systems.  A probe's images are ``model.task_fits``.
 
 Neither bracket ever substitutes for the other in theoretical bounds.
 """
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GroupCoefficients, SparsityPattern, UNIT_DIAGONAL_TOL
+from .model import GroupCoefficients, SparsityPattern, UNIT_DIAGONAL_TOL, task_fits
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,8 @@ def largest_gram_eigenvalue(data):
 
 
 def gram_diagnostics(data):
-    """Compute the AssumptionReport statistics for a dataset."""
+    """Compute the AssumptionReport statistics for a dataset.  A Gram
+    multiplies a design by itself, so it is formed here, not in ``model``."""
     if not np.any(data.designs):
         raise ValueError("design is all zeros; Gram diagnostics are undefined")
     unit_dev = coherence = phi_max = 0.0
@@ -135,7 +136,7 @@ def re_lower_bound_from_coherence(alpha):
 
 
 def _quotient(data, values, support_idx):
-    img = np.einsum("tnm,mt->tn", data.designs, values)
+    img = task_fits(data.designs, values)
     num = float(np.sqrt(np.sum(img * img) / data.n))
     den = float(np.linalg.norm(values[support_idx]))
     return num / den
@@ -166,7 +167,7 @@ def _off_support_image(X, others, rows):
     the (others, T) rows w zero-padded to (M, T), so X_o is not copied."""
     padded = np.zeros((X.shape[2], X.shape[0]))
     padded[others] = rows
-    return np.matmul(X, padded.T[..., None])[..., 0]
+    return task_fits(X, padded)
 
 
 def _least_squares_completion(X, X_s, others, K_inv, u):
@@ -214,9 +215,8 @@ def _least_squares_completion(X, X_s, others, K_inv, u):
             pivots = np.diagonal(np.linalg.cholesky(gram), axis1=1, axis2=2) ** 2
             scale = np.diagonal(gram, axis1=1, axis2=2).max(axis=1)
             trusted = np.all(pivots.min(axis=1) >= _RANK_TOL * scale)
-            w = np.linalg.solve(gram, np.matmul(X_oT, rhs))
-            image = np.matmul(X_o, w)[..., 0]
-            w = w[..., 0].T
+            w = np.linalg.solve(gram, np.matmul(X_oT, rhs))[..., 0].T
+            image = task_fits(X_o, w)
         if trusted and np.all(np.isfinite(w)):
             return w, image
     except np.linalg.LinAlgError:
@@ -225,7 +225,7 @@ def _least_squares_completion(X, X_s, others, K_inv, u):
     w = np.column_stack(
         [np.linalg.lstsq(x, r, rcond=None)[0] for x, r in zip(X_o, -u)]
     )
-    return w, np.einsum("tnj,jt->tn", X_o, w)
+    return w, task_fits(X_o, w)
 
 
 def _validate_sparsity_range(s, M):
@@ -278,7 +278,7 @@ def minimize_re_quotient(data, s, samples, seed):
             if l21_sup == 0.0:
                 continue
             X_s = X[:, :, support]
-            u = np.einsum("tnj,jt->tn", X_s, d_sup)
+            u = task_fits(X_s, d_sup)
             a = float(np.sum(u * u))
             den = float(np.linalg.norm(d_sup))
 

@@ -14,7 +14,9 @@ run_manifest.txt there once it returns with exit 0 or 2, recording the
 subcommand, package version, settings (its flags, or the config keys it
 used), input files, output files in write order, stage timings and
 wall-clock duration.  The manifest is metadata; all data outputs are
-byte-identical across reruns with the same config and seed.
+byte-identical across reruns with the same config and seed.  A command
+writes its files before it prints its report, and a reader that closes
+stdout early does not stop it.
 """
 
 from __future__ import annotations
@@ -90,12 +92,24 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _print(text):
+    """Print ``text`` to stdout.  Once the reader has closed the pipe,
+    stdout goes to os.devnull (the recipe of the signal module's "Note on
+    SIGPIPE"), so the command still finishes and returns its own code."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _report(pairs, path=None):
-    """Print the key=value report, and write it to ``path`` if given."""
+    """Write the key=value report to ``path`` if given, then print it."""
     lines = keyvalue_lines(pairs)
-    print("\n".join(lines))
     if path is not None:
         write_lines(path, lines)
+    _print("\n".join(lines))
 
 
 # Parsed attributes that are not settings, and the flags naming input files.
@@ -236,19 +250,23 @@ _DATA_KEYS = (
 )
 _EXPERIMENT_KEYS = {
     "replicates": ("replicates", int), "seed": ("seed", _seed),
-    "kappa_source": ("kappa_source", str), "kappa": ("kappa", float),
-    "kappa2s": ("kappa2s", float), "phi_max": ("phi_max", float),
-    "alpha": ("alpha", float), "p_values": ("p_values", _parse_list(float)),
-    "bounds": ("bound_set", _parse_list(str)),
     "solver_algorithm": ("algorithm", str), "solver_tol": ("kkt_tolerance", float),
     "solver_max_iter": ("max_iterations", int),
     "regime": ("regime", str), "plan_sigma": ("plan_sigma", float),
     "A": ("A", float), "delta": ("delta", float),
 }
-# The keys only one kind of experiment reads; any other kind rejects them
+# The keys of the bound certificates, which a lasso comparison does not run.
+_BOUND_KEYS = {
+    "kappa_source": ("kappa_source", str), "kappa": ("kappa", float),
+    "kappa2s": ("kappa2s", float), "phi_max": ("phi_max", float),
+    "alpha": ("alpha", float), "p_values": ("p_values", _parse_list(float)),
+    "bounds": ("bound_set", _parse_list(str)),
+}
+# The keys only some kinds of experiment read; any other kind rejects them
 # as unknown.
 _KIND_KEYS = {
-    "selection": {"margin": ("margin", float)},
+    "oracle": _BOUND_KEYS,
+    "selection": {**_BOUND_KEYS, "margin": ("margin", float)},
     "lasso-comparison": {"lasso_A": ("lasso_constant", float),
                          "T_grid": ("T_grid", _parse_list(int))},
 }
@@ -344,13 +362,13 @@ def _cmd_select(args, run):
     result = select_support(beta, tau)
     averages = average_sign_estimate(beta, tau)
 
-    for j in result.selected:
-        print(j)
     if args.out:
         write_lines(run.path("selected.txt"), result.selected)
         write_lines(run.path("averages.csv"), map(format_row, zip(
             averages.a_hat, averages.a_tilde, averages.signs
         )))
+    for j in result.selected:
+        _print(j)
     return 0
 
 
@@ -454,9 +472,9 @@ def _cmd_verify_lemmas(args, run):
     rows = [row for lines in results for row in lines]
 
     text = [" ".join(keyvalue_lines(pairs + record_pairs(report))) for pairs, report in rows]
-    print("\n".join(text))
     if args.out:
         write_lines(run.path("lemma_checks.txt"), text)
+    _print("\n".join(text))
     return 2 if any(not report.passed for _, report in rows) else 0
 
 

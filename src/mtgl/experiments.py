@@ -28,7 +28,9 @@ from .assumptions import (
     gram_diagnostics,
     re_lower_bound_from_coherence,
 )
-from .model import GroupCoefficients, group_support, mixed_norm
+from .model import (
+    GroupCoefficients, group_support, mixed_norm, task_correlations, task_fits,
+)
 from .pool import _map_in_key_order
 from .probability import frequency_verdict
 from .regularization import (
@@ -318,7 +320,7 @@ def oracle_bounds_rhs(plan, s, kappa, kappa2s=None, phi_max=None, alpha=None, p_
 def _prediction_error(X, diff):
     """(1/(nT)) * sum_t ||X_t d_t||^2 for the coefficient error d, and
     the fits X_t d_t it is computed from."""
-    fits = np.einsum("tnm,mt->tn", X, diff)
+    fits = task_fits(X, diff)
     return float(np.sum(fits * fits) / fits.size), fits
 
 
@@ -328,7 +330,7 @@ def _error_metrics(r, dataset, beta_star, result, config, diag):
     prediction, fits = _prediction_error(X, diff)
     row_norms = np.linalg.norm(diff, axis=1)
     rt = math.sqrt(dataset.T)
-    gram_rows = np.einsum("tnm,tn->mt", X, fits) / fits.size
+    gram_rows = task_correlations(X, fits) / fits.size
     correlation = float(np.max(np.linalg.norm(gram_rows, axis=1)))
     diff_groups = GroupCoefficients(diff)
     err2p = tuple(mixed_norm(diff_groups, p) / rt for p in config.p_values)

@@ -5,7 +5,9 @@ n x M design matrix X_t and an n-vector of responses y_t.  Coefficients
 live in an M x T array B whose row j (group j) collects variable j's
 coefficients across all tasks.  The mixed (2,p)-norm of B is the plain
 p-norm of the M-vector of groupwise Euclidean norms; p = 1 gives the
-group-Lasso penalty and p = inf the largest group norm.
+group-Lasso penalty and p = inf the largest group norm.  Every product
+of the designs with coefficients or residuals is one of this module's
+two batched BLAS kernels, ``task_fits`` and ``task_correlations``.
 """
 
 from __future__ import annotations
@@ -79,6 +81,7 @@ class MultiTaskDataset:
             raise ValueError("responses contain non-finite entries")
         object.__setattr__(self, "designs", _frozen_array(designs, copy=copy))
         object.__setattr__(self, "responses", _frozen_array(responses, copy=copy))
+        # Column norms, not a product with coefficients or residuals.
         col_sq = np.einsum("tnm,tnm->tm", designs, designs) / n
         object.__setattr__(
             self, "unit_diagonal", bool(np.max(np.abs(col_sq - 1.0)) <= UNIT_DIAGONAL_TOL)
@@ -177,6 +180,16 @@ def mixed_norm(beta, p):
     return float(np.sum(group**p) ** (1.0 / p))
 
 
+def task_fits(designs, values):
+    """X_t b_t of (T, n, M') designs and (M', T) coefficients, as (T, n)."""
+    return np.matmul(designs, values.T[:, :, None])[..., 0]
+
+
+def task_correlations(designs, resid):
+    """X_t^T r_t of (T, n, M') designs and (T, n) residuals, as (M', T)."""
+    return np.matmul(resid[:, None, :], designs)[:, 0, :].T
+
+
 def fitted_responses(data, beta):
     """Stack of X_t beta_t over tasks, shape (T, n)."""
     values = _coef_values(beta)
@@ -184,7 +197,7 @@ def fitted_responses(data, beta):
         raise ValueError(
             f"coefficients {values.shape} do not match dataset (M={data.M}, T={data.T})"
         )
-    return np.einsum("tnm,mt->tn", data.designs, values)
+    return task_fits(data.designs, values)
 
 
 def residual_error(data, beta):

@@ -292,7 +292,8 @@ def noise_correlation_violation_rate(data, sigma, A, replicates, seed):
     def sample(rng, rows):
         w = rng.standard_normal((rows, T, n))
         w *= sigma
-        # (T, rows, M): task t's block is W_t X_t for the block's draws
+        # (T, rows, M): task t's block is W_t X_t for the block's draws,
+        # not a model kernel: verify-lemmas pins it byte for byte.
         corr = np.matmul(w.transpose(1, 0, 2), X)
         return (np.max(np.sqrt(np.sum(corr * corr, axis=0)), axis=1) / (n * T),)
 

@@ -21,8 +21,8 @@ width.  Proximal gradient is FISTA (Beck & Teboulle 2009) with a
 function-value restart (O'Donoghue & Candes 2015): an extrapolated
 step is kept only if it does not raise the objective, else the
 momentum is reset and the plain step T/(2*phi_max) is taken, so only
-descending iterates reach the driver.  The full residual X B and the
-correlations X^T r / (nT) are batched matrix products (BLAS).
+descending iterates reach the driver.  The residual Y - X B and the
+correlations X^T r / (nT) are ``model``'s batched BLAS kernels.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GroupCoefficients
+from .model import GroupCoefficients, fitted_responses, task_correlations, task_fits
 
 # Objective traces may rise by at most this much (relative slack) before
 # the solver aborts as divergent.
@@ -115,17 +115,6 @@ class SolveResult:
     converged: bool
 
 
-def _residual(X, Y, values):
-    """Y - X B as a (T, n) array: task t's row is y_t - X_t B_t."""
-    return Y - np.matmul(X, values.T[:, :, None])[..., 0]
-
-
-def _correlation(X, resid):
-    """(1/nT) X^T r as an (M, T) array: column t is X_t^T r_t / (nT)."""
-    T, n, _ = X.shape
-    return np.matmul(resid[:, None, :], X)[:, 0, :].T / (n * T)
-
-
 def _group_kkt(corr, values, lam, width):
     # Groups are runs of `width` entries along a row of B: the whole row
     # for the group penalty, single entries for the entrywise one.
@@ -147,14 +136,9 @@ def _group_kkt(corr, values, lam, width):
 
 def _kkt(data, beta, lam, width):
     _check_positive("penalty level", lam)
-    values = beta.values
-    if values.shape != (data.M, data.T):
-        raise ValueError(
-            f"coefficients {values.shape} do not match dataset (M={data.M}, T={data.T})"
-        )
-    X = data.designs
-    corr = _correlation(X, _residual(X, data.responses, values))
-    return _group_kkt(corr, values, lam, width)
+    resid = data.responses - fitted_responses(data, beta)
+    corr = task_correlations(data.designs, resid) / (data.n * data.T)
+    return _group_kkt(corr, beta.values, lam, width)
 
 
 def kkt_residual(data, beta, lam):
@@ -207,19 +191,18 @@ def _descend(data, config, width, step):
     contaminates the convergence certificate.  A step may update values
     and resid in place.
     """
-    X, Y = data.designs, data.responses
-    lam = config.lam
+    X, Y, lam, nT = data.designs, data.responses, config.lam, data.n * data.T
     values = _initial_values(data, config)
     resid = None
     trace = []
     iterations = 0
     while True:
         if resid is None:
-            resid = _residual(X, Y, values)
+            resid = Y - task_fits(X, values)
         trace.append(_objective_from_resid(resid, values, lam, width))
         if iterations:
             _check_descent(trace)
-        corr = _correlation(X, resid)
+        corr = task_correlations(X, resid) / nT
         kkt = _group_kkt(corr, values, lam, width)
         if kkt <= config.kkt_tolerance or iterations >= config.max_iterations:
             break
@@ -251,7 +234,8 @@ def _coordinate_sweep(data, lam, width):
     already stopped the driver.  Row j's columns are copied into a
     contiguous block, and its steps and thresholds computed, the first
     time the sweep visits j; they are kept for the rest of the solve,
-    so a design is copied only as far as the working set reaches.
+    so a design is copied only as far as the working set reaches.  The
+    block's products stay in this inner loop, not in ``model``'s kernels.
     """
     X, M, n = data.designs, data.M, data.n
     blocks = [None] * M    # row j's (cols, scale, thresh) once visited
@@ -348,7 +332,7 @@ def _solve_proximal_gradient(data, config):
             z = values + beta * (values - prev)
             z_corr = corr + beta * (corr - prev_corr)
             candidate = _prox_l21(z + 2.0 * step * z_corr, prox_tau)
-            candidate_resid = _residual(X, Y, candidate)
+            candidate_resid = Y - task_fits(X, candidate)
             if _objective_from_resid(candidate_resid, candidate, lam, T) > objective:
                 # Restart (O'Donoghue & Candes 2015): go on as if x_k were
                 # the starting point, whose plain step descends by itself.

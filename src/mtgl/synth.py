@@ -2,9 +2,10 @@
 
 Datasets are built task by task from streams spawned off a single seed,
 so generation is reproducible and tasks could be drawn in parallel
-without changing the result.  Noise distributions are scaled to have
-variance exactly sigma^2 (the student-t draw is multiplied by
-sqrt((nu-2)/nu)), keeping the noise level comparable across kinds.
+without changing the result.  Responses are ``model.task_fits`` plus
+each task's noise.  Noise distributions are scaled to have variance
+exactly sigma^2 (the student-t draw is multiplied by sqrt((nu-2)/nu)),
+keeping the noise level comparable across kinds.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import GroupCoefficients, MultiTaskDataset
+from .model import GroupCoefficients, MultiTaskDataset, task_fits
 
 DESIGN_KINDS = ("gaussian-iid", "ar1", "orthogonal")
 AMPLITUDE_RULES = ("constant", "gaussian")
@@ -190,10 +191,9 @@ def generate_dataset(design, signal, noise, seed, beta_star=None):
     for t in range(T):
         np.random.default_rng(children[1 + t]).standard_normal(out=designs[t])
     _shape_designs(designs, design)
-    responses = np.empty((T, n))
+    responses = task_fits(designs, values)
     for t in range(T):
-        noise_rng = np.random.default_rng(children[1 + T + t])
-        responses[t] = designs[t] @ values[:, t] + _draw_noise(noise, n, noise_rng)
+        responses[t] += _draw_noise(noise, n, np.random.default_rng(children[1 + T + t]))
     return MultiTaskDataset._adopt(designs, responses), GroupCoefficients(values)
 
 

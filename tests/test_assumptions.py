@@ -19,7 +19,7 @@ from mtgl.assumptions import (
     re_lower_bound_from_coherence,
     re_upper_estimate,
 )
-from mtgl.model import MultiTaskDataset, objective
+from mtgl.model import MultiTaskDataset, objective, task_fits
 from mtgl.solver import SolverConfig, solve_group_lasso
 from mtgl.synth import DesignSpec, NoiseSpec, SignalSpec, generate_dataset
 
@@ -418,7 +418,7 @@ def _reference_re_search(data, s, samples, seed):
             l21_sup = float(np.sum(np.linalg.norm(d_sup, axis=1)))
             if l21_sup == 0.0:
                 continue
-            u = np.einsum("tnj,jt->tn", X[:, :, support], d_sup)
+            u = task_fits(X[:, :, support], d_sup)
             a = float(np.sum(u * u))
             den = float(np.linalg.norm(d_sup))
             candidates = [(math.sqrt(a / n) / den, np.zeros((others.size, T)))]
@@ -428,7 +428,7 @@ def _reference_re_search(data, s, samples, seed):
                 l21_off = float(np.sum(np.linalg.norm(g, axis=1)))
                 if l21_off > 0.0:
                     g = g * (factor * l21_sup / l21_off)
-                v = np.einsum("tnj,jt->tn", X[:, :, others], g)
+                v = task_fits(X[:, :, others], g)
                 b = float(np.sum(u * v))
                 dq = float(np.sum(v * v))
                 if dq > 0.0:
@@ -442,7 +442,7 @@ def _reference_re_search(data, s, samples, seed):
                 l21_w = float(np.sum(np.linalg.norm(w, axis=1)))
                 if l21_w > 0.0:
                     rho = min(1.0, 3.0 * l21_sup / l21_w)
-                    diff = u + rho * np.einsum("tnj,jt->tn", X[:, :, others], w)
+                    diff = u + rho * task_fits(X[:, :, others], w)
                     q = float(np.sum(diff * diff))
                     candidates.append((math.sqrt(max(q, 0.0) / n) / den, rho * w))
             for ratio, off in candidates:
@@ -452,7 +452,7 @@ def _reference_re_search(data, s, samples, seed):
                     values[others] = off
                     best = (ratio, values, support)
     _, values, support = best
-    fit = np.einsum("tnm,mt->tn", X, values)
+    fit = task_fits(X, values)
     ratio = math.sqrt(float(np.sum(fit * fit)) / n) / float(
         np.linalg.norm(values[support])
     )
@@ -574,7 +574,10 @@ def test_completion_falls_back_on_near_collinear_off_support_columns(
     w, image = _least_squares_completion(X, X_s, np.arange(others), K_inv, u)
     assert len(calls) == 3
     np.testing.assert_allclose(w, reference, rtol=1e-12, atol=0.0)
-    np.testing.assert_allclose(image, np.einsum("tnj,jt->tn", X_o, w), rtol=1e-12, atol=0.0)
+    # X_o indexed as the program indexes it: w cancels at round-off, so the
+    # product must sum in the same memory order
+    image_reference = task_fits(X[:, :, np.arange(others)], w)
+    np.testing.assert_allclose(image, image_reference, rtol=1e-12, atol=0.0)
 
 
 @st.composite

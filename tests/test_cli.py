@@ -687,6 +687,45 @@ def test_negative_seed_flag_is_rejected_by_its_flag(command, tmp_path, capsys, m
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["experiment", "solve", "check", "verify-lemmas"])
+def test_a_closed_stdout_loses_no_output_file(command, tmp_path, capsys):
+    # `mtgl ... | head -1`: once the reader has gone, the command still
+    # writes every file and its manifest and returns its own exit code.
+    config = _write(tmp_path / "gen.cfg", GEN_CONFIG)
+    assert _run(capsys, "gen", "--config", config, "--out", str(tmp_path / "data"))[0] == 0
+    manifest = str(tmp_path / "data" / "manifest.txt")
+    argv = {
+        "experiment": ("experiment", "--config", _write(tmp_path / "exp.cfg", ORACLE_CONFIG)),
+        "solve": ("solve", "--data", manifest, "--lambda", "0.3"),
+        "check": ("check", "--data", manifest, "--s", "2", "--alpha", "2",
+                  "--re-samples", "5"),
+        "verify-lemmas": ("verify-lemmas", "--chi-replicates", "1000",
+                          "--nem-replicates", "2", "--event-replicates", "1000"),
+    }[command]
+    expected = _run(capsys, *argv, "--out", str(tmp_path / "reference"))[0]
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout fails with EPIPE
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mtgl.cli", *argv, "--out", str(tmp_path / "piped")],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=package_root),
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == expected
+    assert "error:" not in proc.stderr
+    reference = sorted(os.listdir(tmp_path / "reference"))
+    assert sorted(os.listdir(tmp_path / "piped")) == reference
+    assert "run_manifest.txt" in reference
+    for name in reference:
+        if name != "run_manifest.txt":  # paths and timings differ
+            piped = (tmp_path / "piped" / name).read_bytes()
+            assert piped == (tmp_path / "reference" / name).read_bytes(), name
+
+
 def test_verify_lemmas_writes_run_manifest(tmp_path, capsys):
     out_dir = tmp_path / "checks"
     code, _, err = _run(
@@ -875,9 +914,14 @@ def test_experiment_unknown_kind_and_key(tmp_path, capsys):
     ("lasso-comparison", "margin=2.5"),
     ("oracle", "lasso_A=3"),
     ("selection", "lasso_A=3"),
+    *[("lasso-comparison", key) for key in (
+        "kappa_source=user-supplied", "kappa=1", "kappa2s=1", "phi_max=1", "alpha=8",
+        "p_values=1,2", "bounds=prediction",
+    )],
 ])
 def test_experiment_rejects_a_key_its_kind_does_not_read(kind, key, tmp_path, capsys):
-    # margin is read only by selection runs, lasso_A only by comparisons
+    # margin is read only by selection runs, lasso_A only by comparisons;
+    # a comparison certifies no bound, so it reads no bound key either
     text = {
         "oracle": ORACLE_CONFIG,
         "selection": SELECTION_CONFIG,

@@ -12,6 +12,8 @@ from mtgl.model import (
     mixed_norm,
     objective,
     residual_error,
+    task_correlations,
+    task_fits,
 )
 
 
@@ -205,6 +207,25 @@ def test_fitted_responses_matches_loop():
     fits = fitted_responses(data, beta)
     for t in range(3):
         np.testing.assert_allclose(fits[t], data.designs[t] @ beta.values[:, t], rtol=1e-14)
+
+
+# (n, M, T) of the benchmark's designs (mc-certify-orth, mc-select-small,
+# the AR(1) file of fit-ar1-file and preflight-file), and one task.
+@pytest.mark.parametrize("n, M, T", [
+    (400, 200, 8), (64, 32, 9), (150, 500, 8), (150, 500, 1), (64, 32, 1),
+])
+def test_kernels_are_bit_identical_to_the_per_task_loops(n, M, T):
+    rng = np.random.default_rng(n + M + T)
+    X = rng.standard_normal((T, n, M))
+    B = rng.standard_normal((M, T))
+    r = rng.standard_normal((T, n))
+    fits = task_fits(X, B)
+    correlations = task_correlations(X, r)
+    assert fits.shape == (T, n) and correlations.shape == (M, T)
+    assert np.array_equal(fits, np.stack([X[t] @ B[:, t] for t in range(T)]))
+    assert np.array_equal(
+        correlations, np.column_stack([X[t].T @ r[t] for t in range(T)])
+    )
 
 
 def test_residual_error_shape_mismatch():

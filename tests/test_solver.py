@@ -6,17 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtgl.model import GroupCoefficients, MultiTaskDataset, group_support, objective
+from mtgl.model import (
+    GroupCoefficients,
+    MultiTaskDataset,
+    group_support,
+    objective,
+    task_correlations,
+    task_fits,
+)
 from mtgl.regularization import RegularizationPlan
 from mtgl.solver import (
     SolverConfig,
-    _correlation,
     _descend,
     _group_kkt,
     _next_momentum,
     _objective_from_resid,
     _prox_l21,
-    _residual,
     block_soft_threshold,
     kkt_residual,
     lasso_kkt_residual,
@@ -527,9 +532,9 @@ def _pg_rebuilding_every_residual(data, config):
     momentum = 0.0
     trace, iterations = [], 0
     while True:
-        resid = _residual(X, Y, values)
+        resid = Y - task_fits(X, values)
         trace.append(_objective_from_resid(resid, values, lam, T))
-        corr = _correlation(X, resid)
+        corr = task_correlations(X, resid) / (data.n * T)
         kkt = _group_kkt(corr, values, lam, T)
         if kkt <= config.kkt_tolerance or iterations >= config.max_iterations:
             return values, iterations, kkt, tuple(trace)
@@ -541,7 +546,7 @@ def _pg_rebuilding_every_residual(data, config):
             z_corr = corr + beta * (corr - prev_corr)
             candidate = _prox_l21(z + 2.0 * step * z_corr, prox_tau)
             rises = _objective_from_resid(
-                _residual(X, Y, candidate), candidate, lam, T
+                Y - task_fits(X, candidate), candidate, lam, T
             ) > _objective_from_resid(resid, values, lam, T)
             if rises:
                 candidate, following = None, _next_momentum(0.0)
