@@ -10,14 +10,19 @@ manifest is a key=value text file with n, M, T and per-task
 design/response file paths, resolved relative to the manifest's
 directory.
 
-``write_dataset`` also saves the designs ``(T, n, M)`` and responses
-``(T, n)`` as binary sidecars ``designs.npy`` and ``responses.npy`` and
-records ``sidecar_sha256``, one SHA-256 digest over the bytes of every
-CSV the manifest names and of both sidecars.  ``read_dataset`` loads the
+``write_dataset`` also saves the design store (``model``'s C-ordered
+``(T, M, n)`` array of every X_t^T) and the responses ``(T, n)`` as
+binary sidecars ``designs_t.npy`` and ``responses.npy``, so a read
+adopts the store without transposing it, and records
+``sidecar_sha256``, one SHA-256 digest over the bytes of every CSV the
+manifest names and of both sidecars.  ``read_dataset`` loads the
 sidecars instead of parsing the CSVs only when that digest matches and
 they hold float64 arrays of exactly the manifest's shapes; otherwise
 (hand-written data, an edited CSV, a missing or damaged sidecar) it
-parses the CSVs, which remain the source of truth.  Formatting the CSVs
+parses the CSVs, which remain the source of truth.  The store's sidecar
+has its own name because at n == M no shape check can tell it from the
+``(T, n, M)`` ``designs.npy`` of older writers: their datasets lack
+``designs_t.npy`` and so take the CSV path.  Formatting the CSVs
 is most of the cost of writing a dataset, so ``write_dataset`` writes
 each task's pair on the worker pool of ``pool``; every file's bytes are
 the same at any worker count, and the parent writes the sidecars,
@@ -31,7 +36,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .model import GroupCoefficients, MultiTaskDataset
+from .model import GroupCoefficients, MultiTaskDataset, _empty_designs
 from .pool import _map_in_key_order
 
 
@@ -170,7 +175,7 @@ def write_keyvalue(path, pairs):
 
 
 SIDECAR_DIGEST_KEY = "sidecar_sha256"
-SIDECAR_NAMES = ("designs.npy", "responses.npy")
+SIDECAR_NAMES = ("designs_t.npy", "responses.npy")
 
 
 def _files_digest(paths):
@@ -210,7 +215,8 @@ def write_dataset(data, directory):
         write_matrix_csv(os.path.join(directory, files[2 * t + 1]), data.responses[t])
 
     _map_in_key_order(write_task, range(data.T))
-    for name, values in zip(SIDECAR_NAMES, (data.designs, data.responses)):
+    store = data.designs.transpose(0, 2, 1)
+    for name, values in zip(SIDECAR_NAMES, (store, data.responses)):
         np.save(os.path.join(directory, name), values)
     files += SIDECAR_NAMES
     digest = _files_digest(os.path.join(directory, name) for name in files)
@@ -221,7 +227,7 @@ def write_dataset(data, directory):
 
 
 def _load_sidecars(base, csv_paths, digest, shapes):
-    """The (designs, responses) sidecars in ``base``, or None unless the
+    """The (design store, responses) sidecars in ``base``, or None unless the
     digest over ``csv_paths`` and the sidecars matches and both hold
     float64 arrays of exactly ``shapes``."""
     if digest is None:
@@ -249,7 +255,7 @@ def read_dataset(manifest_path):
     The manifest is checked in full first: integer n, M and T of at
     least 1, every design_t/response_t key, no unknown keys.  The data
     then come from the binary sidecars when their digest matches, else
-    from the CSVs.  design_0 is read before the (T, n, M) array is
+    from the CSVs.  design_0 is read before the design store is
     allocated, so sizes the files do not hold fail on that file.
     """
     entries = read_keyvalue(manifest_path)
@@ -285,9 +291,10 @@ def read_dataset(manifest_path):
         raise ParseError(
             f"{manifest_path}: unknown keys {sorted(entries)}"
         )
-    sidecars = _load_sidecars(base, paths.values(), digest, ((T, n, M), (T, n)))
+    sidecars = _load_sidecars(base, paths.values(), digest, ((T, M, n), (T, n)))
     if sidecars is not None:
-        return MultiTaskDataset._adopt(*sidecars)
+        store, responses = sidecars
+        return MultiTaskDataset._adopt(store.transpose(0, 2, 1), responses)
 
     def read_csv(key, shape):
         path = paths[key]
@@ -301,7 +308,7 @@ def read_dataset(manifest_path):
         return matrix
 
     first = read_csv("design_0", (n, M))
-    designs = np.empty((T, n, M))
+    designs = _empty_designs(T, n, M)
     responses = np.empty((T, n))
     for t in range(T):
         designs[t] = first if t == 0 else read_csv(f"design_{t}", (n, M))

@@ -8,6 +8,13 @@ p-norm of the M-vector of groupwise Euclidean norms; p = 1 gives the
 group-Lasso penalty and p = inf the largest group norm.  Every product
 of the designs with coefficients or residuals is one of this module's
 two batched BLAS kernels, ``task_fits`` and ``task_correlations``.
+
+The designs have one layout, the design store: a C-ordered (T, M, n)
+array holding each X_t^T, seen everywhere as its (T, n, M) transpose.
+So designs[:, :, j], the columns x_tj of variable j, is a (T, n) slab
+whose rows are contiguous, which is the access coordinate descent makes.
+``_empty_designs`` allocates the store, and every dataset's designs are
+in it.
 """
 
 from __future__ import annotations
@@ -19,6 +26,12 @@ import numpy as np
 # Columns count as normalised when every (1/n) sum_i x_ij^2 is within
 # this tolerance of 1.
 UNIT_DIAGONAL_TOL = 1e-10
+
+
+def _empty_designs(T, n, M):
+    """The (T, n, M) view of a fresh, writable design store: its
+    ``transpose(0, 2, 1)`` is the C-ordered (T, M, n) array of every X_t^T."""
+    return np.empty((T, M, n)).transpose(0, 2, 1)
 
 
 def _frozen_array(values, dtype=float, copy=True):
@@ -36,11 +49,13 @@ class MultiTaskDataset:
     designs   : float array of shape (T, n, M); designs[t] is X_t.
     responses : float array of shape (T, n);    responses[t] is y_t.
 
+    ``designs`` is the (T, n, M) view of the design store (see the
+    module docstring), whatever layout the caller passed.
     ``unit_diagonal`` records whether every column of every task design
     satisfies (1/n) * ||x_tj||^2 = 1 within UNIT_DIAGONAL_TOL; the
     noise-event lemma requires it.  The constructor copies the arrays
-    and marks the copies read-only, so no caller can change a dataset
-    after it is validated.
+    (the designs into a new store) and marks the copies read-only, so no
+    caller can change a dataset after it is validated.
     """
 
     designs: np.ndarray
@@ -54,7 +69,9 @@ class MultiTaskDataset:
     def _adopt(cls, designs, responses):
         """The dataset over arrays that nothing else holds, such as
         freshly read or drawn ones: validated and marked read-only in
-        place instead of copied."""
+        place instead of copied.  ``designs`` must already be the
+        (T, n, M) view of a design store (``_empty_designs``); any other
+        layout raises ValueError rather than being copied."""
         data = object.__new__(cls)
         object.__setattr__(data, "designs", designs)
         object.__setattr__(data, "responses", responses)
@@ -79,10 +96,23 @@ class MultiTaskDataset:
             raise ValueError("designs contain non-finite entries")
         if not np.all(np.isfinite(responses)):
             raise ValueError("responses contain non-finite entries")
-        object.__setattr__(self, "designs", _frozen_array(designs, copy=copy))
+        if copy:
+            fresh = _empty_designs(T, n, M)
+            fresh[...] = designs
+            designs = fresh
+        elif not designs.transpose(0, 2, 1).flags.c_contiguous:
+            raise ValueError(
+                "adopted designs must be the (T, n, M) view of a design store"
+            )
+        # Freeze the store's own buffer too, not only this view of it.
+        for array in (designs, designs.base):
+            if isinstance(array, np.ndarray):
+                array.setflags(write=False)
+        object.__setattr__(self, "designs", designs)
         object.__setattr__(self, "responses", _frozen_array(responses, copy=copy))
         # Column norms, not a product with coefficients or residuals.
-        col_sq = np.einsum("tnm,tnm->tm", designs, designs) / n
+        store = designs.transpose(0, 2, 1)
+        col_sq = np.einsum("tmn,tmn->tm", store, store) / n
         object.__setattr__(
             self, "unit_diagonal", bool(np.max(np.abs(col_sq - 1.0)) <= UNIT_DIAGONAL_TOL)
         )

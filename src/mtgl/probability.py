@@ -286,7 +286,9 @@ def noise_correlation_violation_rate(data, sigma, A, replicates, seed):
     lam, q, _ = lambda_gaussian(sigma, n, T, M, A)
     bound = M ** (1.0 - q)
 
-    X = data.designs
+    # A C-ordered copy: on the design store's column-major task slices,
+    # matmul's BLAS path would round differently with the block's rows.
+    X = np.ascontiguousarray(data.designs)
     cutoff = lam / 2.0
 
     def sample(rng, rows):

@@ -231,26 +231,24 @@ def _coordinate_sweep(data, lam, width):
     Only nonzero rows and zero rows holding a group whose correlation
     norm exceeds lam are visited: every other group has ||c|| <= lam*T
     and would stay 0.  That set is empty only at KKT residual 0, which
-    already stopped the driver.  Row j's columns are copied into a
-    contiguous block, and its steps and thresholds computed, the first
-    time the sweep visits j; they are kept for the rest of the solve,
-    so a design is copied only as far as the working set reaches.  The
-    block's products stay in this inner loop, not in ``model``'s kernels.
+    already stopped the driver.  Row j's columns are read in place, as
+    the (T, n) slab X[:, :, j] of the design store, whose rows are
+    contiguous; every row's step and threshold come from one pass over
+    the store before the first sweep, so the solve copies no design
+    rows.  The slab's products stay in this inner loop, not in
+    ``model``'s kernels.
     """
-    X, M, n = data.designs, data.M, data.n
-    blocks = [None] * M    # row j's (cols, scale, thresh) once visited
-
-    def block(j):
-        cols = np.ascontiguousarray(X[:, :, j])           # (T, n)
-        diagonal = np.einsum("tn,tn->t", cols, cols) / n  # d_tj
-        if width > 1:
-            # One step per row, as a Python float: cheaper than 0-d arrays.
-            step = 1.0 / (max(diagonal.tolist()) or 1.0)
-        else:
-            step = 1.0 / np.where(diagonal > 0, diagonal, 1.0)
-        # step / n turns X_j^T r into the gradient step c_j / L
-        blocks[j] = cols, step / n, lam * data.T * step
-        return blocks[j]
+    M, n = data.M, data.n
+    store = data.designs.transpose(0, 2, 1)                 # (T, M, n)
+    diagonal = np.einsum("tmn,tmn->mt", store, store) / n   # d_tj
+    if width > 1:
+        diagonal = diagonal.max(axis=1)
+    step = 1.0 / np.where(diagonal > 0, diagonal, 1.0)
+    # step / n turns X_j^T r into the gradient step c_j / L
+    scales, thresholds = step / n, lam * data.T * step
+    if width > 1:
+        # One step per row, as a Python float: cheaper than 0-d arrays.
+        scales, thresholds = scales.tolist(), thresholds.tolist()
 
     buf = np.empty_like(data.responses)     # (T, n) rank-one update
 
@@ -260,7 +258,7 @@ def _coordinate_sweep(data, lam, width):
         working = np.flatnonzero(nonzero | violated.reshape(M, -1).any(axis=1))
         # Each row is visited once, so nonzero[j] still holds when j is.
         for j in working.tolist():
-            cols, scale, thresh = blocks[j] or block(j)
+            cols, scale, thresh = store[:, j], scales[j], thresholds[j]
             row = values[j]
             v = row + np.vecdot(cols, resid) * scale
             if width == 1:

@@ -2,7 +2,9 @@
 
 Datasets are built task by task from streams spawned off a single seed,
 so generation is reproducible and tasks could be drawn in parallel
-without changing the result.  Responses are ``model.task_fits`` plus
+without changing the result.  Each task is drawn and shaped as an n x M
+array in its slot of the design store (see ``model``), then turned into
+X_t^T in place.  Responses are ``model.task_fits`` plus
 each task's noise.  Noise distributions are scaled to have variance
 exactly sigma^2 (the student-t draw is multiplied by sqrt((nu-2)/nu)),
 keeping the noise level comparable across kinds.
@@ -15,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import GroupCoefficients, MultiTaskDataset, task_fits
+from .model import GroupCoefficients, MultiTaskDataset, _empty_designs, task_fits
 
 DESIGN_KINDS = ("gaussian-iid", "ar1", "orthogonal")
 AMPLITUDE_RULES = ("constant", "gaussian")
@@ -186,15 +188,24 @@ def generate_dataset(design, signal, noise, seed, beta_star=None):
                 f"(M={design.M}, T={design.T})"
             )
 
-    T, n = design.T, design.n
-    designs = np.empty((T, n, design.M))
+    T, n, M = design.T, design.n, design.M
+    store = _empty_designs(T, n, M).transpose(0, 2, 1)   # (T, M, n)
+    # Drawn and shaped in a C-ordered (T, n, M) view of the store's buffer.
+    drawn = store.reshape(T, n, M)
     for t in range(T):
-        np.random.default_rng(children[1 + t]).standard_normal(out=designs[t])
-    _shape_designs(designs, design)
-    responses = task_fits(designs, values)
+        np.random.default_rng(children[1 + t]).standard_normal(out=drawn[t])
+    _shape_designs(drawn, design)
+    responses = task_fits(drawn, values)
     for t in range(T):
         responses[t] += _draw_noise(noise, n, np.random.default_rng(children[1 + T + t]))
-    return MultiTaskDataset._adopt(designs, responses), GroupCoefficients(values)
+    # Each task's slot then takes X_t^T in place, through one task buffer.
+    task = np.empty((n, M))
+    for t in range(T):
+        np.copyto(task, drawn[t])
+        np.copyto(store[t], task.T)
+    del task
+    data = MultiTaskDataset._adopt(store.transpose(0, 2, 1), responses)
+    return data, GroupCoefficients(values)
 
 
 def generate_beta_for_selection(signal, tau, margin, M, T, seed):

@@ -251,13 +251,13 @@ def _csv_arrays(directory, T):
     return np.array(designs), np.array(responses)
 
 
-def _reseal(manifest):
+def _reseal(manifest, sidecars=dataio.SIDECAR_NAMES):
     """Recompute the manifest's sidecar digest over the files as they are."""
     entries = read_keyvalue(manifest)
     base = os.path.dirname(manifest)
     names = [entries[f"{kind}_{t}"] for t in range(int(entries["T"]))
              for kind in ("design", "response")]
-    paths = [os.path.join(base, name) for name in names + list(dataio.SIDECAR_NAMES)]
+    paths = [os.path.join(base, name) for name in names + list(sidecars)]
     entries[SIDECAR_DIGEST_KEY] = dataio._files_digest(paths)
     write_keyvalue(manifest, entries.items())
 
@@ -302,13 +302,13 @@ def _edit_csv(d):
 
 
 def _truncate_sidecar(d):
-    path = d / "designs.npy"
+    path = d / "designs_t.npy"
     path.write_bytes(path.read_bytes()[:200])
 
 
 def _swap_sidecar(d):
     other = _dataset(seed=9)
-    np.save(d / "designs.npy", other.designs)
+    np.save(d / "designs_t.npy", other.designs.transpose(0, 2, 1))
 
 
 def _save_sealed(name, array, **kwargs):
@@ -319,8 +319,8 @@ def _save_sealed(name, array, **kwargs):
 
 
 def _npz_sidecar(d):
-    designs = np.load(d / "designs.npy")
-    with open(d / "designs.npy", "wb") as handle:
+    designs = np.load(d / "designs_t.npy")
+    with open(d / "designs_t.npy", "wb") as handle:
         np.savez(handle, designs=designs)
     _reseal(str(d / "manifest.txt"))
 
@@ -333,22 +333,36 @@ def _drop_digest(d):
     np.save(d / "responses.npy", np.zeros((3, 8)))
 
 
+def _old_layout_square_sidecar(d):
+    # An older writer's dataset at n == M: its sealed designs.npy holds
+    # the (T, n, M) designs, which a shape check could not tell from the
+    # (T, M, n) store, and there is no designs_t.npy.
+    data = _dataset(n=4, M=4)
+    write_dataset(data, d)
+    (d / "designs_t.npy").unlink()
+    np.save(d / "designs.npy", np.ascontiguousarray(data.designs))
+    _reseal(str(d / "manifest.txt"), ("designs.npy", "responses.npy"))
+
+
 @pytest.mark.parametrize("damage", [
     _edit_csv,
     _truncate_sidecar,
     lambda d: (d / "responses.npy").unlink(),
     _swap_sidecar,
-    _save_sealed("designs.npy", lambda a: a.astype(np.float32)),
-    _save_sealed("designs.npy", lambda a: a.astype(">f8")),
-    _save_sealed("designs.npy", lambda a: np.ascontiguousarray(a.transpose(0, 2, 1))),
+    _save_sealed("designs_t.npy", lambda a: a.astype(np.float32)),
+    _save_sealed("designs_t.npy", lambda a: a.astype(">f8")),
+    # the old (T, n, M) layout under the store's name
+    _save_sealed("designs_t.npy", lambda a: np.ascontiguousarray(a.transpose(0, 2, 1))),
     _save_sealed("responses.npy", lambda a: a[:, :-1]),
     _save_sealed("responses.npy",
                  lambda a: np.array([_Unpicklable()] * a.size, dtype=object),
                  allow_pickle=True),
     _npz_sidecar,
     _drop_digest,
+    _old_layout_square_sidecar,
 ], ids=["csv-edited", "truncated", "missing", "swapped", "float32",
-        "big-endian", "transposed", "short", "object-dtype", "npz", "no-digest"])
+        "big-endian", "transposed", "short", "object-dtype", "npz", "no-digest",
+        "old-layout-square"])
 def test_damaged_sidecar_falls_back_to_csv(tmp_path, monkeypatch, damage):
     data = _dataset()
     d = tmp_path / "d"
@@ -432,10 +446,10 @@ def test_non_finite_csv_rejected_with_sidecars_present(tmp_path):
     with pytest.raises(ValueError, match="non-finite"):
         read_dataset(manifest)
     # a sealed non-finite sidecar is rejected by the same dataset check
-    designs = np.load(d / "designs.npy")
-    designs[1, 0, 0] = np.inf
-    write_matrix_csv(d / "task1_design.csv", designs[1])
-    np.save(d / "designs.npy", designs)
+    store = np.load(d / "designs_t.npy")
+    store[1, 0, 0] = np.inf
+    write_matrix_csv(d / "task1_design.csv", store[1].T)
+    np.save(d / "designs_t.npy", store)
     _reseal(str(manifest))
     with pytest.raises(ValueError, match="non-finite"):
         read_dataset(manifest)

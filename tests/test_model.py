@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from mtgl.dataio import SIDECAR_NAMES, read_dataset, write_dataset
 from mtgl.model import (
+    _empty_designs,
     GroupCoefficients,
     MultiTaskDataset,
     SparsityPattern,
@@ -15,6 +17,7 @@ from mtgl.model import (
     task_correlations,
     task_fits,
 )
+from mtgl.synth import DesignSpec, NoiseSpec, SignalSpec, generate_dataset
 
 
 def _random_dataset(rng, T=3, n=8, M=5):
@@ -68,6 +71,57 @@ def test_dataset_is_immutable():
         data.designs[0, 0, 0] = 7.0
     with pytest.raises(ValueError):
         data.responses[0, 0] = 7.0
+
+
+def _dataset_by_each_constructor(tmp_path):
+    """{constructor: dataset} for every way a dataset is made."""
+    made = {"MultiTaskDataset": _random_dataset(np.random.default_rng(4))}
+    for kind in ("gaussian-iid", "ar1", "orthogonal"):
+        design = DesignSpec(kind, 9, 5, 3, rho=0.6 if kind == "ar1" else None)
+        made[kind], _ = generate_dataset(design, SignalSpec(s=2), NoiseSpec(), 1)
+    sidecar = write_dataset(made["ar1"], tmp_path / "sidecar")
+    made["read_dataset-sidecar"] = read_dataset(sidecar)
+    csv = write_dataset(made["ar1"], tmp_path / "csv")
+    for name in SIDECAR_NAMES:
+        (tmp_path / "csv" / name).unlink()
+    made["read_dataset-csv"] = read_dataset(csv)
+    return made
+
+
+def test_every_constructor_makes_a_read_only_design_store(tmp_path):
+    made = _dataset_by_each_constructor(tmp_path)
+    assert len(made) == 6
+    for name, data in made.items():
+        store = data.designs.transpose(0, 2, 1)
+        assert store.flags.c_contiguous, name
+        assert not store.flags.writeable and not data.designs.flags.writeable, name
+        assert not data.designs.base.flags.writeable, name
+        assert data.designs.shape == (data.T, data.n, data.M), name
+    for name in ("read_dataset-sidecar", "read_dataset-csv"):
+        assert made[name].designs.tobytes() == made["ar1"].designs.tobytes()
+
+
+def test_dataset_copies_any_layout_into_the_store():
+    rng = np.random.default_rng(6)
+    designs = rng.standard_normal((2, 7, 4))
+    in_store = designs.transpose(0, 2, 1).copy().transpose(0, 2, 1)
+    for layout in (designs, np.asfortranarray(designs), in_store):
+        data = MultiTaskDataset(layout, np.zeros((2, 7)))
+        assert data.designs.transpose(0, 2, 1).flags.c_contiguous
+        assert np.array_equal(data.designs, designs)
+
+
+def test_adopt_raises_on_a_foreign_layout():
+    # _adopt never copies: designs not already in a design store raise,
+    # while a store's view is adopted as it is.
+    rng = np.random.default_rng(7)
+    responses = rng.standard_normal((2, 7))
+    with pytest.raises(ValueError, match="design store"):
+        MultiTaskDataset._adopt(rng.standard_normal((2, 7, 4)), responses)
+    store = _empty_designs(2, 7, 4)
+    store[...] = rng.standard_normal((2, 7, 4))
+    data = MultiTaskDataset._adopt(store, responses)
+    assert data.designs is store and not store.flags.writeable
 
 
 def test_sparsity_pattern_semantics():

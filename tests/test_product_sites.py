@@ -20,9 +20,10 @@ SITES = {
     ("model", "task_correlations", "matmul"): "the correlation kernel",
     ("model", "_settle", "einsum"): "column norms of the designs",
     ("solver", "block_soft_threshold", "@"): "a vector's squared norm",
-    ("solver", "block", "einsum"): "a sweep row's Gram diagonal, a column norm",
+    ("solver", "_coordinate_sweep", "einsum"):
+        "the sweep's Gram diagonals, column norms of the design store",
     ("solver", "sweep", "vecdot"):
-        "the sweep's inner loop on one row's contiguous (T, n) block",
+        "the sweep's inner loop on one row's (T, n) slab of the design store",
     ("solver", "sweep", "dot"): "a group's squared norm",
     ("assumptions", "_top_eigenvalue", "@"): "a task's Gram",
     ("assumptions", "gram_diagnostics", "matmul"): "the per-task Grams",

@@ -421,18 +421,30 @@ def test_coordinate_sweep_is_bit_identical_to_plain_row_loop(design, width):
         assert res.objective_trace == ref.objective_trace
 
 
-def test_sparse_block_coordinate_solve_copies_only_the_rows_it_visits():
-    # A replicate of the certified orthogonal run: its sweeps visit the
-    # few rows of the support, so the solve copies their columns and
-    # not the (T, n, M) design, which the old (M, T, n) layout held twice.
-    design = DesignSpec(kind="orthogonal", n=400, M=200, T=8)
-    data, _ = generate_dataset(design, SignalSpec(s=4), NoiseSpec(), 0)
-    lam = RegularizationPlan("gaussian", 1.0, data.n, data.T, data.M, 9.0).lam
-    config = SolverConfig(lam=lam)
+# (design, signal, fraction of the gaussian rule's lambda at A = 9)
+_ROW_READ_SOLVES = {
+    # a replicate of the certified orthogonal run: the sweeps visit the
+    # few rows of the support
+    "orthogonal-support": (DesignSpec(kind="orthogonal", n=400, M=200, T=8),
+                           SignalSpec(s=4), 1.0),
+    # the smallest-lambda solve of the AR(1) file fit, whose sweeps visit
+    # nearly every row
+    "ar1-full": (DesignSpec(kind="ar1", n=150, M=500, T=8, rho=0.6),
+                 SignalSpec(s=20, amplitude="gaussian"), 0.05),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ROW_READ_SOLVES))
+def test_block_coordinate_solve_copies_no_design_rows(case):
+    # The sweep reads each row's columns in place in the design store,
+    # so a solve holds no copy of the design, however many rows it visits.
+    design, signal, fraction = _ROW_READ_SOLVES[case]
+    data, _ = generate_dataset(design, signal, NoiseSpec(), 0)
+    lam = fraction * RegularizationPlan("gaussian", 1.0, data.n, data.T, data.M, 9.0).lam
     solve_group_lasso(_ar1_dataset(), SolverConfig(lam=0.5))  # first-call imports
     tracemalloc.start()
     try:
-        result = solve_group_lasso(data, config)
+        result = solve_group_lasso(data, SolverConfig(lam=lam, max_iterations=5000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
