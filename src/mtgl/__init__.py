@@ -37,7 +37,6 @@ from .regularization import (
     lambda_finite_variance,
     lambda_gaussian,
     norm_bound_constant_c1,
-    selection_threshold,
     threshold_constant_c,
 )
 from .assumptions import (

@@ -272,7 +272,9 @@ def minimize_re_quotient(data, s, samples, seed):
         for k in range(samples):
             rng = np.random.default_rng(np.random.SeedSequence([seed, m, k]))
             support = np.sort(rng.choice(M, size=m, replace=False))
-            others = np.setdiff1d(np.arange(M), support)
+            off_support = np.ones(M, dtype=bool)
+            off_support[support] = False
+            others = np.flatnonzero(off_support)  # np.setdiff1d imports numpy.ma
             d_sup = rng.standard_normal((m, T))
             l21_sup = float(np.sum(np.linalg.norm(d_sup, axis=1)))
             if l21_sup == 0.0:

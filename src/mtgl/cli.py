@@ -74,7 +74,6 @@ from .regularization import (
     REGIMES,
     RegularizationPlan,
     check_regime_constant,
-    coherence_threshold,
     finite_variance_confidence,
     norm_bound_constant_c1,
 )
@@ -351,9 +350,12 @@ def _resolve_tau(args, run):
         )
     regime = run.settings["regime"] = args.regime or GAUSSIAN
     check_regime_constant(regime, args.A, args.delta, "--")
-    return coherence_threshold(
-        args.alpha, args.sigma, args.n, args.M, args.T, args.A, regime, args.delta
-    )[1]
+    if args.T is None and regime == GAUSSIAN:
+        raise ValueError("the gaussian threshold needs --T")
+    # The finite-variance tau reads neither T nor lam, so any T gives it.
+    T = 1 if args.T is None else args.T
+    plan = RegularizationPlan(regime, args.sigma, args.n, T, args.M, args.A, args.delta)
+    return plan.threshold(args.alpha)[1]
 
 
 def _cmd_select(args, run):
@@ -450,15 +452,16 @@ def _cmd_verify_lemmas(args, run):
                  report)]
 
     def noise_event():
-        design = DesignSpec(kind="orthogonal", n=64, M=8, T=16)
-        signal = SignalSpec(s=0)
-        noise = NoiseSpec(kind="gaussian", sigma=1.0)
-        dataset, _ = generate_dataset(design, signal, noise, args.seed)
-        report = noise_correlation_violation_rate(
-            dataset, 1.0, 9.0, args.event_replicates, args.seed
+        plan = RegularizationPlan(GAUSSIAN, 1.0, 64, 16, 8, A=9.0)
+        dataset, _ = generate_dataset(
+            DesignSpec(kind="orthogonal", n=plan.n, M=plan.M, T=plan.T), SignalSpec(s=0),
+            NoiseSpec(kind="gaussian", sigma=plan.sigma), args.seed,
         )
-        return [([("check", "noise-correlation-event"), ("n", 64), ("T", 16), ("M", 8),
-                  ("A", 9.0)], report)]
+        report = noise_correlation_violation_rate(
+            dataset, plan, args.event_replicates, args.seed
+        )
+        return [([("check", "noise-correlation-event"), ("n", plan.n), ("T", plan.T),
+                  ("M", plan.M), ("A", plan.A)], report)]
 
     checks = [functools.partial(chi_square, T) for T in (4, 16)]
     checks += [

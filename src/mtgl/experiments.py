@@ -95,6 +95,9 @@ class ExperimentConfig:
     exactly orthogonal designs.
     ``phi_max`` fixes the largest Gram eigenvalue used in the sparsity
     bound; leave it None to measure it per replicate.
+    ``bound_set`` (the config key ``bounds``) names the bounds to check,
+    each once, from those of the regime and ``p_values``; None checks
+    every bound whose ingredients are given.
     """
 
     design: object
@@ -150,6 +153,8 @@ class ExperimentConfig:
         sigma = self.noise.sigma if self.plan_sigma is None else self.plan_sigma
         d = self.design
         plan = RegularizationPlan(self.regime, sigma, d.n, d.T, d.M, self.A, self.delta)
+        if self.bound_set is not None:
+            _check_bound_set(self.bound_set, plan, self.p_values)
         object.__setattr__(self, "plan", plan)
         object.__setattr__(self, "solver", SolverConfig(
             lam=plan.lam,
@@ -315,6 +320,23 @@ def oracle_bounds_rhs(plan, s, kappa, kappa2s=None, phi_max=None, alpha=None, p_
     if plan.regime == GAUSSIAN:
         out["correlation"] = 1.5 * plan.lam
     return out
+
+
+def _check_bound_set(names, plan, p_values):
+    """Raise unless ``names`` is a nonempty set of distinct bounds of a run
+    at ``plan`` and ``p_values``: those ``oracle_bounds_rhs`` gives with
+    every ingredient, plus the gaussian sparsity_from_prediction."""
+    known = list(oracle_bounds_rhs(plan, 1, 1.0, 1.0, 1.0, 2.0, p_values))
+    known += ["sparsity_from_prediction"] if plan.regime == GAUSSIAN else []
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    unknown = [name for name in names if name not in known]
+    if not names or repeated or unknown:
+        problem = (f"{repeated} more than once" if repeated
+                   else f"unknown bounds {unknown}" if unknown else "no bound")
+        raise ValueError(
+            f"bounds names {problem}; the {plan.regime} regime at p_values "
+            f"{tuple(p_values)} has {known}"
+        )
 
 
 def _prediction_error(X, diff):

@@ -9,9 +9,10 @@ Three checks, each returning a TailCheckReport:
   (1/nT) max_j sqrt(sum_t (x_tj . W_t)^2) > lam/2 is at most M^(1-q).
 
 A frequency passes by the exact binomial test of ``frequency_verdict``,
-a mean within three standard errors.  The moment constant, lam and q
-come from ``regularization``.  Every check draws from streams derived
-from (seed, chunk index) with a fixed chunk size of 4096 replicates.
+a mean within three standard errors.  The moment constant comes from
+``regularization``, and lam and q from the event check's plan.  Every
+check draws from streams derived from (seed, chunk index) with a fixed
+chunk size of 4096 replicates.
 A check runs its chunks one after another in the calling process; each
 is reduced as soon as it is drawn to a few numbers (its event counts, or
 its sums for the moment check), which are added up in chunk order.
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regularization import lambda_gaussian, moment_constant
+from .regularization import moment_constant
 
 _CHUNK = 4096
 _BLOCK_BYTES = 2 << 20
@@ -269,12 +270,13 @@ def nemirovski_check(M, n_vectors, distribution, replicates, seed):
     )
 
 
-def noise_correlation_violation_rate(data, sigma, A, replicates, seed):
-    """Rate at which gaussian noise pushes the groupwise correlation
+def noise_correlation_violation_rate(data, plan, replicates, seed):
+    """Rate at which N(0, sigma^2) noise pushes the groupwise correlation
     statistic (1/nT) max_j sqrt(sum_t (x_tj . W_t)^2) above lam/2.
 
-    lam and q are the gaussian penalty rule's at (sigma, A) and the
-    data's sizes; the analytic rate bound is M^(1-q).
+    sigma, lam and q are those of ``plan``, a RegularizationPlan at the
+    data's (n, T, M) whose regime has a q; the analytic rate bound is
+    M^(1-q).
     """
     if not data.unit_diagonal:
         raise ValueError("the correlation event is stated for unit-diagonal designs")
@@ -283,8 +285,13 @@ def noise_correlation_violation_rate(data, sigma, A, replicates, seed):
             f"need at least {MIN_TAIL_REPLICATES} replicates, got {replicates}"
         )
     n, T, M = data.n, data.T, data.M
-    lam, q, _ = lambda_gaussian(sigma, n, T, M, A)
-    bound = M ** (1.0 - q)
+    if (plan.n, plan.T, plan.M) != (n, T, M) or plan.q is None:
+        raise ValueError(
+            f"need a plan with a q at the data's (n, T, M) = {(n, T, M)}, got a "
+            f"{plan.regime} plan at {(plan.n, plan.T, plan.M)}"
+        )
+    sigma, lam = plan.sigma, plan.lam
+    bound = M ** (1.0 - plan.q)
 
     # A C-ordered copy: on the design store's column-major task slices,
     # matmul's BLAS path would round differently with the block's rows.

@@ -14,10 +14,12 @@ here once, as a function of one rate term per noise regime:
   1 - (2e*log M - e) * c' / rate, where c' is the design statistic
   (1/nT) * sum_{t,i} max_j (x_ti)_j^2.
 
-``RegularizationPlan`` computes lam, q and the confidence of one problem
-size and its regime's one constant, A or delta (giving the other is an
-error).  Constant validity windows (A > 8, alpha > 1, and so on) are
-enforced, and sigma, A, delta, c' and alpha must be finite.
+``RegularizationPlan`` computes the rate, lam, q, the confidence and the
+selection threshold tau of one problem size and its regime's one
+constant, A or delta (giving the other is an error).  It is the only
+code that turns those sizes into them: every other module reads a plan.
+Constant validity windows (A > 8, alpha > 1, and so on) are enforced,
+and sigma, A, delta, c' and alpha must be finite.
 """
 
 from __future__ import annotations
@@ -57,11 +59,6 @@ def _check_dims(sigma, n, T, M, min_M=2):
         raise ValueError(f"need at least M >= {min_M} variables, got M={M}")
 
 
-def gaussian_rate(A, M, T):
-    """The gaussian regime's rate term 1 + A*log(M)/sqrt(T)."""
-    return 1.0 + A * math.log(M) / math.sqrt(T)
-
-
 def finite_variance_rate(M, delta):
     """The finite-variance regime's rate term (log M)^(1+delta)."""
     return math.log(M) ** (1.0 + delta)
@@ -73,24 +70,14 @@ def moment_constant(M):
 
 
 def lambda_gaussian(sigma, n, T, M, A):
-    """Gaussian-regime penalty level.
-
-    Returns (lam, q, confidence) where confidence = 1 - M^(1-q).
-    Requires a finite A > 8.
-    """
-    _check_dims(sigma, n, T, M)
-    _check_above("tuning constant A", A, 8)
-    lam = (2.0 * sigma / math.sqrt(n * T)) * math.sqrt(gaussian_rate(A, M, T))
-    q = min(8.0 * math.log(M), A * math.sqrt(T) / 8.0)
-    confidence = 1.0 - M ** (1.0 - q)
-    return lam, q, confidence
+    """(lam, q, confidence) of the gaussian plan at these sizes and A."""
+    plan = RegularizationPlan(GAUSSIAN, sigma, n, T, M, A=A)
+    return plan.lam, plan.q, plan.confidence
 
 
 def lambda_finite_variance(sigma, n, T, M, delta):
-    """Finite-variance penalty level sigma * sqrt((log M)^(1+delta)/(nT))."""
-    _check_dims(sigma, n, T, M, min_M=3)
-    _check_above("tail exponent delta", delta)
-    return sigma * math.sqrt(finite_variance_rate(M, delta) / (n * T))
+    """lam of the finite-variance plan at these sizes and delta."""
+    return RegularizationPlan(FINITE_VARIANCE, sigma, n, T, M, delta=delta).lam
 
 
 def finite_variance_confidence(M, delta, c_prime):
@@ -110,7 +97,7 @@ def finite_variance_confidence(M, delta, c_prime):
 
 
 def threshold_constant_c(alpha, sigma, regime=GAUSSIAN):
-    """Sup-norm constant c for the selection threshold.
+    """Sup-norm constant c of the selection threshold.
 
     gaussian:        c = (3 + 32/(7*(alpha-1))) * sigma
     finite-variance: c = (3/2 + 1/(7*(alpha-1))) * sigma
@@ -145,38 +132,6 @@ def norm_bound_constant_c1(alpha, p):
     return left ** (1.0 / p) * right ** (1.0 - 1.0 / p)
 
 
-def selection_threshold(c, n, M, T=None, A=None, regime=GAUSSIAN, delta=None):
-    """Group-norm threshold tau separating signal from noise groups.
-
-    gaussian:        tau = (c/sqrt(n)) * sqrt(1 + A*log(M)/sqrt(T))
-    finite-variance: tau = c * sqrt((log M)^(1+delta) / n)
-    """
-    check_regime_constant(regime, A, delta)
-    if not c > 0:
-        raise ValueError(f"threshold constant c must be positive, got {c}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if regime == GAUSSIAN:
-        if M < 2:
-            raise ValueError(f"need M >= 2, got {M}")
-        if T is None or T < 1:
-            raise ValueError(f"the gaussian threshold needs T >= 1, got T={T}")
-        _check_above("tuning constant A", A, 8)
-        return (c / math.sqrt(n)) * math.sqrt(gaussian_rate(A, M, T))
-    if M < 3:
-        raise ValueError(f"finite-variance threshold needs M >= 3, got {M}")
-    _check_above("tail exponent delta", delta)
-    return c * math.sqrt(finite_variance_rate(M, delta) / n)
-
-
-def coherence_threshold(alpha, sigma, n, M, T=None, A=None, regime=GAUSSIAN, delta=None):
-    """(c, tau) at coherence slack alpha: the sup-norm constant
-    ``threshold_constant_c`` and the selection threshold it gives, which
-    is also the right side of the sup-norm bound."""
-    c = threshold_constant_c(alpha, sigma, regime)
-    return c, selection_threshold(c, n, M, T, A, regime, delta)
-
-
 @dataclass(frozen=True)
 class RegularizationPlan:
     """The penalty choice of one problem size, computed from it and the
@@ -201,23 +156,33 @@ class RegularizationPlan:
 
     def __post_init__(self):
         check_regime_constant(self.regime, self.A, self.delta)
-        sizes = (self.sigma, self.n, self.T, self.M)
+        n, T, M = self.n, self.T, self.M
         if self.regime == GAUSSIAN:
-            values = lambda_gaussian(*sizes, self.A)
+            _check_dims(self.sigma, n, T, M)
+            _check_above("tuning constant A", self.A, 8)
+            lam = (2.0 * self.sigma / math.sqrt(n * T)) * math.sqrt(self.rate)
+            q = min(8.0 * math.log(M), self.A * math.sqrt(T) / 8.0)
+            values = lam, q, 1.0 - M ** (1.0 - q)
         else:
-            values = lambda_finite_variance(*sizes, self.delta), None, None
+            _check_dims(self.sigma, n, T, M, min_M=3)
+            _check_above("tail exponent delta", self.delta)
+            values = self.sigma * math.sqrt(self.rate / (n * T)), None, None
         for name, value in zip(("lam", "q", "confidence"), values):
             object.__setattr__(self, name, value)
 
     @property
     def rate(self):
+        """1 + A*log(M)/sqrt(T) (gaussian) or (log M)^(1+delta)."""
         if self.regime == GAUSSIAN:
-            return gaussian_rate(self.A, self.M, self.T)
+            return 1.0 + self.A * math.log(self.M) / math.sqrt(self.T)
         return finite_variance_rate(self.M, self.delta)
 
     def threshold(self, alpha):
-        """(c, tau) of this plan at coherence slack alpha; tau is the
-        selection threshold and the right side of the sup-norm bound."""
-        return coherence_threshold(
-            alpha, self.sigma, self.n, self.M, self.T, self.A, self.regime, self.delta
-        )
+        """(c, tau) at coherence slack alpha, with c from ``threshold_constant_c``
+        and tau = (c/sqrt(n))*sqrt(rate) (gaussian) or c*sqrt(rate/n): the
+        group-norm threshold between signal and noise groups, and the right
+        side of the sup-norm bound."""
+        c = threshold_constant_c(alpha, self.sigma, self.regime)
+        if self.regime == GAUSSIAN:
+            return c, (c / math.sqrt(self.n)) * math.sqrt(self.rate)
+        return c, c * math.sqrt(self.rate / self.n)

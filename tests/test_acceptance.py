@@ -29,7 +29,7 @@ from mtgl.probability import (
     nemirovski_check,
     noise_correlation_violation_rate,
 )
-from mtgl.regularization import FINITE_VARIANCE, lambda_gaussian
+from mtgl.regularization import FINITE_VARIANCE, GAUSSIAN, RegularizationPlan
 from mtgl.solver import SolverConfig, block_soft_threshold, solve_group_lasso
 from mtgl.synth import DesignSpec, NoiseSpec, SignalSpec, generate_dataset
 
@@ -241,11 +241,11 @@ def test_10_max_moment_inequality(capsys):
 
 def test_11_noise_correlation_event(capsys):
     data, _ = _orthogonal_data(T=16, seed=[SEED, 11], n=64, M=8)
-    _, q, _ = lambda_gaussian(1.0, 64, 16, 8, 9.0)
-    report = noise_correlation_violation_rate(data, 1.0, 9.0, 10_000, [SEED, 11])
+    plan = RegularizationPlan(GAUSSIAN, 1.0, 64, 16, 8, A=9.0)
+    report = noise_correlation_violation_rate(data, plan, 10_000, [SEED, 11])
     ok = (
         report.passed
-        and q == 4.5
+        and plan.q == 4.5
         and report.analytic_bound == pytest.approx(EVENT_BOUND, rel=1e-15)
     )
     _verdict(

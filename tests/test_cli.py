@@ -14,7 +14,7 @@ import mtgl.cli as cli
 import mtgl.pool as pool
 from mtgl.dataio import format_float, read_coefficients, read_dataset, read_keyvalue
 from mtgl.model import group_support
-from mtgl.regularization import selection_threshold, threshold_constant_c
+from mtgl.regularization import RegularizationPlan, threshold_constant_c
 from mtgl.solver import SolverConfig, solve_group_lasso
 
 GEN_CONFIG = """\
@@ -329,8 +329,7 @@ def test_select_computes_threshold_from_plan(tmp_path, capsys):
         "--alpha", "2", "--n", "100", "--M", "10", "--T", "4", "--A", "9",
     )
     assert code == 0
-    c = threshold_constant_c(2.0, 2.0, "gaussian")
-    tau = selection_threshold(c, 100, 10, 4, 9.0, "gaussian")
+    tau = RegularizationPlan("gaussian", 2.0, 100, 4, 10, A=9.0).threshold(2.0)[1]
     assert ([int(x) for x in out.split()] == [0]) == (3.0 > tau)
 
 
@@ -357,6 +356,39 @@ def test_select_rejects_the_other_regimes_constant(flags, other, tmp_path, capsy
     )
     assert code == 1 and out == ""
     assert f"does not read {other}" in err
+
+
+def test_select_finite_variance_tau_reads_no_T(tmp_path, capsys):
+    # the finite-variance tau reads neither T nor lam, so --T may be left
+    # out; an explicit one is validated as bounds validates it
+    beta_path = _write(tmp_path / "beta.csv", "3,3\n0.5,0\n")
+    flags = ("select", "--beta", beta_path, "--regime", "finite-variance", "--sigma", "1",
+             "--alpha", "2", "--n", "100", "--M", "32", "--delta", "3")
+    results = []
+    for name, extra in (("no_T", ()), ("T_9", ("--T", "9"))):
+        out_dir = tmp_path / name
+        code, out, _ = _run(capsys, *flags, *extra, "--out", str(out_dir))
+        assert code == 0 and out == "0\n"
+        files = [(out_dir / f).read_bytes() for f in ("selected.txt", "averages.csv")]
+        tau = read_keyvalue(str(out_dir / "run_manifest.txt"))["config_tau"]
+        results.append((out, files, tau))
+    assert results[0] == results[1]
+    plan = RegularizationPlan("finite-variance", 1.0, 100, 1, 32, delta=3.0)
+    assert results[0][2] == format_float(plan.threshold(2.0)[1])
+
+    code, out, err = _run(capsys, *flags, "--T", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("error: need n >= 1 and T >= 1, got n=100, T=0")
+
+
+def test_select_gaussian_tau_needs_T(tmp_path, capsys):
+    beta_path = _write(tmp_path / "beta.csv", "3,3\n0,0\n")
+    code, out, err = _run(
+        capsys, "select", "--beta", beta_path, "--sigma", "1", "--alpha", "2",
+        "--n", "100", "--M", "10", "--A", "9",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: the gaussian threshold needs --T")
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -523,6 +555,27 @@ def test_check_rejects_sparsity_above_M(tmp_path, capsys, re_samples):
     assert out == ""
     assert err.startswith("error: sparsity s must be in 1..M=8, got 9")
     assert not (tmp_path / "chk" / "report.txt").exists()
+
+
+def test_check_does_not_import_numpy_ma(tmp_path, capsys):
+    # numpy.ma costs ~12 ms and ~0.8 MB to import; a fresh process shows
+    # whether check (its RE probe included) pulls it in
+    config = _write(tmp_path / "gen.cfg", GEN_CONFIG)
+    data_dir = tmp_path / "data"
+    _run(capsys, "gen", "--config", config, "--out", str(data_dir))
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    script = (
+        "import sys, mtgl.cli\n"
+        f"code = mtgl.cli.main(['check', '--data', {str(data_dir / 'manifest.txt')!r}, "
+        "'--s', '2', '--alpha', '2', '--re-samples', '20'])\n"
+        "print('numpy.ma' in sys.modules, code, file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=package_root), capture_output=True, text=True,
+    )
+    assert "kappa_upper_estimate" in proc.stdout
+    assert proc.stderr.splitlines()[-1] == "False 0", proc.stderr
 
 
 def test_check_zero_re_samples_skips_estimate(tmp_path, capsys):
@@ -783,9 +836,7 @@ def test_run_record_of_select_holds_the_resolved_tau(tmp_path, capsys):
     plan = ("--sigma", "2", "--alpha", "2", "--n", "100", "--M", "10", "--T", "4",
             "--A", "9")
     assert _run(capsys, "select", "--beta", beta_path, *plan, "--out", str(out))[0] == 0
-    tau = selection_threshold(
-        threshold_constant_c(2.0, 2.0, "gaussian"), 100, 10, 4, 9.0, "gaussian"
-    )
+    tau = RegularizationPlan("gaussian", 2.0, 100, 4, 10, A=9.0).threshold(2.0)[1]
     settings = {
         "beta": beta_path, "tau": format_float(tau), "regime": "gaussian",
         "sigma": "2", "n": "100", "T": "4", "M": "10", "A": "9", "alpha": "2",
@@ -897,6 +948,24 @@ def test_experiment_rejects_infinite_signal_mu_before_drawing(tmp_path):
     assert proc.returncode == 1 and proc.stdout == ""
     assert "signal mu must be finite" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("bounds, message", [
+    ("", "bounds names no bound"),
+    (",", "bounds names no bound"),
+    ("prediction,prediction", "bounds names ['prediction'] more than once"),
+    ("predicton", "bounds names unknown bounds ['predicton']; the gaussian regime"),
+], ids=["empty", "comma", "repeated", "typo"])
+def test_experiment_rejects_a_bound_set_that_certifies_nothing(
+    bounds, message, tmp_path, capsys
+):
+    # rejected before replicate 0 is drawn: no stdout and no --out files
+    config = _write(tmp_path / "exp.cfg", ORACLE_CONFIG + f"bounds={bounds}\n")
+    out_dir = tmp_path / "exp"
+    code, out, err = _run(capsys, "experiment", "--config", config, "--out", str(out_dir))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {message}")
+    assert not out_dir.exists()
 
 
 def test_experiment_unknown_kind_and_key(tmp_path, capsys):

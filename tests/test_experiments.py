@@ -283,6 +283,30 @@ def test_bound_set_filter_and_missing_ingredient():
         run_oracle_experiment(_small_config(kappa2s=None, bound_set=("err2",)))
 
 
+@pytest.mark.parametrize("regime, bound_set, message", [
+    (GAUSSIAN, (), "names no bound"),
+    (GAUSSIAN, ("prediction", "err21", "prediction"), r"\['prediction'\] more than once"),
+    (GAUSSIAN, ("predicton",), r"unknown bounds \['predicton'\]; the gaussian"),
+    (GAUSSIAN, ("err2_sq",), r"unknown bounds \['err2_sq'\]; the gaussian"),
+    (GAUSSIAN, ("err2p_3",), r"\['err2p_3'\]; the gaussian regime at p_values \(1.0, 2.0\)"),
+    (FINITE_VARIANCE, ("correlation",), r"\['correlation'\]; the finite-variance"),
+    (FINITE_VARIANCE, ("err2p_2",), r"\['err2p_2'\]; the finite-variance"),
+], ids=["empty", "repeated", "typo", "other-regime", "other-p", "fv-correlation", "fv-c1"])
+def test_bound_set_is_checked_at_construction(regime, bound_set, message):
+    # an empty, repeated or unknown name fails before anything is drawn
+    constants = {"A": 9.0} if regime == GAUSSIAN else {"A": None, "delta": 3.0}
+    with pytest.raises(ValueError, match=message):
+        _small_config(regime=regime, p_values=(1.0, 2.0), bound_set=bound_set, **constants)
+    # and every name of the regime is accepted
+    names = {
+        GAUSSIAN: ("prediction", "err21", "err2", "supnorm", "err2p_1", "err2p_2",
+                   "sparsity", "correlation", "sparsity_from_prediction"),
+        FINITE_VARIANCE: ("prediction", "err21", "err2_sq", "supnorm", "sparsity"),
+    }[regime]
+    config = _small_config(regime=regime, p_values=(1.0, 2.0), bound_set=names, **constants)
+    assert config.bound_set == names
+
+
 def test_kappa_resolution_errors():
     with pytest.raises(ValueError, match="kappa"):
         run_oracle_experiment(_small_config(kappa=None))

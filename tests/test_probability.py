@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from mtgl.probability import (
     nemirovski_check,
     noise_correlation_violation_rate,
 )
-from mtgl.regularization import lambda_gaussian
+from mtgl.regularization import FINITE_VARIANCE, GAUSSIAN, RegularizationPlan
 from mtgl.synth import DesignSpec, NoiseSpec, SignalSpec, generate_dataset
 
 # Exact survival probability Pr(chi^2_4 > 8), frozen from the regularized
@@ -218,6 +219,11 @@ def _noise_test_dataset(seed=4):
     return data
 
 
+def _event_plan(sigma=1.0, A=9.0):
+    """The gaussian plan at the sizes of ``_noise_test_dataset``."""
+    return RegularizationPlan(GAUSSIAN, sigma, 64, 16, 8, A=A)
+
+
 def _noise_event_reference(data, sigma, lam, q, replicates, seed):
     """The event check over whole-chunk draws from the same streams."""
     n, T, M = data.n, data.T, data.M
@@ -235,17 +241,16 @@ def _noise_event_reference(data, sigma, lam, q, replicates, seed):
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.52])
-def test_noise_event_matches_whole_chunk_reference(scale, block_bytes, monkeypatch):
+def test_noise_event_matches_whole_chunk_reference(scale, block_bytes):
     # 4500 replicates: a full chunk and a partial one whose last block is
     # short.  scale 0.52 lowers the rule's lam so that about half of the
     # replicates cross the cutoff and the count is not trivially zero.
     data = _noise_test_dataset()
-    lam, q, confidence = lambda_gaussian(0.8, 64, 16, 8, 9.0)
-    monkeypatch.setattr(
-        probability, "lambda_gaussian", lambda *args: (scale * lam, q, confidence)
-    )
-    report = noise_correlation_violation_rate(data, 0.8, 9.0, 4500, seed=13)
-    expected = _noise_event_reference(data, 0.8, scale * lam, q, 4500, seed=13)
+    plan = _event_plan(0.8)
+    # the plan at scale * lam; the check reads lam from its plan alone
+    scaled = SimpleNamespace(**{**vars(plan), "lam": scale * plan.lam})
+    report = noise_correlation_violation_rate(data, scaled, 4500, seed=13)
+    expected = _noise_event_reference(data, 0.8, scale * plan.lam, plan.q, 4500, seed=13)
     _assert_same_report(report, expected)
     if scale < 1.0:
         assert 0.3 < report.empirical_frequency < 0.7
@@ -280,7 +285,7 @@ def _calls_of_every_check(replicates, seed):
         "rademacher": lambda: nemirovski_check(100, 20, "rademacher", replicates, seed),
         "gaussian": lambda: nemirovski_check(100, 20, "gaussian", replicates, seed),
         "noise-event": lambda: noise_correlation_violation_rate(
-            data, 0.7, 9.0, replicates, seed
+            data, _event_plan(0.7), replicates, seed
         ),
     }
 
@@ -341,7 +346,7 @@ def test_checks_draw_in_bounded_blocks(check):
     data = _noise_test_dataset()
     if check == "noise-event":
         peak = _traced_peak(
-            lambda: noise_correlation_violation_rate(data, 1.0, 9.0, 5000, seed=0)
+            lambda: noise_correlation_violation_rate(data, _event_plan(), 5000, seed=0)
         )
     else:
         peak = _traced_peak(lambda: nemirovski_check(100, 20, check, 5000, seed=0))
@@ -361,9 +366,9 @@ def test_pooled_chunks_keep_memory_bounded(workers, use_workers):
 
 def test_noise_event_rate_below_bound():
     data = _noise_test_dataset()
-    _, q, _ = lambda_gaussian(1.0, 64, 16, 8, 9.0)
-    report = noise_correlation_violation_rate(data, 1.0, 9.0, 4000, seed=6)
-    assert q == 4.5
+    plan = _event_plan()
+    report = noise_correlation_violation_rate(data, plan, 4000, seed=6)
+    assert plan.q == 4.5
     assert report.analytic_bound == pytest.approx(8.0 ** (1.0 - 4.5), rel=1e-12)
     assert report.passed
     count = round(report.empirical_frequency * 4000)
@@ -373,9 +378,8 @@ def test_noise_event_rate_below_bound():
 def test_noise_event_rate_inflated_lambda():
     # A = 1100 puts lam above ten times its value at A = 9
     data = _noise_test_dataset()
-    lam, _, _ = lambda_gaussian(1.0, 64, 16, 8, 9.0)
-    assert lambda_gaussian(1.0, 64, 16, 8, 1100.0)[0] > lam * 10.0
-    report = noise_correlation_violation_rate(data, 1.0, 1100.0, 2000, seed=8)
+    assert _event_plan(A=1100.0).lam > _event_plan().lam * 10.0
+    report = noise_correlation_violation_rate(data, _event_plan(A=1100.0), 2000, seed=8)
     assert report.empirical_frequency == 0.0
     assert report.passed
 
@@ -383,9 +387,9 @@ def test_noise_event_rate_inflated_lambda():
 @pytest.mark.parametrize("A", [9.0, 12.5, 40.0])
 def test_noise_event_bound_is_the_rule_q(A):
     data = _noise_test_dataset()
-    _, q, _ = lambda_gaussian(1.0, 64, 16, 8, A)
-    report = noise_correlation_violation_rate(data, 1.0, A, 1000, seed=12)
-    assert report.analytic_bound == 8 ** (1 - q)
+    plan = _event_plan(A=A)
+    report = noise_correlation_violation_rate(data, plan, 1000, seed=12)
+    assert report.analytic_bound == 8 ** (1 - plan.q)
 
 
 def test_noise_event_requires_unit_diagonal():
@@ -393,13 +397,25 @@ def test_noise_event_requires_unit_diagonal():
     X = rng.standard_normal((2, 10, 3)) * 2.0
     data = MultiTaskDataset(X, np.zeros((2, 10)))
     with pytest.raises(ValueError, match="unit-diagonal"):
-        noise_correlation_violation_rate(data, 1.0, 9.0, 2000, seed=0)
+        noise_correlation_violation_rate(
+            data, RegularizationPlan(GAUSSIAN, 1.0, 10, 2, 3, A=9.0), 2000, seed=0
+        )
+
+
+def test_noise_event_reads_a_plan_of_the_datas_sizes_with_a_q():
+    data = _noise_test_dataset()
+    wrong = RegularizationPlan(GAUSSIAN, 1.0, 64, 16, 9, A=9.0)
+    with pytest.raises(ValueError, match=r"\(64, 16, 8\), got a gaussian plan at \(64, 16, 9\)"):
+        noise_correlation_violation_rate(data, wrong, 1000, seed=0)
+    fv = RegularizationPlan(FINITE_VARIANCE, 1.0, 64, 16, 8, delta=3.0)
+    with pytest.raises(ValueError, match="need a plan with a q .* got a finite-variance plan"):
+        noise_correlation_violation_rate(data, fv, 1000, seed=0)
 
 
 def test_noise_event_deterministic():
     data = _noise_test_dataset()
-    a = noise_correlation_violation_rate(data, 1.0, 9.0, 3000, seed=10)
-    b = noise_correlation_violation_rate(data, 1.0, 9.0, 3000, seed=10)
+    a = noise_correlation_violation_rate(data, _event_plan(), 3000, seed=10)
+    b = noise_correlation_violation_rate(data, _event_plan(), 3000, seed=10)
     assert a == b
 
 

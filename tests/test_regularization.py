@@ -6,12 +6,10 @@ from mtgl.regularization import (
     FINITE_VARIANCE,
     GAUSSIAN,
     RegularizationPlan,
-    coherence_threshold,
     finite_variance_confidence,
     lambda_finite_variance,
     lambda_gaussian,
     norm_bound_constant_c1,
-    selection_threshold,
     threshold_constant_c,
 )
 
@@ -130,22 +128,19 @@ def test_norm_bound_constant_c1():
 
 def test_selection_threshold_frozen_values():
     c_g = threshold_constant_c(2.0, 1.0, GAUSSIAN)
-    tau = selection_threshold(c_g, 100, 10, T=4, A=9.0, regime=GAUSSIAN)
+    plan = RegularizationPlan(GAUSSIAN, 1.0, 100, 4, 10, A=9.0)
+    c, tau = plan.threshold(2.0)
     assert tau == pytest.approx(TAU_G, rel=1e-14)
 
     c_fv = threshold_constant_c(2.0, 1.0, FINITE_VARIANCE)
-    tau_fv = selection_threshold(
-        c_fv, 100, 32, regime=FINITE_VARIANCE, delta=3.0
-    )
+    fv = RegularizationPlan(FINITE_VARIANCE, 1.0, 100, 9, 32, delta=3.0)
+    c2, tau_fv = fv.threshold(2.0)
     assert tau_fv == pytest.approx(TAU_FV, rel=1e-14)
-    # the one recipe from alpha gives the same (c, tau)
-    assert coherence_threshold(2.0, 1.0, 100, 10, 4, 9.0, GAUSSIAN) == (c_g, tau)
-    assert coherence_threshold(
-        2.0, 1.0, 100, 32, regime=FINITE_VARIANCE, delta=3.0
-    ) == (c_fv, tau_fv)
+    # the plan's one recipe from alpha takes c from threshold_constant_c
+    assert (c, c2) == (c_g, c_fv)
 
     # scales as 1/sqrt(n)
-    tau4 = selection_threshold(c_g, 400, 10, T=4, A=9.0, regime=GAUSSIAN)
+    tau4 = RegularizationPlan(GAUSSIAN, 1.0, 400, 4, 10, A=9.0).threshold(2.0)[1]
     assert tau4 == pytest.approx(tau / 2.0, rel=1e-14)
 
 
@@ -192,18 +187,22 @@ def test_plan_reads_exactly_its_regimes_constant(regime, constants, message):
 
 
 def test_selection_threshold_rejects_the_other_regimes_constant():
+    # tau comes only from a plan, whose constructor reads one constant
     with pytest.raises(ValueError, match="does not read delta"):
-        selection_threshold(1.0, 100, 32, T=4, A=9.0, regime=GAUSSIAN, delta=3.0)
+        RegularizationPlan(GAUSSIAN, 1.0, 100, 4, 32, A=9.0, delta=3.0).threshold(2.0)
     with pytest.raises(ValueError, match="does not read A"):
-        selection_threshold(1.0, 100, 32, A=9.0, regime=FINITE_VARIANCE, delta=3.0)
+        RegularizationPlan(FINITE_VARIANCE, 1.0, 100, 4, 32, A=9.0, delta=3.0).threshold(2.0)
 
 
-def test_plan_threshold_is_the_coherence_threshold_at_its_sizes():
+def test_plan_threshold_reads_its_own_sizes():
     plan = RegularizationPlan(GAUSSIAN, 1.0, 100, 4, 10, A=9.0)
-    assert plan.threshold(2.0) == coherence_threshold(2.0, 1.0, 100, 10, 4, 9.0, GAUSSIAN)
+    assert plan.threshold(2.0)[0] == threshold_constant_c(2.0, 1.0, GAUSSIAN)
     assert plan.threshold(2.0)[1] == pytest.approx(TAU_G, rel=1e-14)
     fv = RegularizationPlan(FINITE_VARIANCE, 1.0, 100, 9, 32, delta=3.0)
     assert fv.threshold(2.0)[1] == pytest.approx(TAU_FV, rel=1e-14)
+    # the finite-variance tau reads neither T nor lam
+    at_one_task = RegularizationPlan(FINITE_VARIANCE, 1.0, 100, 1, 32, delta=3.0)
+    assert at_one_task.threshold(2.0) == fv.threshold(2.0)
 
 
 def test_plan_rate_reproduces_lambda_and_tau_bit_for_bit():
@@ -211,16 +210,16 @@ def test_plan_rate_reproduces_lambda_and_tau_bit_for_bit():
     plan = RegularizationPlan(GAUSSIAN, sigma, n, T, M, A=A)
     assert plan.rate == 1.0 + A * math.log(M) / math.sqrt(T)
     assert plan.lam == (2.0 * sigma / math.sqrt(n * T)) * math.sqrt(plan.rate)
-    c = threshold_constant_c(2.0, sigma, GAUSSIAN)
-    tau = selection_threshold(c, n, M, T=T, A=A, regime=GAUSSIAN)
+    c, tau = plan.threshold(2.0)
+    assert c == threshold_constant_c(2.0, sigma, GAUSSIAN)
     assert tau == (c / math.sqrt(n)) * math.sqrt(plan.rate)
 
     sigma, n, T, M, delta = 0.7, 64, 3, 9, 1.5
     fv = RegularizationPlan(FINITE_VARIANCE, sigma, n, T, M, delta=delta)
     assert fv.rate == math.log(M) ** (1.0 + delta)
     assert fv.lam == sigma * math.sqrt(fv.rate / (n * T))
-    c = threshold_constant_c(2.0, sigma, FINITE_VARIANCE)
-    tau = selection_threshold(c, n, M, regime=FINITE_VARIANCE, delta=delta)
+    c, tau = fv.threshold(2.0)
+    assert c == threshold_constant_c(2.0, sigma, FINITE_VARIANCE)
     assert tau == c * math.sqrt(fv.rate / n)
 
 
@@ -230,7 +229,7 @@ def test_plan_rate_reproduces_lambda_and_tau_bit_for_bit():
     lambda: lambda_finite_variance(1.0, 100, 9, 32, math.inf),
     lambda: finite_variance_confidence(32, math.inf, 1.0),
     lambda: finite_variance_confidence(32, 3.0, math.inf),
-    lambda: selection_threshold(1.0, 100, 32, regime=FINITE_VARIANCE, delta=math.inf),
+    lambda: RegularizationPlan(FINITE_VARIANCE, 1.0, 100, 9, 32, delta=math.inf).threshold(2.0),
     lambda: threshold_constant_c(math.inf, 1.0, GAUSSIAN),
     lambda: threshold_constant_c(2.0, math.inf, GAUSSIAN),
     lambda: norm_bound_constant_c1(math.inf, 2.0),
