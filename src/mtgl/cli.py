@@ -170,9 +170,6 @@ class _Run:
 # ---------------------------------------------------------------------------
 # config-file helpers
 
-_REQUIRED = object()
-
-
 class _Config:
     """Typed access to a key=value file with unknown-key detection."""
 
@@ -181,11 +178,9 @@ class _Config:
         self.raw = read_keyvalue(path)
         self.used = set()
 
-    def get(self, key, parse=str, default=_REQUIRED):
+    def get(self, key, parse=str):
         if key not in self.raw:
-            if default is _REQUIRED:
-                raise ValueError(f"{self.path}: missing required key {key!r}")
-            return default
+            raise ValueError(f"{self.path}: missing required key {key!r}")
         self.used.add(key)
         value = self.raw[key]
         try:

@@ -85,19 +85,21 @@ class ExperimentConfig:
     comparison's task counts.  ``seed`` must be a non-negative integer,
     as numpy's SeedSequence takes it.
     kappa_source selects where the RE constant in the bound formulas
-    comes from: "coherence-lemma" derives kappa = sqrt(1 - 1/alpha) and
-    insists every replicate's design passes the coherence check before
-    that replicate is solved (selection runs skip the check on
-    orthogonal designs, which pass it for every alpha); a failing run
-    raises ValueError naming its lowest failing replicate and returns no
-    report; a ``kappa`` it would not use is rejected.  "user-supplied"
-    takes ``kappa`` (and optionally ``kappa2s``) on trust, e.g. 1.0 for
-    exactly orthogonal designs.
+    comes from: "coherence-lemma" needs ``alpha``, derives kappa (and
+    kappa2s, unless given) = sqrt(1 - 1/alpha) and insists every
+    replicate's design passes the coherence check, at 2s too when a
+    scored bound reads a derived kappa2s, before that replicate is solved
+    (selection runs skip the check on orthogonal designs, which pass it
+    for every alpha); a failing run raises ValueError naming its lowest
+    failing replicate and returns no report; a ``kappa`` it would not use
+    is rejected.  "user-supplied" takes ``kappa`` (and optionally
+    ``kappa2s``) on trust, e.g. 1.0 for exactly orthogonal designs.
     ``phi_max`` fixes the largest Gram eigenvalue used in the sparsity
     bound; leave it None to measure it per replicate.
     ``bound_set`` (the config key ``bounds``) names the bounds to check,
-    each once, from those of the regime and ``p_values``; None checks
-    every bound whose ingredients are given.
+    each once and with its ingredients, from those of the regime and
+    ``p_values``.  The derived ``scored_bounds``, the only list the runner
+    reads, is it or else every bound with its ingredients.
     """
 
     design: object
@@ -124,6 +126,7 @@ class ExperimentConfig:
     T_grid: tuple = ()
     plan: RegularizationPlan = field(init=False)
     solver: SolverConfig = field(init=False)
+    scored_bounds: tuple = field(init=False)
 
     def __post_init__(self):
         if self.replicates < 1:
@@ -141,6 +144,8 @@ class ExperimentConfig:
                 "which derives kappa from alpha; drop kappa or set "
                 "kappa_source='user-supplied'"
             )
+        if self.kappa_source == "coherence-lemma" and self.alpha is None:
+            raise ValueError("kappa_source='coherence-lemma' needs alpha > 1")
         for name in ("kappa", "kappa2s", "phi_max"):
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
@@ -153,15 +158,36 @@ class ExperimentConfig:
         sigma = self.noise.sigma if self.plan_sigma is None else self.plan_sigma
         d = self.design
         plan = RegularizationPlan(self.regime, sigma, d.n, d.T, d.M, self.A, self.delta)
-        if self.bound_set is not None:
-            _check_bound_set(self.bound_set, plan, self.p_values)
         object.__setattr__(self, "plan", plan)
+        object.__setattr__(self, "scored_bounds", self._scored_bounds())
         object.__setattr__(self, "solver", SolverConfig(
             lam=plan.lam,
             algorithm=self.algorithm,
             max_iterations=self.max_iterations,
             kkt_tolerance=self.kkt_tolerance,
         ))
+
+    def _scored_bounds(self):
+        plan, p_values, names = self.plan, self.p_values, self.bound_set
+        derived = 1.0 if self.kappa_source == "coherence-lemma" else None
+        given = _bound_names(plan, p_values, self.kappa2s or derived, self.alpha)
+        if names is None:
+            return tuple(given)
+        known = _bound_names(plan, p_values)
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        unknown = [name for name in names if name not in known]
+        if not names or repeated or unknown:
+            problem = (f"{repeated} more than once" if repeated
+                       else f"unknown bounds {unknown}" if unknown else "no bound")
+            raise ValueError(
+                f"bounds names {problem}; the {plan.regime} regime at p_values "
+                f"{tuple(p_values)} has {known}"
+            )
+        for name in names:
+            if name not in given:
+                key = "alpha" if name in _bound_names(plan, p_values, None) else "kappa2s"
+                raise ValueError(f"bounds names {name}, which needs {key}; supply {key}")
+        return tuple(names)
 
 
 @dataclass(frozen=True)
@@ -322,21 +348,11 @@ def oracle_bounds_rhs(plan, s, kappa, kappa2s=None, phi_max=None, alpha=None, p_
     return out
 
 
-def _check_bound_set(names, plan, p_values):
-    """Raise unless ``names`` is a nonempty set of distinct bounds of a run
-    at ``plan`` and ``p_values``: those ``oracle_bounds_rhs`` gives with
-    every ingredient, plus the gaussian sparsity_from_prediction."""
-    known = list(oracle_bounds_rhs(plan, 1, 1.0, 1.0, 1.0, 2.0, p_values))
-    known += ["sparsity_from_prediction"] if plan.regime == GAUSSIAN else []
-    repeated = sorted({name for name in names if names.count(name) > 1})
-    unknown = [name for name in names if name not in known]
-    if not names or repeated or unknown:
-        problem = (f"{repeated} more than once" if repeated
-                   else f"unknown bounds {unknown}" if unknown else "no bound")
-        raise ValueError(
-            f"bounds names {problem}; the {plan.regime} regime at p_values "
-            f"{tuple(p_values)} has {known}"
-        )
+def _bound_names(plan, p_values, kappa2s=1.0, alpha=2.0):
+    """The bounds of a run at ``plan``, ``p_values``, kappa2s and alpha (None:
+    absent): ``oracle_bounds_rhs``'s, then the gaussian sparsity_from_prediction."""
+    names = list(oracle_bounds_rhs(plan, 1, 1.0, kappa2s, 1.0, alpha, p_values))
+    return names + ["sparsity_from_prediction"] if plan.regime == GAUSSIAN else names
 
 
 def _prediction_error(X, diff):
@@ -375,9 +391,9 @@ def _error_metrics(r, dataset, beta_star, result, config, diag):
 
 
 def _bound_table(config, metrics, kappas):
-    """``{name: (lhs, rhs)}`` of one replicate's bounds, in the order of
-    ``config.bound_set`` or else of ``oracle_bounds_rhs``: the plan-level
-    bounds plus the data-dependent sparsity-from-prediction bound
+    """``{name: (lhs, rhs)}`` of one replicate's bounds, those of
+    ``config.scored_bounds`` in its order: the plan-level bounds plus the
+    data-dependent sparsity-from-prediction bound
     M(beta_hat) <= 4*phi_max*prediction_error/(lambda^2*T).  phi_max is
     the configured one, else the replicate's measured one."""
     plan = config.plan
@@ -385,16 +401,9 @@ def _bound_table(config, metrics, kappas):
     rhs = oracle_bounds_rhs(
         plan, config.signal.s, *kappas, phi, config.alpha, config.p_values
     )
-    if plan.regime == GAUSSIAN and phi is not None:
+    if plan.regime == GAUSSIAN:
         rhs["sparsity_from_prediction"] = (
             4.0 * phi * metrics.prediction_error / (plan.lam**2 * plan.T)
-        )
-    names = rhs if config.bound_set is None else config.bound_set
-    missing = set(names) - set(rhs)
-    if missing:
-        raise ValueError(
-            f"requested bounds {sorted(missing)} need ingredients "
-            "(kappa2s, phi_max, or alpha) that were not supplied"
         )
     lhs = {
         "prediction": metrics.prediction_error,
@@ -407,13 +416,11 @@ def _bound_table(config, metrics, kappas):
         "correlation": metrics.correlation_stat,
         **{p_name("err2p", p): err for p, err in zip(config.p_values, metrics.err_2p)},
     }
-    return {name: (lhs[name], rhs[name]) for name in names}
+    return {name: (lhs[name], rhs[name]) for name in config.scored_bounds}
 
 
 def _resolve_kappas(config):
     if config.kappa_source == "coherence-lemma":
-        if config.alpha is None:
-            raise ValueError("kappa_source='coherence-lemma' needs alpha > 1")
         kappa = re_lower_bound_from_coherence(config.alpha)
         return kappa, kappa if config.kappa2s is None else config.kappa2s
     if config.kappa is None:
@@ -422,8 +429,8 @@ def _resolve_kappas(config):
 
 
 def _check_coherence(config, r, diag):
-    """Raise unless replicate r's design certifies the coherence-lemma
-    kappa (and kappa2s, when that is derived too)."""
+    """Raise unless replicate r's design certifies the coherence-lemma kappa,
+    and kappa2s when that is derived too and a scored bound reads it."""
     s = config.signal.s
     if not coherence_admissible(diag, s, config.alpha):
         raise ValueError(
@@ -433,22 +440,13 @@ def _check_coherence(config, r, diag):
             "or diagonals are not unit"
         )
     if config.kappa2s is None and not coherence_admissible(diag, 2 * s, config.alpha):
-        raise ValueError(
-            f"replicate {r}: design fails the coherence condition at sparsity "
-            f"2s={2 * s} needed for the (2,2)-error bound; supply kappa2s "
-            "explicitly or drop that bound"
-        )
-
-
-def _diagnose(config, r, dataset, certify):
-    """Gram diagnostics of replicate r, when it is certified or its
-    bounds need phi_max or c_prime; None otherwise."""
-    if not (certify or config.plan.regime == FINITE_VARIANCE or config.phi_max is None):
-        return None
-    diag = gram_diagnostics(dataset)
-    if certify:
-        _check_coherence(config, r, diag)
-    return diag
+        without = _bound_names(config.plan, config.p_values, kappa2s=None)
+        if set(config.scored_bounds) - set(without):
+            raise ValueError(
+                f"replicate {r}: design fails the coherence condition at sparsity "
+                f"2s={2 * s} needed for the (2,2)-error bound; supply kappa2s "
+                "explicitly or drop that bound"
+            )
 
 
 def _frequency_check(name, rhs, holds, required):
@@ -481,10 +479,15 @@ def _run_bound_experiment(kind, config, certify, draw, score=None):
     scored; a selection run's ``score(metrics, beta_star, result)`` adds
     the support and sign outcomes, whose recovery rates are checked too."""
     kappas = _resolve_kappas(config)
+    # Gram diagnostics, when replicates are certified or their bounds need
+    # phi_max or c_prime
+    diagnose = certify or config.plan.regime == FINITE_VARIANCE or config.phi_max is None
 
     def worker(r):
         dataset, beta_star = draw(r)
-        diag = _diagnose(config, r, dataset, certify)
+        diag = gram_diagnostics(dataset) if diagnose else None
+        if certify:
+            _check_coherence(config, r, diag)
         result = solve_group_lasso(dataset, config.solver)
         metrics = _error_metrics(r, dataset, beta_star, result, config, diag)
         if score is not None:
@@ -494,7 +497,7 @@ def _run_bound_experiment(kind, config, certify, draw, score=None):
     metrics, tables = zip(*_map_in_key_order(worker, range(config.replicates)))
     required, vacuous = _required_confidence(config, metrics)
     checks = []
-    for name in tables[0]:
+    for name in config.scored_bounds:
         pairs = [table[name] for table in tables]
         holds = [bool(lhs <= rhs) for lhs, rhs in pairs]
         checks.append(_frequency_check(name, max(rhs for _, rhs in pairs), holds, required))

@@ -600,3 +600,10 @@ def test_property_re_estimate_scales_with_design(problem):
     scaled = re_upper_estimate(MultiTaskDataset(c * X, zeros), 2, 6, seed=1)
     assume(base > 1e-3)  # an estimate of pure round-off has no scale
     assert scaled == pytest.approx(c * base, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_re_search_needs_a_sample(samples):
+    data = MultiTaskDataset(np.eye(3)[None] * math.sqrt(3.0), np.zeros((1, 3)))
+    with pytest.raises(ValueError, match=f"samples must be >= 1, got {samples}"):
+        minimize_re_quotient(data, 1, samples, seed=0)

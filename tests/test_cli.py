@@ -266,6 +266,16 @@ def test_gen_missing_key_is_diagnosed(tmp_path, capsys):
     assert "signal_s" in err
 
 
+@pytest.mark.parametrize("value, code", [("true", 0), ("false", 0), ("yes", 1)])
+def test_gen_reads_normalize_as_a_boolean(value, code, tmp_path, capsys):
+    config = _write(tmp_path / "gen.cfg", GEN_CONFIG + f"normalize={value}\n")
+    exit_code, out, err = _run(capsys, "gen", "--config", config, "--out", str(tmp_path / "d"))
+    assert exit_code == code
+    if code:
+        assert out == ""
+        assert err == f"error: {config}: key 'normalize' has invalid value 'yes'\n"
+
+
 def test_solve_select_pipeline(tmp_path, capsys):
     config = _write(tmp_path / "gen.cfg", GEN_CONFIG)
     data_dir = tmp_path / "data"
@@ -955,7 +965,8 @@ def test_experiment_rejects_infinite_signal_mu_before_drawing(tmp_path):
     (",", "bounds names no bound"),
     ("prediction,prediction", "bounds names ['prediction'] more than once"),
     ("predicton", "bounds names unknown bounds ['predicton']; the gaussian regime"),
-], ids=["empty", "comma", "repeated", "typo"])
+    ("prediction,supnorm", "bounds names supnorm, which needs alpha; supply alpha"),
+], ids=["empty", "comma", "repeated", "typo", "no-alpha"])
 def test_experiment_rejects_a_bound_set_that_certifies_nothing(
     bounds, message, tmp_path, capsys
 ):

@@ -11,6 +11,12 @@ noncentral chi-square with T degrees of freedom and noncentrality
 ||beta_j||^2/s^2.  The test checks the whole pipeline (noise draw, lam,
 solve and scoring) against that mean, and shows its power on a lam 2%
 off either way, which every coverage check passes.
+
+The same separation gives the exact probability of support recovery by
+``select_support`` at tau: row j is selected iff ||eta(z_j)||/sqrt(T) > tau,
+that is iff ||z_j||^2 n/sigma^2 > x = n(lam*T + tau*sqrt(T))^2/sigma^2, so
+the support is recovered exactly with probability
+P(chi2_T(n T mu^2/sigma^2) > x)^s * P(chi2_T <= x)^(M - s).
 """
 
 import math
@@ -20,7 +26,10 @@ import numpy as np
 import pytest
 
 from mtgl.experiments import ExperimentConfig, run_oracle_experiment
-from mtgl.synth import DesignSpec, NoiseSpec, SignalSpec
+from mtgl.model import group_support
+from mtgl.selection import score_selection, select_support
+from mtgl.solver import solve_group_lasso
+from mtgl.synth import DesignSpec, NoiseSpec, SignalSpec, generate_dataset
 
 # scipy is a test dependency only; the package never imports it
 stats = pytest.importorskip("scipy.stats")
@@ -78,3 +87,39 @@ def test_mean_prediction_error_matches_the_exact_risk():
     # plan_sigma moves the plan's lam, not the noise: 2% either way is seen
     assert _z(replace(CONFIG, plan_sigma=1.02), exact) > 4.0
     assert _z(replace(CONFIG, plan_sigma=0.98), exact) < -4.0
+
+
+TAU = 0.1
+RECOVERY_REPLICATES = 300
+
+
+def _exact_recovery_probability(config, lam, tau):
+    d, signal, sigma = config.design, config.signal, config.noise.sigma
+    x = d.n * (lam * d.T + tau * math.sqrt(d.T)) ** 2 / sigma**2
+    active = stats.ncx2.sf(x, d.T, d.n * d.T * signal.mu**2 / sigma**2)
+    return active**signal.s * stats.chi2.cdf(x, d.T) ** (d.M - signal.s)
+
+
+def _recovery_z(config, exact):
+    """Binomial standard errors from the exact probability to the rate of
+    exact support recovery over fresh replicates fitted at config's lam."""
+    hits = 0
+    for r in range(RECOVERY_REPLICATES):
+        dataset, beta_star = generate_dataset(
+            config.design, config.signal, config.noise, [config.seed, r]
+        )
+        fit = solve_group_lasso(dataset, config.solver)
+        selected = select_support(fit.beta_hat, TAU, group_support(beta_star))
+        hits += score_selection(selected)[0]
+    se = math.sqrt(exact * (1.0 - exact) / RECOVERY_REPLICATES)
+    return (hits / RECOVERY_REPLICATES - exact) / se
+
+
+def test_support_recovery_rate_matches_the_exact_probability():
+    exact = _exact_recovery_probability(CONFIG, CONFIG.plan.lam, TAU)
+    assert exact == pytest.approx(0.7649, abs=1e-4)
+    assert abs(_recovery_z(CONFIG, exact)) <= 4.0
+    # lam moves the bar x that every row's ||z_j|| must clear: 2% either
+    # way is seen
+    assert _recovery_z(replace(CONFIG, plan_sigma=1.02), exact) < -4.0
+    assert _recovery_z(replace(CONFIG, plan_sigma=0.98), exact) > 4.0

@@ -279,8 +279,52 @@ def test_oracle_experiment_measures_phi_when_unset():
 def test_bound_set_filter_and_missing_ingredient():
     only = run_oracle_experiment(_small_config(bound_set=("prediction",)))
     assert [check.name for check in only.bounds] == ["prediction"]
-    with pytest.raises(ValueError, match="err2"):
-        run_oracle_experiment(_small_config(kappa2s=None, bound_set=("err2",)))
+    # a named bound without its ingredient fails at construction, naming both
+    with pytest.raises(ValueError, match="^bounds names err2, which needs kappa2s"):
+        _small_config(kappa2s=None, bound_set=("err2",))
+
+
+@pytest.mark.parametrize("regime, bound, key", [
+    (GAUSSIAN, "err2", "kappa2s"),
+    (GAUSSIAN, "supnorm", "alpha"),
+    (GAUSSIAN, "err2p_2", "alpha"),
+    (FINITE_VARIANCE, "err2_sq", "kappa2s"),
+    (FINITE_VARIANCE, "supnorm", "alpha"),
+])
+def test_bound_set_needs_its_ingredients(regime, bound, key):
+    constants = {"A": 9.0} if regime == GAUSSIAN else {"A": None, "delta": 3.0}
+    given = {"kappa2s": 1.0, "alpha": 8.0, key: None}
+    with pytest.raises(ValueError, match=f"^bounds names {bound}, which needs {key}; "):
+        _small_config(
+            regime=regime, p_values=(2.0,), bound_set=("prediction", bound),
+            **constants, **given,
+        )
+    # the coherence lemma derives kappa2s, so only alpha can be missing there
+    if key == "kappa2s":
+        config = _small_config(
+            regime=regime, bound_set=(bound,), kappa_source="coherence-lemma",
+            kappa=None, **constants, **given,
+        )
+        assert config.scored_bounds == (bound,)
+
+
+@pytest.mark.parametrize("kappa2s, alpha, kappa_source, scored", [
+    (1.0, 8.0, "user-supplied", ("prediction", "err21", "err2", "supnorm", "err2p_2",
+                                 "sparsity", "correlation", "sparsity_from_prediction")),
+    (None, None, "user-supplied", ("prediction", "err21", "sparsity", "correlation",
+                                   "sparsity_from_prediction")),
+    (None, 8.0, "coherence-lemma", ("prediction", "err21", "err2", "supnorm", "err2p_2",
+                                    "sparsity", "correlation", "sparsity_from_prediction")),
+], ids=["given", "bare", "derived"])
+def test_scored_bounds_default_to_every_bound_with_its_ingredients(
+    kappa2s, alpha, kappa_source, scored
+):
+    kappa = 1.0 if kappa_source == "user-supplied" else None
+    config = _small_config(
+        kappa=kappa, kappa2s=kappa2s, alpha=alpha, kappa_source=kappa_source,
+        p_values=(2.0,),
+    )
+    assert config.scored_bounds == scored
 
 
 @pytest.mark.parametrize("regime, bound_set, message", [
@@ -303,17 +347,18 @@ def test_bound_set_is_checked_at_construction(regime, bound_set, message):
                    "sparsity", "correlation", "sparsity_from_prediction"),
         FINITE_VARIANCE: ("prediction", "err21", "err2_sq", "supnorm", "sparsity"),
     }[regime]
-    config = _small_config(regime=regime, p_values=(1.0, 2.0), bound_set=names, **constants)
-    assert config.bound_set == names
+    config = _small_config(
+        regime=regime, p_values=(1.0, 2.0), bound_set=names, alpha=8.0, **constants
+    )
+    assert config.bound_set == config.scored_bounds == names
 
 
 def test_kappa_resolution_errors():
     with pytest.raises(ValueError, match="kappa"):
         run_oracle_experiment(_small_config(kappa=None))
-    with pytest.raises(ValueError, match="alpha"):
-        run_oracle_experiment(
-            _small_config(kappa_source="coherence-lemma", kappa=None, alpha=None)
-        )
+    # the lemma's missing alpha fails at construction
+    with pytest.raises(ValueError, match="coherence-lemma' needs alpha"):
+        _small_config(kappa_source="coherence-lemma", kappa=None, alpha=None)
 
 
 def test_kappa_is_rejected_under_the_coherence_lemma():
@@ -430,6 +475,23 @@ def test_certified_run_generates_and_diagnoses_once_per_replicate(
     }
 
 
+def test_certification_at_2s_only_for_a_scored_bound_that_reads_kappa2s():
+    # max coherence 0.063 on this design is under the limit 0.095 at s=1
+    # but over 0.048 at 2s: the derived kappa is certified, kappa2s is not
+    config = _small_config(
+        design=DesignSpec(kind="gaussian-iid", n=1000, M=4, T=2),
+        signal=SignalSpec(s=1),
+        kappa_source="coherence-lemma", kappa=None, kappa2s=None, phi_max=None,
+        alpha=1.5, replicates=5, bound_set=("prediction",),
+    )
+    report = run_oracle_experiment(config)
+    assert [check.name for check in report.bounds] == ["prediction"]
+    assert report.bound("prediction").coverage == 1.0
+    for bound_set in (("prediction", "err2"), None):
+        with pytest.raises(ValueError, match="^replicate 0: .* 2s=2 needed for"):
+            run_oracle_experiment(replace(config, bound_set=bound_set))
+
+
 def test_selection_certifies_non_orthogonal_design():
     config = _small_config(
         design=DesignSpec(kind="ar1", n=32, M=8, T=4, rho=0.6),
@@ -489,6 +551,41 @@ def test_comparison_grid_validation():
     fv = _small_config(regime=FINITE_VARIANCE, A=None, delta=3.0, T_grid=(1, 4))
     with pytest.raises(ValueError, match="gaussian"):
         run_lasso_comparison(fv)
+
+
+_IID = DesignSpec(kind="gaussian-iid", n=32, M=8, T=1)
+
+
+@pytest.mark.parametrize("run, overrides, message", [
+    (run_oracle_experiment, {"kappa2s": None, "bound_set": ("err2",)}, "needs kappa2s"),
+    (run_oracle_experiment, {"bound_set": ("supnorm",)}, "needs alpha"),
+    (run_oracle_experiment, {"kappa_source": "coherence-lemma", "kappa": None},
+     "coherence-lemma' needs alpha"),
+    (run_oracle_experiment, {"kappa": None}, "user-supplied' needs an explicit kappa"),
+    (run_selection_experiment, {"alpha": 8.0}, "margin"),
+    (run_selection_experiment, {"margin": 3.0}, "alpha"),
+    (run_lasso_comparison, {"design": _IID, "T_grid": (4, 1)}, "strictly increasing"),
+    (run_lasso_comparison, {"design": _IID}, "T_grid must contain"),
+    (run_lasso_comparison, {"design": _IID, "T_grid": (1, 4),
+                            "lasso_constant": 2.0 * math.sqrt(2.0)}, "exceed 2\\*sqrt"),
+    (run_lasso_comparison, {"design": _IID, "T_grid": (1, 4), "regime": FINITE_VARIANCE,
+                            "A": None, "delta": 3.0}, "gaussian regime"),
+    (run_oracle_experiment, {"signal": SignalSpec(s=0)},
+     "oracle experiments need at least one active group"),
+], ids=["kappa2s", "alpha", "lemma-alpha", "kappa", "margin", "selection-alpha",
+        "grid-order", "grid-empty", "lasso-constant", "regime", "oracle-s"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_config_errors_surface_before_the_first_draw(
+    run, overrides, message, workers, monkeypatch, use_workers
+):
+    def drawn(*args, **kwargs):
+        raise AssertionError("a replicate was drawn")
+
+    for name in ("generate_dataset", "generate_beta_for_selection"):
+        monkeypatch.setattr(experiments, name, drawn)
+    use_workers(workers)
+    with pytest.raises(ValueError, match=message):
+        run(_small_config(**overrides))
 
 
 def test_comparison_rejects_repeated_task_counts():

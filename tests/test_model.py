@@ -303,3 +303,21 @@ def test_group_support_thresholds():
     assert group_support(one, 0.0).indices == (1,)
     with pytest.raises(ValueError):
         group_support(one, -1e-3)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: MultiTaskDataset(np.ones((1, 3, 2)), np.ones(3)), ValueError,
+     r"responses must have shape \(T, n\), got \(3,\)"),
+    (lambda: MultiTaskDataset(np.ones((1, 0, 2)), np.ones((1, 0))), ValueError,
+     "need T >= 1, n >= 1, M >= 1, got T=1, n=0, M=2"),
+    (lambda: MultiTaskDataset(np.ones((1, 2, 2)), np.array([[0.0, math.inf]])),
+     ValueError, "responses contain non-finite entries"),
+    (lambda: GroupCoefficients(np.ones(3)), ValueError,
+     r"coefficients must be an \(M, T\) array, got \(3,\)"),
+    (lambda: mixed_norm(np.ones((2, 2)), 2.0), TypeError,
+     "expected GroupCoefficients, got ndarray"),
+], ids=["responses-1d", "zero-size", "non-finite-responses", "coefficients-1d",
+        "not-coefficients"])
+def test_inputs_outside_the_boundaries_are_rejected(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

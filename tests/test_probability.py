@@ -538,3 +538,18 @@ def test_frozen_tail_constant_matches_live_oracle():
     scipy_special = pytest.importorskip("scipy.special")
     assert CHI2_4_ABOVE_8 == scipy_special.gammaincc(2.0, 4.0)
     assert chi_square_tail_bound(4, 4.0) >= CHI2_4_ABOVE_8  # bound is conservative
+
+
+@pytest.mark.parametrize("check, message", [
+    (lambda: nemirovski_check(3, 0, "rademacher", 2000, seed=0),
+     "need n_vectors >= 1, got 0"),
+    (lambda: nemirovski_check(3, 5, "rademacher", 1, seed=0),
+     "need at least 2 replicates, got 1"),
+    (lambda: noise_correlation_violation_rate(
+        _noise_test_dataset(), RegularizationPlan(GAUSSIAN, 1.0, 64, 16, 8, A=9.0),
+        999, seed=0),
+     "need at least 1000 replicates, got 999"),
+], ids=["n-vectors", "moment-replicates", "event-replicates"])
+def test_inputs_outside_the_boundaries_are_rejected(check, message):
+    with pytest.raises(ValueError, match=message):
+        check()

@@ -246,3 +246,9 @@ def test_formulas_are_deterministic():
     assert lambda_finite_variance(0.7, 64, 3, 9, 1.5) == lambda_finite_variance(
         0.7, 64, 3, 9, 1.5
     )
+
+
+@pytest.mark.parametrize("M", [1, 2])
+def test_finite_variance_confidence_needs_three_groups(M):
+    with pytest.raises(ValueError, match=f"finite-variance bounds need M >= 3, got M={M}"):
+        finite_variance_confidence(M, 3.0, 1.0)

@@ -851,3 +851,21 @@ def test_solution_support_is_sane():
     support = group_support(res.beta_hat, 0.0)
     norms = np.linalg.norm(res.beta_hat.values, axis=1)
     assert set(support) == {j for j in range(12) if norms[j] > 0}
+
+
+@pytest.mark.parametrize("algorithm", ["block-coordinate", "proximal-gradient"])
+def test_a_warm_start_of_the_wrong_shape_is_rejected(algorithm):
+    data = MultiTaskDataset(np.eye(3)[None] * math.sqrt(3.0), np.ones((1, 3)))
+    start = GroupCoefficients.zeros(2, 1)
+    config = SolverConfig(lam=0.1, algorithm=algorithm, initial=start)
+    message = r"warm start \(2, 1\) does not match dataset \(M=3, T=1\)"
+    with pytest.raises(ValueError, match=message):
+        solve_group_lasso(data, config)
+
+
+def test_proximal_gradient_rejects_an_all_zero_design():
+    data = MultiTaskDataset(np.zeros((2, 4, 3)), np.ones((2, 4)))
+    config = SolverConfig(lam=0.1, algorithm="proximal-gradient")
+    message = r"design is degenerate \(largest Gram eigenvalue is zero\)"
+    with pytest.raises(ValueError, match=message):
+        solve_group_lasso(data, config)

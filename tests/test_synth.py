@@ -283,3 +283,29 @@ def test_generation_holds_about_one_copy_of_the_designs(kind):
         tracemalloc.stop()
     task = data.designs[0].nbytes
     assert peak <= data.designs.nbytes + (3 if kind == "orthogonal" else 2) * task
+
+
+_IID = DesignSpec(kind="gaussian-iid", n=6, M=4, T=2)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: DesignSpec(kind="gaussian-iid", n=0, M=4, T=1),
+     "need n >= 1, T >= 1, M >= 2, got n=0, M=4, T=1"),
+    (lambda: DesignSpec(kind="gaussian-iid", n=4, M=4, T=0), "got n=4, M=4, T=0"),
+    (lambda: DesignSpec(kind="gaussian-iid", n=4, M=1, T=1), "got n=4, M=1, T=1"),
+    (lambda: SignalSpec(s=1, amplitude="gaussian", scale=0.0),
+     "gaussian amplitude scale must be positive, got 0.0"),
+    (lambda: SignalSpec(s=1, amplitude="gaussian", scale=-1.0), "positive, got -1.0"),
+    (lambda: NoiseSpec(kind="cauchy"), "unknown noise kind 'cauchy'"),
+    (lambda: generate_dataset(_IID, SignalSpec(s=5), NoiseSpec(), 0),
+     "sparsity s=5 exceeds M=4"),
+    (lambda: generate_dataset(_IID, SignalSpec(s=1), NoiseSpec(), 0,
+                              beta_star=GroupCoefficients(np.zeros((4, 3)))),
+     r"beta_star shape \(4, 3\) does not match \(M=4, T=2\)"),
+    (lambda: generate_beta_for_selection(SignalSpec(s=0), 0.5, 3.0, 4, 2, 0),
+     "selection truths need s >= 1, got 0"),
+], ids=["n", "T", "M", "zero-scale", "negative-scale", "noise-kind", "s-above-M",
+        "beta-shape", "selection-s"])
+def test_inputs_outside_the_boundaries_are_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
