@@ -5,7 +5,8 @@ experiment.  Exit codes: 0 success, 1 invalid input (bad flags, bad
 config, unreadable or malformed files), 2 a requested statistical check
 failed or a solve did not converge, 3 internal error.
 
-Config files are flat key=value text; unknown keys are rejected.
+Config files are flat key=value text, read by mtgl.dataio.KeyValueFile
+as dataset manifests are; unknown keys are rejected.
 Reports are printed as key=value lines; every output file has the text
 format of mtgl.dataio (floats with 17 significant digits, bools as
 true/false, an absent value as an empty cell).  ``dispatch`` keeps one
@@ -41,12 +42,12 @@ from .assumptions import (
     re_upper_estimate,
 )
 from .dataio import (
+    KeyValueFile,
     ParseError,
     format_row,
     keyvalue_lines,
     read_coefficients,
     read_dataset,
-    read_keyvalue,
     record_pairs,
     write_coefficients,
     write_dataset,
@@ -130,7 +131,7 @@ class _Run:
     def __init__(self, args):
         self.started = self._lap = time.monotonic()
         self.out = getattr(args, "out", None)
-        self.cfg = _Config(args.config) if hasattr(args, "config") else None
+        self.cfg = KeyValueFile(args.config) if hasattr(args, "config") else None
         self.settings = {
             key: value for key, value in vars(args).items() if key not in _NOT_SETTINGS
         }
@@ -169,35 +170,6 @@ class _Run:
 
 # ---------------------------------------------------------------------------
 # config-file helpers
-
-class _Config:
-    """Typed access to a key=value file with unknown-key detection."""
-
-    def __init__(self, path):
-        self.path = path
-        self.raw = read_keyvalue(path)
-        self.used = set()
-
-    def get(self, key, parse=str):
-        if key not in self.raw:
-            raise ValueError(f"{self.path}: missing required key {key!r}")
-        self.used.add(key)
-        value = self.raw[key]
-        try:
-            return parse(value)
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"{self.path}: key {key!r} has invalid value {value!r}"
-            ) from None
-
-    def finish(self):
-        unknown = sorted(set(self.raw) - self.used)
-        if unknown:
-            raise ValueError(f"{self.path}: unknown keys {unknown}")
-
-    def items_used(self):
-        return [(key, self.raw[key]) for key in self.raw if key in self.used]
-
 
 def _parse_bool(value):
     if value == "true":

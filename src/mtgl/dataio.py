@@ -8,12 +8,13 @@ use '.' as the decimal separator, and one row per line; a table of
 records (``write_records``) has a header of field names.  A dataset
 manifest is a key=value text file with n, M, T and per-task
 design/response file paths, resolved relative to the manifest's
-directory.
+directory.  Manifests and the command line's configs are read by one
+reader, ``KeyValueFile``, so both raise the same errors.
 
-``write_dataset`` also saves the design store (``model``'s C-ordered
-``(T, M, n)`` array of every X_t^T) and the responses ``(T, n)`` as
-binary sidecars ``designs_t.npy`` and ``responses.npy``, so a read
-adopts the store without transposing it, and records
+``write_dataset`` also saves the dataset's design store (its
+C-ordered ``(T, M, n)`` ``store`` of every X_t^T) and the responses
+``(T, n)`` as binary sidecars ``designs_t.npy`` and ``responses.npy``,
+so a read adopts the store without transposing it, and records
 ``sidecar_sha256``, one SHA-256 digest over the bytes of every CSV the
 manifest names and of both sidecars.  ``read_dataset`` loads the
 sidecars instead of parsing the CSVs only when that digest matches and
@@ -36,7 +37,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .model import GroupCoefficients, MultiTaskDataset, _empty_designs
+from .model import GroupCoefficients, MultiTaskDataset
 from .pool import _map_in_key_order
 
 
@@ -170,6 +171,40 @@ def read_keyvalue(path):
     return out
 
 
+class KeyValueFile:
+    """Typed access to a key=value file (``read_keyvalue``) that rejects
+    the keys nothing read: configs and dataset manifests both go through
+    it.  ``get`` parses a required key, ``finish`` raises on the keys no
+    ``get`` asked for, and ``items_used`` lists the (key, raw value)
+    pairs that were read, in file order.  Every error is a ParseError
+    naming the file."""
+
+    def __init__(self, path):
+        self.path = path
+        self.raw = read_keyvalue(path)
+        self.used = set()
+
+    def get(self, key, parse=str):
+        if key not in self.raw:
+            raise ParseError(f"{self.path}: missing required key {key!r}")
+        self.used.add(key)
+        value = self.raw[key]
+        try:
+            return parse(value)
+        except (TypeError, ValueError):
+            raise ParseError(
+                f"{self.path}: key {key!r} has invalid value {value!r}"
+            ) from None
+
+    def finish(self):
+        unknown = sorted(set(self.raw) - self.used)
+        if unknown:
+            raise ParseError(f"{self.path}: unknown keys {unknown}")
+
+    def items_used(self):
+        return [(key, self.raw[key]) for key in self.raw if key in self.used]
+
+
 def write_keyvalue(path, pairs):
     write_lines(path, keyvalue_lines(pairs))
 
@@ -215,8 +250,7 @@ def write_dataset(data, directory):
         write_matrix_csv(os.path.join(directory, files[2 * t + 1]), data.responses[t])
 
     _map_in_key_order(write_task, range(data.T))
-    store = data.designs.transpose(0, 2, 1)
-    for name, values in zip(SIDECAR_NAMES, (store, data.responses)):
+    for name, values in zip(SIDECAR_NAMES, (data.store, data.responses)):
         np.save(os.path.join(directory, name), values)
     files += SIDECAR_NAMES
     digest = _files_digest(os.path.join(directory, name) for name in files)
@@ -249,6 +283,14 @@ def _load_sidecars(base, csv_paths, digest, shapes):
     return arrays
 
 
+def _size(value):
+    """A dataset size: an integer of at least 1."""
+    size = int(value)
+    if size < 1:
+        raise ValueError(value)
+    return size
+
+
 def read_dataset(manifest_path):
     """Load a dataset from its manifest; validates every declared shape.
 
@@ -258,43 +300,19 @@ def read_dataset(manifest_path):
     from the CSVs.  design_0 is read before the design store is
     allocated, so sizes the files do not hold fail on that file.
     """
-    entries = read_keyvalue(manifest_path)
+    manifest = KeyValueFile(manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
-
-    def need(key):
-        if key not in entries:
-            raise ParseError(f"{manifest_path}: missing required key {key!r}")
-        return entries.pop(key)
-
-    def need_int(key):
-        raw = need(key)
-        try:
-            value = int(raw)
-        except ValueError:
-            value = None
-        if value is None or value < 1:
-            raise ParseError(
-                f"{manifest_path}: key {key!r} must be an integer >= 1, got {raw!r}"
-            )
-        return value
-
-    n = need_int("n")
-    M = need_int("M")
-    T = need_int("T")
+    n, M, T = (manifest.get(key, _size) for key in ("n", "M", "T"))
     paths = {
-        key: os.path.join(base, need(key))
+        key: os.path.join(base, manifest.get(key))
         for t in range(T)
         for key in (f"design_{t}", f"response_{t}")
     }
-    digest = entries.pop(SIDECAR_DIGEST_KEY, None)
-    if entries:
-        raise ParseError(
-            f"{manifest_path}: unknown keys {sorted(entries)}"
-        )
+    digest = manifest.get(SIDECAR_DIGEST_KEY) if SIDECAR_DIGEST_KEY in manifest.raw else None
+    manifest.finish()
     sidecars = _load_sidecars(base, paths.values(), digest, ((T, M, n), (T, n)))
     if sidecars is not None:
-        store, responses = sidecars
-        return MultiTaskDataset._adopt(store.transpose(0, 2, 1), responses)
+        return MultiTaskDataset._adopt(*sidecars)
 
     def read_csv(key, shape):
         path = paths[key]
@@ -308,12 +326,12 @@ def read_dataset(manifest_path):
         return matrix
 
     first = read_csv("design_0", (n, M))
-    designs = _empty_designs(T, n, M)
+    store = np.empty((T, M, n))
     responses = np.empty((T, n))
     for t in range(T):
-        designs[t] = first if t == 0 else read_csv(f"design_{t}", (n, M))
+        store[t] = (first if t == 0 else read_csv(f"design_{t}", (n, M))).T
         responses[t] = read_csv(f"response_{t}", (n, 1))[:, 0]
-    return MultiTaskDataset._adopt(designs, responses)
+    return MultiTaskDataset._adopt(store, responses)
 
 
 def write_coefficients(beta, path):

@@ -13,8 +13,9 @@ The designs have one layout, the design store: a C-ordered (T, M, n)
 array holding each X_t^T, seen everywhere as its (T, n, M) transpose.
 So designs[:, :, j], the columns x_tj of variable j, is a (T, n) slab
 whose rows are contiguous, which is the access coordinate descent makes.
-``_empty_designs`` allocates the store, and every dataset's designs are
-in it.
+The dataset owns its store: ``MultiTaskDataset.store`` is the store
+itself, and generation and reading build a store and hand it to
+``MultiTaskDataset._adopt``, so no other module derives the layout.
 """
 
 from __future__ import annotations
@@ -26,12 +27,6 @@ import numpy as np
 # Columns count as normalised when every (1/n) sum_i x_ij^2 is within
 # this tolerance of 1.
 UNIT_DIAGONAL_TOL = 1e-10
-
-
-def _empty_designs(T, n, M):
-    """The (T, n, M) view of a fresh, writable design store: its
-    ``transpose(0, 2, 1)`` is the C-ordered (T, M, n) array of every X_t^T."""
-    return np.empty((T, M, n)).transpose(0, 2, 1)
 
 
 def _frozen_array(values, dtype=float, copy=True):
@@ -49,8 +44,8 @@ class MultiTaskDataset:
     designs   : float array of shape (T, n, M); designs[t] is X_t.
     responses : float array of shape (T, n);    responses[t] is y_t.
 
-    ``designs`` is the (T, n, M) view of the design store (see the
-    module docstring), whatever layout the caller passed.
+    ``designs`` is the (T, n, M) view of the design store ``store`` (see
+    the module docstring), whatever layout the caller passed.
     ``unit_diagonal`` records whether every column of every task design
     satisfies (1/n) * ||x_tj||^2 = 1 within UNIT_DIAGONAL_TOL; the
     noise-event lemma requires it.  The constructor copies the arrays
@@ -63,59 +58,61 @@ class MultiTaskDataset:
     unit_diagonal: bool = field(init=False)
 
     def __post_init__(self):
-        self._settle(copy=True)
-
-    @classmethod
-    def _adopt(cls, designs, responses):
-        """The dataset over arrays that nothing else holds, such as
-        freshly read or drawn ones: validated and marked read-only in
-        place instead of copied.  ``designs`` must already be the
-        (T, n, M) view of a design store (``_empty_designs``); any other
-        layout raises ValueError rather than being copied."""
-        data = object.__new__(cls)
-        object.__setattr__(data, "designs", designs)
-        object.__setattr__(data, "responses", responses)
-        data._settle(copy=False)
-        return data
-
-    def _settle(self, copy):
         designs = np.asarray(self.designs, dtype=float)
-        responses = np.asarray(self.responses, dtype=float)
         if designs.ndim != 3:
             raise ValueError(f"designs must have shape (T, n, M), got {designs.shape}")
+        self._settle(
+            np.array(designs.transpose(0, 2, 1), order="C"),
+            np.array(self.responses, dtype=float, order="C"),
+        )
+
+    @classmethod
+    def _adopt(cls, store, responses):
+        """The dataset over a design store and responses that nothing else
+        holds, such as freshly read or drawn ones: validated and marked
+        read-only in place instead of copied.  ``store`` must already be a
+        C-ordered float (T, M, n) array; any other layout raises
+        ValueError rather than being copied."""
+        if not (isinstance(store, np.ndarray) and store.ndim == 3
+                and store.dtype == np.float64 and store.flags.c_contiguous):
+            raise ValueError("adopted designs must be a C-ordered (T, M, n) design store")
+        data = object.__new__(cls)
+        data._settle(store, responses)
+        return data
+
+    def _settle(self, store, responses):
+        """Validate the design store and the responses and make them this
+        dataset's, read-only."""
+        responses = np.asarray(responses, dtype=float)
         if responses.ndim != 2:
             raise ValueError(f"responses must have shape (T, n), got {responses.shape}")
-        T, n, M = designs.shape
+        T, M, n = store.shape
         if T < 1 or n < 1 or M < 1:
             raise ValueError(f"need T >= 1, n >= 1, M >= 1, got T={T}, n={n}, M={M}")
         if responses.shape != (T, n):
             raise ValueError(
                 f"responses shape {responses.shape} does not match designs {(T, n)}"
             )
-        if not np.all(np.isfinite(designs)):
+        if not np.all(np.isfinite(store)):
             raise ValueError("designs contain non-finite entries")
         if not np.all(np.isfinite(responses)):
             raise ValueError("responses contain non-finite entries")
-        if copy:
-            fresh = _empty_designs(T, n, M)
-            fresh[...] = designs
-            designs = fresh
-        elif not designs.transpose(0, 2, 1).flags.c_contiguous:
-            raise ValueError(
-                "adopted designs must be the (T, n, M) view of a design store"
-            )
         # Freeze the store's own buffer too, not only this view of it.
-        for array in (designs, designs.base):
+        for array in (store, store.base):
             if isinstance(array, np.ndarray):
                 array.setflags(write=False)
-        object.__setattr__(self, "designs", designs)
-        object.__setattr__(self, "responses", _frozen_array(responses, copy=copy))
+        object.__setattr__(self, "designs", store.transpose(0, 2, 1))
+        object.__setattr__(self, "responses", _frozen_array(responses, copy=False))
         # Column norms, not a product with coefficients or residuals.
-        store = designs.transpose(0, 2, 1)
         col_sq = np.einsum("tmn,tmn->tm", store, store) / n
         object.__setattr__(
             self, "unit_diagonal", bool(np.max(np.abs(col_sq - 1.0)) <= UNIT_DIAGONAL_TOL)
         )
+
+    @property
+    def store(self):
+        """The read-only, C-ordered (T, M, n) design store of every X_t^T."""
+        return self.designs.transpose(0, 2, 1)
 
     @property
     def T(self):

@@ -239,7 +239,7 @@ def _coordinate_sweep(data, lam, width):
     ``model``'s kernels.
     """
     M, n = data.M, data.n
-    store = data.designs.transpose(0, 2, 1)                 # (T, M, n)
+    store = data.store                                      # (T, M, n)
     diagonal = np.einsum("tmn,tmn->mt", store, store) / n   # d_tj
     if width > 1:
         diagonal = diagonal.max(axis=1)

@@ -3,11 +3,12 @@
 Datasets are built task by task from streams spawned off a single seed,
 so generation is reproducible and tasks could be drawn in parallel
 without changing the result.  Each task is drawn and shaped as an n x M
-array in its slot of the design store (see ``model``), then turned into
-X_t^T in place.  Responses are ``model.task_fits`` plus
-each task's noise.  Noise distributions are scaled to have variance
-exactly sigma^2 (the student-t draw is multiplied by sqrt((nu-2)/nu)),
-keeping the noise level comparable across kinds.
+array in its slot of a new design store (see ``model``), then turned
+into X_t^T in place, and the dataset adopts the store.  Responses are
+``model.task_fits`` plus each task's noise.  Noise distributions are
+scaled to have variance exactly sigma^2 (the student-t draw is
+multiplied by sqrt((nu-2)/nu)), keeping the noise level comparable
+across kinds.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import GroupCoefficients, MultiTaskDataset, _empty_designs, task_fits
+from .model import GroupCoefficients, MultiTaskDataset, task_fits
 
 DESIGN_KINDS = ("gaussian-iid", "ar1", "orthogonal")
 AMPLITUDE_RULES = ("constant", "gaussian")
@@ -189,7 +190,7 @@ def generate_dataset(design, signal, noise, seed, beta_star=None):
             )
 
     T, n, M = design.T, design.n, design.M
-    store = _empty_designs(T, n, M).transpose(0, 2, 1)   # (T, M, n)
+    store = np.empty((T, M, n))
     # Drawn and shaped in a C-ordered (T, n, M) view of the store's buffer.
     drawn = store.reshape(T, n, M)
     for t in range(T):
@@ -204,7 +205,7 @@ def generate_dataset(design, signal, noise, seed, beta_star=None):
         np.copyto(task, drawn[t])
         np.copyto(store[t], task.T)
     del task
-    data = MultiTaskDataset._adopt(store.transpose(0, 2, 1), responses)
+    data = MultiTaskDataset._adopt(store, responses)
     return data, GroupCoefficients(values)
 
 

@@ -3,6 +3,7 @@ import importlib
 import importlib.util
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,9 @@ import pytest
 
 import mtgl.cli as cli
 import mtgl.pool as pool
-from mtgl.dataio import format_float, read_coefficients, read_dataset, read_keyvalue
+from mtgl.dataio import (
+    KeyValueFile, format_float, read_coefficients, read_dataset, read_keyvalue,
+)
 from mtgl.model import group_support
 from mtgl.regularization import RegularizationPlan, threshold_constant_c
 from mtgl.solver import SolverConfig, solve_group_lasso
@@ -893,7 +896,7 @@ def test_absent_config_keys_keep_the_library_defaults(tmp_path):
         "A=9\nreplicates=4\nseed=0\n"
     for kind in ("oracle", "selection", "lasso-comparison"):
         config = cli._experiment_config(
-            cli._Config(_write(tmp_path / "exp.cfg", required)), kind
+            KeyValueFile(_write(tmp_path / "exp.cfg", required)), kind
         )
         for spec in (config, config.design, config.signal, config.noise):
             for field in dataclasses.fields(spec):
@@ -1273,3 +1276,39 @@ def test_non_finite_thresholds_exit_1(tmp_path, capsys, command, flag, value):
     assert code == 1 and out == ""
     assert err.startswith("error:") and flag.lstrip("-") in err
     assert not out_dir.exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(intro):
+    """The fenced block that follows the first README line starting with
+    ``intro``, as text."""
+    lines = README.read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(intro))
+    opening = lines.index("```", start)
+    closing = lines.index("```", opening + 1)
+    return "\n".join(lines[opening + 1:closing]) + "\n"
+
+
+def _uncommented(block):
+    """``block`` with every commented-out key=value line switched on."""
+    return re.sub(r"(?m)^# (?=[A-Za-z_]\w*=)", "", block)
+
+
+def test_readme_gen_config_runs_as_written(tmp_path, capsys):
+    block = _readme_block("`gen.cfg` is a")
+    for name, text in (("as-written", block), ("uncommented", _uncommented(block))):
+        config = _write(tmp_path / f"{name}.cfg", text)
+        code, _, err = _run(capsys, "gen", "--config", config, "--out", str(tmp_path / name))
+        assert code == 0, (name, err)
+
+
+def test_readme_experiment_config_values_hold_no_comment(tmp_path):
+    # A '#' after a value is part of it, so a copied line must hold none.
+    block = _readme_block("`exp.cfg` extends")
+    as_written = read_keyvalue(_write(tmp_path / "as-written.cfg", block))
+    uncommented = read_keyvalue(_write(tmp_path / "uncommented.cfg", _uncommented(block)))
+    assert set(as_written) < set(uncommented)
+    for values in (as_written, uncommented):
+        assert [value for value in values.values() if "#" in value] == []

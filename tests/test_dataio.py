@@ -1,5 +1,7 @@
+import ast
 import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,6 +174,34 @@ def test_keyvalue_skips_comments_and_blanks(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("# heading\n\nn = 10\n  # indented comment\nkind=ar1\n")
     assert read_keyvalue(path) == {"n": "10", "kind": "ar1"}
+
+
+def test_keyvalue_keeps_a_hash_inside_a_value(tmp_path):
+    # only a line that starts with '#' is a comment: a path may hold one
+    path = tmp_path / "c.txt"
+    path.write_text("design_0=runs/#3/x.csv\nkind=ar1 # not a comment\n")
+    assert read_keyvalue(path) == {"design_0": "runs/#3/x.csv", "kind": "ar1 # not a comment"}
+
+
+def test_only_dataio_reads_keyvalue_files():
+    # Configs and manifests share one reader, dataio.KeyValueFile, so no
+    # other module reads a key=value file itself.  The package's __init__
+    # re-exports read_keyvalue as public API and is not counted.
+    users = set()
+    for path in sorted(Path(dataio.__file__).parent.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+        if "read_keyvalue" in names:
+            users.add(path.stem)
+    assert users == {"dataio"}
 
 
 def test_keyvalue_errors(tmp_path):
@@ -400,7 +430,7 @@ def test_dataset_non_integer_header(tmp_path):
     entries = read_keyvalue(manifest)
     entries["n"] = "eight"
     write_keyvalue(manifest, entries.items())
-    with pytest.raises(ParseError, match="integer"):
+    with pytest.raises(ParseError, match="key 'n' has invalid value 'eight'"):
         read_dataset(manifest)
 
 
@@ -416,7 +446,7 @@ def test_dataset_sizes_below_one_name_manifest_and_key(tmp_path, key, value):
         read_dataset(manifest)
     message = str(err.value)
     assert str(manifest) in message
-    assert f"key {key!r} must be an integer >= 1, got {value!r}" in message
+    assert f"key {key!r} has invalid value {value!r}" in message
 
 
 def test_declared_size_is_checked_against_design_before_allocation(tmp_path):

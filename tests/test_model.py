@@ -5,7 +5,6 @@ import pytest
 
 from mtgl.dataio import SIDECAR_NAMES, read_dataset, write_dataset
 from mtgl.model import (
-    _empty_designs,
     GroupCoefficients,
     MultiTaskDataset,
     SparsityPattern,
@@ -96,6 +95,7 @@ def test_every_constructor_makes_a_read_only_design_store(tmp_path):
         assert store.flags.c_contiguous, name
         assert not store.flags.writeable and not data.designs.flags.writeable, name
         assert not data.designs.base.flags.writeable, name
+        assert data.store.flags.c_contiguous and not data.store.flags.writeable, name
         assert data.designs.shape == (data.T, data.n, data.M), name
     for name in ("read_dataset-sidecar", "read_dataset-csv"):
         assert made[name].designs.tobytes() == made["ar1"].designs.tobytes()
@@ -112,16 +112,16 @@ def test_dataset_copies_any_layout_into_the_store():
 
 
 def test_adopt_raises_on_a_foreign_layout():
-    # _adopt never copies: designs not already in a design store raise,
-    # while a store's view is adopted as it is.
+    # _adopt never copies: a (T, M, n) array that is not a C-ordered
+    # store raises, while a store is adopted as it is.
     rng = np.random.default_rng(7)
     responses = rng.standard_normal((2, 7))
     with pytest.raises(ValueError, match="design store"):
-        MultiTaskDataset._adopt(rng.standard_normal((2, 7, 4)), responses)
-    store = _empty_designs(2, 7, 4)
-    store[...] = rng.standard_normal((2, 7, 4))
+        MultiTaskDataset._adopt(rng.standard_normal((2, 7, 4)).transpose(0, 2, 1), responses)
+    store = rng.standard_normal((2, 4, 7))
     data = MultiTaskDataset._adopt(store, responses)
-    assert data.designs is store and not store.flags.writeable
+    assert data.store.base is store and not store.flags.writeable
+    assert data.designs.shape == (2, 7, 4)
 
 
 def test_sparsity_pattern_semantics():

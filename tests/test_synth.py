@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -130,6 +131,46 @@ def test_noise_variance_scaling():
         # E[W^2] = sigma^2 for every kind (student-t rescaled by (nu-2)/nu)
         tol = 0.15 if kind == "student-t" else 0.05
         assert second_moment == pytest.approx(sigma**2, rel=tol)
+
+
+# The laws of the noise itself.  With s = 0 the responses are exactly the
+# noise W, drawn N = T*n times; each test bounds a statistic at |z| <= 5.
+_LAW_N, _LAW_T, _LAW_SIGMA, _LAW_NU, _LAW_SEED = 25000, 8, 1.5, 10.0, 11
+# the kurtosis E W^4 / sigma^4 of each kind; t(nu)'s is 3 + 6/(nu - 4)
+_KURTOSIS = {"gaussian": 3.0, "student-t": 3.0 + 6.0 / (_LAW_NU - 4.0), "rademacher": 1.0}
+
+
+@functools.cache
+def _pure_noise(kind):
+    """The (T, n) noise of a draw with no signal."""
+    nu = _LAW_NU if kind == "student-t" else None
+    design = DesignSpec("gaussian-iid", _LAW_N, 2, _LAW_T)
+    data, _ = generate_dataset(
+        design, SignalSpec(s=0), NoiseSpec(kind, _LAW_SIGMA, nu), _LAW_SEED
+    )
+    return data.responses
+
+
+@pytest.mark.parametrize("kind", sorted(_KURTOSIS))
+def test_noise_has_variance_sigma_squared(kind):
+    # The mean of W^2/sigma^2 has mean 1 and SE sqrt((kurtosis - 1)/N);
+    # rademacher noise (kurtosis 1) gives exactly 1.
+    squares = (_pure_noise(kind) / _LAW_SIGMA) ** 2
+    error = float(np.mean(squares)) - 1.0
+    se = math.sqrt((_KURTOSIS[kind] - 1.0) / squares.size)
+    if se == 0.0:
+        assert abs(error) <= 1e-12
+    else:
+        assert abs(error) / se <= 5.0, error / se
+
+
+@pytest.mark.parametrize("kind", sorted(_KURTOSIS))
+def test_task_noise_is_uncorrelated_across_tasks(kind):
+    # The sample correlation of two independent tasks' noise is about
+    # N(0, 1/n), so sqrt(n) times the largest of T(T-1)/2 stays below 5.
+    corr = np.corrcoef(_pure_noise(kind))
+    largest = float(np.max(np.abs(corr[np.triu_indices(_LAW_T, k=1)])))
+    assert largest * math.sqrt(_LAW_N) <= 5.0, largest * math.sqrt(_LAW_N)
 
 
 def test_design_invariant_to_noise_kind():
