@@ -246,7 +246,7 @@ def _from_config(cfg, spec, keys, **fields):
         f.name for f in dataclasses.fields(spec) if f.default is not dataclasses.MISSING
     }
     for key, (name, parse) in keys.items():
-        if key in cfg.raw or name not in optional:
+        if key in cfg or name not in optional:
             fields[name] = cfg.get(key, parse)
     return spec(**fields)
 

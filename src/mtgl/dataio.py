@@ -174,15 +174,18 @@ def read_keyvalue(path):
 class KeyValueFile:
     """Typed access to a key=value file (``read_keyvalue``) that rejects
     the keys nothing read: configs and dataset manifests both go through
-    it.  ``get`` parses a required key, ``finish`` raises on the keys no
-    ``get`` asked for, and ``items_used`` lists the (key, raw value)
-    pairs that were read, in file order.  Every error is a ParseError
-    naming the file."""
+    it.  ``key in`` it tests for an optional key, ``get`` parses a
+    required key, ``finish`` raises on the keys no ``get`` asked for,
+    and ``items_used`` lists the (key, raw value) pairs that were read,
+    in file order.  Every error is a ParseError naming the file."""
 
     def __init__(self, path):
         self.path = path
         self.raw = read_keyvalue(path)
         self.used = set()
+
+    def __contains__(self, key):
+        return key in self.raw
 
     def get(self, key, parse=str):
         if key not in self.raw:
@@ -263,7 +266,7 @@ def write_dataset(data, directory):
 def _load_sidecars(base, csv_paths, digest, shapes):
     """The (design store, responses) sidecars in ``base``, or None unless the
     digest over ``csv_paths`` and the sidecars matches and both hold
-    float64 arrays of exactly ``shapes``."""
+    C-ordered float64 arrays of exactly ``shapes``."""
     if digest is None:
         return None
     paths = [os.path.join(base, name) for name in SIDECAR_NAMES]
@@ -278,7 +281,8 @@ def _load_sidecars(base, csv_paths, digest, shapes):
     except (OSError, ValueError, EOFError):
         return None
     for array, shape in zip(arrays, shapes):
-        if array.dtype != np.float64 or array.shape != shape:
+        if (array.dtype != np.float64 or array.shape != shape
+                or not array.flags.c_contiguous):
             return None
     return arrays
 
@@ -308,7 +312,7 @@ def read_dataset(manifest_path):
         for t in range(T)
         for key in (f"design_{t}", f"response_{t}")
     }
-    digest = manifest.get(SIDECAR_DIGEST_KEY) if SIDECAR_DIGEST_KEY in manifest.raw else None
+    digest = manifest.get(SIDECAR_DIGEST_KEY) if SIDECAR_DIGEST_KEY in manifest else None
     manifest.finish()
     sidecars = _load_sidecars(base, paths.values(), digest, ((T, M, n), (T, n)))
     if sidecars is not None:

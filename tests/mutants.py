@@ -1,7 +1,6 @@
 """The mutation list: one-line faults that the tests must catch.
 
-    python tests/mutants.py              # every mutant
-    python tests/mutants.py NAME ...     # only the named ones
+    python tests/mutants.py
 
 Each entry names a file of the repository, the exact old text (which
 occurs exactly once there), the new text, and the tests that should fail
@@ -20,7 +19,6 @@ exists, so the list cannot rot silently.
 
 from __future__ import annotations
 
-import argparse
 import shutil
 import subprocess
 import sys
@@ -134,16 +132,9 @@ def run(mutants):
     return alive
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", help="run only the mutants of these names")
-    args = parser.parse_args(argv)
-    unknown = set(args.names) - {mutant.name for mutant in MUTANTS}
-    if unknown:
-        parser.error(f"no mutant named {sorted(unknown)}")
-    chosen = [mutant for mutant in MUTANTS if not args.names or mutant.name in args.names]
-    alive = run(chosen)
-    print(f"{len(chosen) - len(alive)} of {len(chosen)} mutants killed")
+def main():
+    alive = run(MUTANTS)
+    print(f"{len(MUTANTS) - len(alive)} of {len(MUTANTS)} mutants killed")
     return 1 if alive else 0
 
 

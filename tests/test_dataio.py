@@ -383,6 +383,8 @@ def _old_layout_square_sidecar(d):
     _save_sealed("designs_t.npy", lambda a: a.astype(">f8")),
     # the old (T, n, M) layout under the store's name
     _save_sealed("designs_t.npy", lambda a: np.ascontiguousarray(a.transpose(0, 2, 1))),
+    # the store's shape and values, Fortran-ordered
+    _save_sealed("designs_t.npy", np.asfortranarray),
     _save_sealed("responses.npy", lambda a: a[:, :-1]),
     _save_sealed("responses.npy",
                  lambda a: np.array([_Unpicklable()] * a.size, dtype=object),
@@ -391,7 +393,7 @@ def _old_layout_square_sidecar(d):
     _drop_digest,
     _old_layout_square_sidecar,
 ], ids=["csv-edited", "truncated", "missing", "swapped", "float32",
-        "big-endian", "transposed", "short", "object-dtype", "npz", "no-digest",
+        "big-endian", "transposed", "fortran-order", "short", "object-dtype", "npz", "no-digest",
         "old-layout-square"])
 def test_damaged_sidecar_falls_back_to_csv(tmp_path, monkeypatch, damage):
     data = _dataset()

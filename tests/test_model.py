@@ -112,12 +112,18 @@ def test_dataset_copies_any_layout_into_the_store():
 
 
 def test_adopt_raises_on_a_foreign_layout():
-    # _adopt never copies: a (T, M, n) array that is not a C-ordered
+    # _adopt never copies: anything but a C-ordered float64 (T, M, n)
     # store raises, while a store is adopted as it is.
     rng = np.random.default_rng(7)
     responses = rng.standard_normal((2, 7))
-    with pytest.raises(ValueError, match="design store"):
-        MultiTaskDataset._adopt(rng.standard_normal((2, 7, 4)).transpose(0, 2, 1), responses)
+    for foreign in (
+        rng.standard_normal((2, 7, 4)).transpose(0, 2, 1),
+        rng.standard_normal((2, 4, 7)).astype(np.float32),
+        rng.standard_normal((4, 7)),
+        rng.standard_normal((2, 4, 7)).tolist(),
+    ):
+        with pytest.raises(ValueError, match="design store"):
+            MultiTaskDataset._adopt(foreign, responses)
     store = rng.standard_normal((2, 4, 7))
     data = MultiTaskDataset._adopt(store, responses)
     assert data.store.base is store and not store.flags.writeable
