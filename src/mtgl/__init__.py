@@ -34,8 +34,6 @@ from .regularization import (
     GAUSSIAN,
     RegularizationPlan,
     finite_variance_confidence,
-    lambda_finite_variance,
-    lambda_gaussian,
     norm_bound_constant_c1,
     threshold_constant_c,
 )

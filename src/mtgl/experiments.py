@@ -46,9 +46,6 @@ from .synth import generate_beta_for_selection, generate_dataset
 
 KAPPA_SOURCES = ("coherence-lemma", "user-supplied")
 
-# Plain-Lasso tuning constant must exceed 2*sqrt(2).
-_LASSO_MIN_CONSTANT = 2.0 * math.sqrt(2.0)
-
 
 def p_name(prefix, p):
     """``<prefix>_<p>`` with p to 6 significant digits: the name of the
@@ -95,7 +92,8 @@ class ExperimentConfig:
     is rejected.  "user-supplied" takes ``kappa`` (and optionally
     ``kappa2s``) on trust, e.g. 1.0 for exactly orthogonal designs.
     ``phi_max`` fixes the largest Gram eigenvalue used in the sparsity
-    bound; leave it None to measure it per replicate.
+    bound; leave it None to measure it per replicate.  A selection run's
+    beta-min ``margin`` must be finite and exceed 2.
     ``bound_set`` (the config key ``bounds``) names the bounds to check,
     each once and with its ingredients, from those of the regime and
     ``p_values``.  The derived ``scored_bounds``, the only list the runner
@@ -120,7 +118,7 @@ class ExperimentConfig:
     bound_set: tuple | None = None
     margin: float | None = None
     algorithm: str = ALGORITHMS[0]
-    kkt_tolerance: float = 1e-8
+    kkt_tolerance: float = SolverConfig.kkt_tolerance
     max_iterations: int = 2000
     lasso_constant: float = 3.0
     T_grid: tuple = ()
@@ -152,6 +150,10 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.alpha is not None and not 1 < self.alpha < math.inf:
             raise ValueError(f"alpha must be finite and exceed 1, got {self.alpha}")
+        if self.margin is not None and not 2 < self.margin < math.inf:
+            raise ValueError(
+                f"selection experiments need a beta-min margin > 2, got {self.margin}"
+            )
         if any(not p >= 1 for p in self.p_values):
             raise ValueError(f"every p must be >= 1, got {self.p_values}")
         distinct_p_names("err2p", self.p_values, "p_values")
@@ -537,10 +539,8 @@ def run_selection_experiment(config):
     plan = config.plan
     if config.alpha is None or not config.alpha > 1:
         raise ValueError("selection experiments need alpha > 1 for the threshold")
-    if config.margin is None or not config.margin > 2:
-        raise ValueError(
-            f"selection experiments need a beta-min margin > 2, got {config.margin}"
-        )
+    if config.margin is None:
+        raise ValueError("selection experiments need a beta-min margin > 2, got None")
     tau = plan.threshold(config.alpha)[1]
 
     def draw(r):
@@ -581,33 +581,24 @@ def run_lasso_comparison(config):
     runs ``config`` at a design of T tasks, with that config's plan.  The
     (T, replicate) pairs are keyed in grid order, replicates within each T.
 
-    The baseline's level at T tasks is lam_plain = c*sigma*sqrt(log(MT)/n)/T
-    with c = ``lasso_constant``.  It minimises S(B) + 2*lam*sum_jt |B_jt|,
-    where S(B) = (1/(nT)) sum_t ||X_t b_t - y_t||^2, so the objective is
-    (1/T) sum_t [(1/n) ||X_t b_t - y_t||^2 + 2*(lam*T)*|b_t|_1]: T separate
-    single-task Lassos at level lam*T = c*sigma*sqrt(log(MT)/n), the
-    single-task level of Bickel, Ritov & Tsybakov (2009) over MT
-    coefficients, from which the c > 2*sqrt(2) condition comes.
+    The baseline's level at T tasks is the ``lasso_level`` lam_plain =
+    c*sigma*sqrt(log(MT)/n)/T of that T's plan, c = ``lasso_constant``,
+    so a bad c or regime fails before any replicate is drawn.  It
+    minimises S(B) + 2*lam*sum_jt |B_jt|, where S(B) = (1/(nT)) sum_t
+    ||X_t b_t - y_t||^2, so the objective is (1/T) sum_t [(1/n) ||X_t b_t
+    - y_t||^2 + 2*(lam*T)*|b_t|_1]: T separate single-task Lassos at level
+    lam*T = c*sigma*sqrt(log(MT)/n).
     """
     grid = config.T_grid
     if not grid or any(T < 1 for T in grid):
         raise ValueError(f"T_grid must contain task counts >= 1, got {grid}")
     if any(later <= earlier for earlier, later in zip(grid, grid[1:])):
         raise ValueError(f"T_grid must be strictly increasing, got {grid}")
-    if not config.lasso_constant > _LASSO_MIN_CONSTANT:
-        raise ValueError(
-            f"plain-Lasso constant must exceed 2*sqrt(2) ~= {_LASSO_MIN_CONSTANT:.4f}, "
-            f"got {config.lasso_constant}"
-        )
-    if config.regime != GAUSSIAN:
-        raise ValueError("the baseline comparison is defined for the gaussian regime")
 
     def at(T):
         """The config of T tasks and its baseline's level."""
         config_t = replace(config, design=replace(config.design, T=T))
-        p = config_t.plan
-        level = config.lasso_constant * p.sigma * math.sqrt(math.log(p.M * T) / p.n) / T
-        return config_t, level
+        return config_t, config_t.plan.lasso_level(config.lasso_constant)
 
     configs = {T: at(T) for T in grid}
 

@@ -10,9 +10,9 @@ Three checks, each returning a TailCheckReport:
 
 A frequency passes by the exact binomial test of ``frequency_verdict``,
 a mean within three standard errors.  The moment constant comes from
-``regularization``, and lam and q from the event check's plan.  Every
-check draws from streams derived from (seed, chunk index) with a fixed
-chunk size of 4096 replicates.
+``regularization``, lam and q from the event check's plan, and its noise
+from ``synth._draw_noise``.  Every check draws from streams derived from
+(seed, chunk index) with a fixed chunk size of 4096 replicates.
 A check runs its chunks one after another in the calling process; each
 is reduced as soon as it is drawn to a few numbers (its event counts, or
 its sums for the moment check), which are added up in chunk order.
@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .regularization import moment_constant
+from .synth import NoiseSpec, _draw_noise
 
 _CHUNK = 4096
 _BLOCK_BYTES = 2 << 20
@@ -276,7 +277,8 @@ def noise_correlation_violation_rate(data, plan, replicates, seed):
 
     sigma, lam and q are those of ``plan``, a RegularizationPlan at the
     data's (n, T, M) whose regime has a q; the analytic rate bound is
-    M^(1-q).
+    M^(1-q).  The noise is drawn by ``synth._draw_noise``, the law the
+    datasets are drawn from.
     """
     if not data.unit_diagonal:
         raise ValueError("the correlation event is stated for unit-diagonal designs")
@@ -290,17 +292,16 @@ def noise_correlation_violation_rate(data, plan, replicates, seed):
             f"need a plan with a q at the data's (n, T, M) = {(n, T, M)}, got a "
             f"{plan.regime} plan at {(plan.n, plan.T, plan.M)}"
         )
-    sigma, lam = plan.sigma, plan.lam
+    noise = NoiseSpec("gaussian", plan.sigma)
     bound = M ** (1.0 - plan.q)
 
     # A C-ordered copy: on the design store's column-major task slices,
     # matmul's BLAS path would round differently with the block's rows.
     X = np.ascontiguousarray(data.designs)
-    cutoff = lam / 2.0
+    cutoff = plan.lam / 2.0
 
     def sample(rng, rows):
-        w = rng.standard_normal((rows, T, n))
-        w *= sigma
+        w = _draw_noise(noise, (rows, T, n), rng)
         # (T, rows, M): task t's block is W_t X_t for the block's draws,
         # not a model kernel: verify-lemmas pins it byte for byte.
         corr = np.matmul(w.transpose(1, 0, 2), X)

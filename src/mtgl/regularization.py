@@ -16,10 +16,12 @@ here once, as a function of one rate term per noise regime:
 
 ``RegularizationPlan`` computes the rate, lam, q, the confidence and the
 selection threshold tau of one problem size and its regime's one
-constant, A or delta (giving the other is an error).  It is the only
-code that turns those sizes into them: every other module reads a plan.
-Constant validity windows (A > 8, alpha > 1, and so on) are enforced,
-and sigma, A, delta, c' and alpha must be finite.
+constant, A or delta (giving the other is an error), and the level of
+the entrywise Lasso baseline that the group estimator is compared with.
+It is the only code that turns those sizes into them: every other module
+reads a plan.  Constant validity windows (A > 8, alpha > 1, the
+baseline's c > 2*sqrt(2), and so on) are enforced, and sigma, A, delta,
+c', alpha and c must be finite.
 """
 
 from __future__ import annotations
@@ -69,17 +71,6 @@ def moment_constant(M):
     return 2.0 * math.e * math.log(M) - math.e
 
 
-def lambda_gaussian(sigma, n, T, M, A):
-    """(lam, q, confidence) of the gaussian plan at these sizes and A."""
-    plan = RegularizationPlan(GAUSSIAN, sigma, n, T, M, A=A)
-    return plan.lam, plan.q, plan.confidence
-
-
-def lambda_finite_variance(sigma, n, T, M, delta):
-    """lam of the finite-variance plan at these sizes and delta."""
-    return RegularizationPlan(FINITE_VARIANCE, sigma, n, T, M, delta=delta).lam
-
-
 def finite_variance_confidence(M, delta, c_prime):
     """Guarantee level 1 - (2e*log M - e)*c' / (log M)^(1+delta).
 
@@ -119,14 +110,13 @@ def norm_bound_constant_c1(alpha, p):
 
     c1 = (32*alpha/(alpha-1))^(1/p) * (3 + 32/(7*(alpha-1)))^(1-1/p),
     from combining the (2,1) bound (via kappa^2 = 1 - 1/alpha) with the
-    (2,inf) bound at constant c.  Both are the gaussian-regime bounds;
-    no finite-variance c1 is defined.
+    (2,inf) bound at the gaussian ``threshold_constant_c`` per unit sigma.
+    Both are the gaussian-regime bounds; no finite-variance c1 is defined.
     """
-    _check_above("coherence slack alpha", alpha, 1)
+    right = threshold_constant_c(alpha, 1.0)
     if not p >= 1:
         raise ValueError(f"need p >= 1, got {p}")
     left = 32.0 * alpha / (alpha - 1.0)
-    right = 3.0 + 32.0 / (7.0 * (alpha - 1.0))
     if math.isinf(p):
         return right
     return left ** (1.0 / p) * right ** (1.0 - 1.0 / p)
@@ -176,6 +166,19 @@ class RegularizationPlan:
         if self.regime == GAUSSIAN:
             return 1.0 + self.A * math.log(self.M) / math.sqrt(self.T)
         return finite_variance_rate(self.M, self.delta)
+
+    def lasso_level(self, c):
+        """The gaussian entrywise Lasso baseline's level c*sigma*sqrt(log(MT)/n)/T:
+        T single-task Lassos at the level of Bickel, Ritov & Tsybakov (2009)
+        over MT coefficients, which needs a finite c > 2*sqrt(2)."""
+        low = 2.0 * math.sqrt(2.0)
+        if not low < c < math.inf:
+            raise ValueError(
+                f"plain-Lasso constant must exceed 2*sqrt(2) ~= {low:.4f}, got {c}"
+            )
+        if self.regime != GAUSSIAN:
+            raise ValueError("the baseline comparison is defined for the gaussian regime")
+        return c * self.sigma * math.sqrt(math.log(self.M * self.T) / self.n) / self.T
 
     def threshold(self, alpha):
         """(c, tau) at coherence slack alpha, with c from ``threshold_constant_c``

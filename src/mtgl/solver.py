@@ -359,7 +359,8 @@ def _prox_l21(values, tau):
     return values * scale[:, None]
 
 
-def solve_lasso_baseline(data, lam, max_iterations=1000, kkt_tolerance=1e-8):
+def solve_lasso_baseline(data, lam, max_iterations=SolverConfig.max_iterations,
+                         kkt_tolerance=SolverConfig.kkt_tolerance):
     """Entrywise-L1 baseline: minimise S(B) + 2 * lam * sum |B_jt|.
 
     The descent driver and coordinate sweep of block-coordinate descent,

@@ -159,12 +159,14 @@ def _draw_beta(signal, M, T, rng):
     return values
 
 
-def _draw_noise(noise, n, rng):
+def _draw_noise(noise, size, rng):
+    """``size`` i.i.d. draws of ``noise`` from ``rng``: the package's one
+    noise law, for the datasets and ``probability``'s event check."""
     if noise.kind == "gaussian":
-        return noise.sigma * rng.standard_normal(n)
+        return noise.sigma * rng.standard_normal(size)
     if noise.kind == "student-t":
-        return noise.sigma * np.sqrt((noise.nu - 2.0) / noise.nu) * rng.standard_t(noise.nu, n)
-    return noise.sigma * (rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0)
+        return noise.sigma * np.sqrt((noise.nu - 2.0) / noise.nu) * rng.standard_t(noise.nu, size)
+    return noise.sigma * (rng.integers(0, 2, size=size).astype(float) * 2.0 - 1.0)
 
 
 def generate_dataset(design, signal, noise, seed, beta_star=None):

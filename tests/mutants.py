@@ -45,9 +45,11 @@ MUTANTS = (
     Mutant(
         "gaussian noise drawn at 1.02 sigma",
         "src/mtgl/synth.py",
-        "        return noise.sigma * rng.standard_normal(n)",
-        "        return 1.02 * noise.sigma * rng.standard_normal(n)",
-        ("tests/test_synth.py::test_noise_has_variance_sigma_squared",),
+        "        return noise.sigma * rng.standard_normal(size)",
+        "        return 1.02 * noise.sigma * rng.standard_normal(size)",
+        # the event check draws through the same law, so its reference sees it
+        ("tests/test_synth.py::test_noise_has_variance_sigma_squared",
+         "tests/test_probability.py::test_noise_event_matches_whole_chunk_reference"),
     ),
     Mutant(
         "one noise stream for every task",
@@ -86,6 +88,58 @@ MUTANTS = (
         "slack = np.linalg.norm(corr[~active], axis=1) - lam",
         "slack = np.linalg.norm(corr[~active], axis=1) - 1.01 * lam",
         ("tests/test_solver.py::test_kkt_residual_semantics",),
+    ),
+    Mutant(
+        "q with A sqrt(T)/4",
+        "src/mtgl/regularization.py",
+        "self.A * math.sqrt(T) / 8.0",
+        "self.A * math.sqrt(T) / 4.0",
+        ("tests/test_regularization.py::test_lambda_gaussian_frozen_values",
+         "tests/test_probability.py::test_noise_event_rate_below_bound"),
+    ),
+    Mutant(
+        "selection truth at 1.05 margin tau",
+        "src/mtgl/synth.py",
+        "mu=margin * tau)",
+        "mu=1.05 * margin * tau)",
+        ("tests/test_synth.py::test_generate_beta_for_selection",),
+    ),
+    Mutant(
+        "sign estimate from the sum, not the mean",
+        "src/mtgl/selection.py",
+        "a_hat = np.mean(beta_hat.values, axis=1)",
+        "a_hat = np.sum(beta_hat.values, axis=1)",
+        ("tests/test_selection.py::test_average_sign_estimate_hand_cases",
+         "tests/test_selection.py::test_sign_chain_for_averages"),
+    ),
+    Mutant(
+        "sup-norm error divided by T, not sqrt(T)",
+        "src/mtgl/experiments.py",
+        "err_2inf=float(np.max(row_norms)) / rt,",
+        "err_2inf=float(np.max(row_norms)) / dataset.T,",
+        ("tests/test_experiments.py::test_err2p_at_infinity_is_the_supnorm_error",),
+    ),
+    Mutant(
+        "PASS_LEVEL times 10",
+        "src/mtgl/probability.py",
+        "PASS_LEVEL = 0.00135",
+        "PASS_LEVEL = 0.0135",
+        ("tests/test_probability.py::test_frequency_verdict_fails_where_the_wald_rule_passed",),
+    ),
+    Mutant(
+        "moment constant without its - e",
+        "src/mtgl/regularization.py",
+        "return 2.0 * math.e * math.log(M) - math.e",
+        "return 2.0 * math.e * math.log(M)",
+        ("tests/test_probability.py::test_nemirovski_single_rademacher_vector",
+         "tests/test_regularization.py::test_finite_variance_confidence"),
+    ),
+    Mutant(
+        "baseline level at log(M) for log(MT)",
+        "src/mtgl/regularization.py",
+        "math.log(self.M * self.T)",
+        "math.log(self.M)",
+        ("tests/test_experiments.py::test_comparison_runs_and_reports",),
     ),
 )
 

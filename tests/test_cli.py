@@ -947,6 +947,24 @@ def test_experiment_rejects_non_finite_constants(tmp_path, capsys, key):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("kind, key, message", [
+    ("selection", "margin", "beta-min margin > 2, got inf"),
+    ("lasso-comparison", "lasso_A", "plain-Lasso constant must exceed 2*sqrt(2)"),
+], ids=["margin", "lasso_A"])
+def test_experiment_rejects_an_infinite_margin_or_lasso_A(kind, key, message, tmp_path,
+                                                          capsys):
+    # inf passes a bare "> 2" test; either key must also be finite, and
+    # fails before any replicate is drawn
+    text = SELECTION_CONFIG if kind == "selection" else COMPARISON_CONFIG
+    lines = [line for line in text.splitlines() if not line.startswith(key + "=")]
+    config = _write(tmp_path / "exp.cfg", "\n".join(lines + [f"{key}=inf"]) + "\n")
+    out_dir = tmp_path / "exp"
+    code, out, err = _run(capsys, "experiment", "--config", config, "--out", str(out_dir))
+    assert code == 1 and out == ""
+    assert message in err and "got inf" in err
+    assert not out_dir.exists()
+
+
 def test_experiment_rejects_infinite_signal_mu_before_drawing(tmp_path):
     # A fresh process, so numpy's warnings reach stderr as a user sees
     # them instead of being raised by this suite's warning filter.

@@ -572,8 +572,13 @@ _IID = DesignSpec(kind="gaussian-iid", n=32, M=8, T=1)
                             "A": None, "delta": 3.0}, "gaussian regime"),
     (run_oracle_experiment, {"signal": SignalSpec(s=0)},
      "oracle experiments need at least one active group"),
+    (run_lasso_comparison, {"design": _IID, "T_grid": (1, 4), "lasso_constant": math.inf},
+     "exceed 2\\*sqrt\\(2\\) ~= 2.8284, got inf"),
+    (run_selection_experiment, {"alpha": 8.0, "margin": math.inf},
+     "beta-min margin > 2, got inf"),
 ], ids=["kappa2s", "alpha", "lemma-alpha", "kappa", "margin", "selection-alpha",
-        "grid-order", "grid-empty", "lasso-constant", "regime", "oracle-s"])
+        "grid-order", "grid-empty", "lasso-constant", "regime", "oracle-s",
+        "lasso-constant-inf", "margin-inf"])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_config_errors_surface_before_the_first_draw(
     run, overrides, message, workers, monkeypatch, use_workers

@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import inspect
 import math
 import os
 import tracemalloc
@@ -254,6 +256,17 @@ def test_noise_event_matches_whole_chunk_reference(scale, block_bytes):
     _assert_same_report(report, expected)
     if scale < 1.0:
         assert 0.3 < report.empirical_frequency < 0.7
+
+
+def test_noise_event_draws_its_noise_through_the_one_noise_law():
+    # synth._draw_noise is the package's one noise law: the event check
+    # calls it and makes no draw of its own
+    tree = ast.parse(inspect.getsource(noise_correlation_violation_rate))
+    calls = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    own = [f.attr for f in calls if isinstance(f, ast.Attribute)
+           and f.attr in ("standard_normal", "standard_t", "integers")]
+    assert not own, f"the event check draws its own noise: {own}"
+    assert "_draw_noise" in {f.id for f in calls if isinstance(f, ast.Name)}
 
 
 _DRAW_CHUNK = probability._draw_chunk

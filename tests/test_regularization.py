@@ -7,8 +7,6 @@ from mtgl.regularization import (
     GAUSSIAN,
     RegularizationPlan,
     finite_variance_confidence,
-    lambda_finite_variance,
-    lambda_gaussian,
     norm_bound_constant_c1,
     threshold_constant_c,
 )
@@ -28,53 +26,53 @@ TAU_FV = 1.9732891643068986  # c_fv(2)*sqrt((ln32)^4/100)
 
 
 def test_lambda_gaussian_frozen_values():
-    lam, q, conf = lambda_gaussian(1.0, 100, 4, 10, 9.0)
-    assert lam == pytest.approx(LAM_G, rel=1e-15)
-    assert q == Q_G
-    assert conf == pytest.approx(CONF_G, rel=1e-15)
+    plan = RegularizationPlan(GAUSSIAN, 1.0, 100, 4, 10, A=9.0)
+    assert plan.lam == pytest.approx(LAM_G, rel=1e-15)
+    assert plan.q == Q_G
+    assert plan.confidence == pytest.approx(CONF_G, rel=1e-15)
 
 
 def test_lambda_gaussian_limits_and_scaling():
-    lam_big_t, q_big_t, _ = lambda_gaussian(1.0, 100, 10**6, 10, 9.0)
-    assert lam_big_t == pytest.approx(2.0 / math.sqrt(100 * 10**6), rel=2e-2)
-    assert q_big_t == 8.0 * math.log(10)  # the 8 ln M cap binds
+    big_t = RegularizationPlan(GAUSSIAN, 1.0, 100, 10**6, 10, A=9.0)
+    assert big_t.lam == pytest.approx(2.0 / math.sqrt(100 * 10**6), rel=2e-2)
+    assert big_t.q == 8.0 * math.log(10)  # the 8 ln M cap binds
 
-    lam1, q1, _ = lambda_gaussian(1.0, 50, 4, 20, 9.0)
-    lam2, q2, _ = lambda_gaussian(2.0, 50, 4, 20, 9.0)
-    assert lam2 == pytest.approx(2.0 * lam1, rel=1e-15)
-    assert q1 == q2
+    one = RegularizationPlan(GAUSSIAN, 1.0, 50, 4, 20, A=9.0)
+    two = RegularizationPlan(GAUSSIAN, 2.0, 50, 4, 20, A=9.0)
+    assert two.lam == pytest.approx(2.0 * one.lam, rel=1e-15)
+    assert one.q == two.q
 
 
 def test_lambda_gaussian_requires_large_A():
     with pytest.raises(ValueError) as excinfo:
-        lambda_gaussian(1.0, 100, 4, 10, 8.0)
+        RegularizationPlan(GAUSSIAN, 1.0, 100, 4, 10, A=8.0)
     assert "exceed 8" in str(excinfo.value)
     # there is no override: every A <= 8 is refused
     for A in (4.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
-            lambda_gaussian(1.0, 100, 4, 10, A)
+            RegularizationPlan(GAUSSIAN, 1.0, 100, 4, 10, A=A)
     with pytest.raises(ValueError):
-        lambda_gaussian(1.0, 100, 4, 1, 9.0)  # M >= 2
+        RegularizationPlan(GAUSSIAN, 1.0, 100, 4, 1, A=9.0)  # M >= 2
 
 
 def test_lambda_finite_variance_frozen_value():
-    assert lambda_finite_variance(1.0, 100, 9, 32, 3.0) == pytest.approx(
-        LAM_FV, rel=1e-15
+    assert RegularizationPlan(FINITE_VARIANCE, 1.0, 100, 9, 32, delta=3.0).lam == (
+        pytest.approx(LAM_FV, rel=1e-15)
     )
 
 
 def test_lambda_finite_variance_limits():
+    def lam(n, M, delta):
+        return RegularizationPlan(FINITE_VARIANCE, 1.0, n, 9, M, delta=delta).lam
+
     # delta -> 0+ approaches sigma*sqrt(ln M/(nT))
-    lam = lambda_finite_variance(1.0, 100, 9, 32, 1e-9)
-    assert lam == pytest.approx(math.sqrt(math.log(32) / 900), rel=1e-6)
+    assert lam(100, 32, 1e-9) == pytest.approx(math.sqrt(math.log(32) / 900), rel=1e-6)
     # scaling n by 4 halves lambda
-    a = lambda_finite_variance(1.0, 100, 9, 32, 3.0)
-    b = lambda_finite_variance(1.0, 400, 9, 32, 3.0)
-    assert b == pytest.approx(a / 2.0, rel=1e-15)
+    assert lam(400, 32, 3.0) == pytest.approx(lam(100, 32, 3.0) / 2.0, rel=1e-15)
     with pytest.raises(ValueError):
-        lambda_finite_variance(1.0, 100, 9, 2, 3.0)  # M >= 3
+        lam(100, 2, 3.0)  # M >= 3
     with pytest.raises(ValueError):
-        lambda_finite_variance(1.0, 100, 9, 32, 0.0)  # delta > 0
+        lam(100, 32, 0.0)  # delta > 0
 
 
 def test_finite_variance_confidence():
@@ -145,14 +143,14 @@ def test_selection_threshold_frozen_values():
 
 
 def test_gaussian_confidence_monotone_in_T():
-    confs = []
-    for T in (1, 4, 9, 16, 25):
-        _, _, conf = lambda_gaussian(1.0, 50, T, 10, 9.0)
-        confs.append(conf)
+    confs = [
+        RegularizationPlan(GAUSSIAN, 1.0, 50, T, 10, A=9.0).confidence
+        for T in (1, 4, 9, 16, 25)
+    ]
     assert all(b >= a - 1e-15 for a, b in zip(confs, confs[1:]))
     # once the 8 ln M cap binds the confidence saturates
-    _, q_cap, conf_cap = lambda_gaussian(1.0, 50, 10**6, 10, 9.0)
-    assert conf_cap == pytest.approx(1.0 - 10.0 ** (1.0 - 8.0 * math.log(10)))
+    cap = RegularizationPlan(GAUSSIAN, 1.0, 50, 10**6, 10, A=9.0)
+    assert cap.confidence == pytest.approx(1.0 - 10.0 ** (1.0 - 8.0 * math.log(10)))
 
 
 def test_plan_constructors():
@@ -223,10 +221,32 @@ def test_plan_rate_reproduces_lambda_and_tau_bit_for_bit():
     assert tau == c * math.sqrt(fv.rate / n)
 
 
+def test_lasso_level_is_the_baselines_level_bit_for_bit():
+    sigma, n, T, M = 1.3, 77, 5, 12
+    plan = RegularizationPlan(GAUSSIAN, sigma, n, T, M, A=10.0)
+    assert plan.lasso_level(3.0) == 3.0 * sigma * math.sqrt(math.log(M * T) / n) / T
+
+
+@pytest.mark.parametrize("c", [2.0 * math.sqrt(2.0), 2.0, -1.0, math.inf, math.nan])
+def test_lasso_level_needs_a_finite_constant_above_two_sqrt_two(c):
+    plan = RegularizationPlan(GAUSSIAN, 1.0, 100, 4, 10, A=9.0)
+    with pytest.raises(ValueError, match=rf"must exceed 2\*sqrt\(2\) ~= 2\.8284, got {c}"):
+        plan.lasso_level(c)
+
+
+def test_lasso_level_is_defined_for_the_gaussian_regime_only():
+    fv = RegularizationPlan(FINITE_VARIANCE, 1.0, 100, 9, 32, delta=3.0)
+    with pytest.raises(ValueError, match="defined for the gaussian regime"):
+        fv.lasso_level(3.0)
+    # the constant is checked first
+    with pytest.raises(ValueError, match="exceed 2"):
+        fv.lasso_level(2.0)
+
+
 @pytest.mark.parametrize("call", [
-    lambda: lambda_gaussian(math.inf, 100, 4, 10, 9.0),
-    lambda: lambda_gaussian(1.0, 100, 4, 10, math.inf),
-    lambda: lambda_finite_variance(1.0, 100, 9, 32, math.inf),
+    lambda: RegularizationPlan(GAUSSIAN, math.inf, 100, 4, 10, A=9.0),
+    lambda: RegularizationPlan(GAUSSIAN, 1.0, 100, 4, 10, A=math.inf),
+    lambda: RegularizationPlan(FINITE_VARIANCE, 1.0, 100, 9, 32, delta=math.inf),
     lambda: finite_variance_confidence(32, math.inf, 1.0),
     lambda: finite_variance_confidence(32, 3.0, math.inf),
     lambda: RegularizationPlan(FINITE_VARIANCE, 1.0, 100, 9, 32, delta=math.inf).threshold(2.0),
@@ -240,11 +260,12 @@ def test_constants_must_be_finite(call):
 
 
 def test_formulas_are_deterministic():
-    assert lambda_gaussian(1.3, 77, 5, 12, 10.0) == lambda_gaussian(
-        1.3, 77, 5, 12, 10.0
+    # plans compare field by field: lam, q and confidence included
+    assert RegularizationPlan(GAUSSIAN, 1.3, 77, 5, 12, A=10.0) == RegularizationPlan(
+        GAUSSIAN, 1.3, 77, 5, 12, A=10.0
     )
-    assert lambda_finite_variance(0.7, 64, 3, 9, 1.5) == lambda_finite_variance(
-        0.7, 64, 3, 9, 1.5
+    assert RegularizationPlan(FINITE_VARIANCE, 0.7, 64, 3, 9, delta=1.5) == (
+        RegularizationPlan(FINITE_VARIANCE, 0.7, 64, 3, 9, delta=1.5)
     )
 
 
