@@ -86,8 +86,8 @@ class ExperimentConfig:
     kappa2s, unless given) = sqrt(1 - 1/alpha) and insists every
     replicate's design passes the coherence check, at 2s too when a
     scored bound reads a derived kappa2s, before that replicate is solved
-    (selection runs skip the check on orthogonal designs, which pass it
-    for every alpha); a failing run raises ValueError naming its lowest
+    (in oracle and selection runs alike; orthogonal designs pass it for
+    every alpha); a failing run raises ValueError naming its lowest
     failing replicate and returns no report; a ``kappa`` it would not use
     is rejected.  "user-supplied" takes ``kappa`` (and optionally
     ``kappa2s``) on trust, e.g. 1.0 for exactly orthogonal designs.
@@ -475,12 +475,14 @@ def _required_confidence(config, metrics):
     return finite_variance_confidence(plan.M, plan.delta, worst_c_prime)
 
 
-def _run_bound_experiment(kind, config, certify, draw, score=None):
+def _run_bound_experiment(kind, config, draw, score=None):
     """Monte Carlo runner of the oracle and selection runs.  Replicate r
-    draws ``(dataset, beta_star) = draw(r)`` and is diagnosed, solved and
-    scored; a selection run's ``score(metrics, beta_star, result)`` adds
-    the support and sign outcomes, whose recovery rates are checked too."""
+    draws ``(dataset, beta_star) = draw(r)`` and is diagnosed, certified
+    when kappa comes from the coherence lemma, solved and scored; a
+    selection run's ``score(metrics, beta_star, result)`` adds the
+    support and sign outcomes, whose recovery rates are checked too."""
     kappas = _resolve_kappas(config)
+    certify = config.kappa_source == "coherence-lemma"
     # Gram diagnostics, when replicates are certified or their bounds need
     # phi_max or c_prime
     diagnose = certify or config.plan.regime == FINITE_VARIANCE or config.phi_max is None
@@ -530,14 +532,13 @@ def run_oracle_experiment(config):
             config.design, config.signal, config.noise, [config.seed, r]
         )
 
-    certify = config.kappa_source == "coherence-lemma"
-    return _run_bound_experiment("oracle", config, certify, draw)
+    return _run_bound_experiment("oracle", config, draw)
 
 
 def run_selection_experiment(config):
     """Support and sign recovery with the thresholded selector."""
     plan = config.plan
-    if config.alpha is None or not config.alpha > 1:
+    if config.alpha is None:
         raise ValueError("selection experiments need alpha > 1 for the threshold")
     if config.margin is None:
         raise ValueError("selection experiments need a beta-min margin > 2, got None")
@@ -563,12 +564,7 @@ def run_selection_experiment(config):
             metrics, support_exact=exact, sign_exact=averages.signs == true_signs
         )
 
-    # Orthogonal designs satisfy the coherence condition for every alpha;
-    # anything else must be certified before solving.
-    certify = (
-        config.design.kind != "orthogonal" and config.kappa_source == "coherence-lemma"
-    )
-    return _run_bound_experiment("selection", config, certify, draw, score)
+    return _run_bound_experiment("selection", config, draw, score)
 
 
 def run_lasso_comparison(config):

@@ -6,21 +6,20 @@ replicates of ``experiments``, the nine checks of ``mtgl verify-lemmas``
 Library code below them runs its work in the calling process.  Each
 result must depend on its key alone.  The keys are dealt one at a time,
 in key order, to whichever worker is free: this process and a forked
-child per other worker each claim the next key from a counter they
-share, and the results are merged in key order, so the list is the same
-at any worker count and keys of unequal cost balance themselves.  There
-is one worker per ``len(os.sched_getaffinity(0)) // b`` cores, where b
-is the BLAS thread count the environment declares (OPENBLAS_NUM_THREADS,
-else OMP_NUM_THREADS), so workers and their BLAS threads share the
-cores without oversubscribing them.  With neither variable set BLAS
-takes every core and every map runs in this process alone.  A map of
-one key never forks.  Nothing else in the package forks.
+child per other worker each claim the next key by reading its index
+from one file whose offset they share, and the results are merged in
+key order, so the list is the same at any worker count and keys of
+unequal cost balance themselves.  There is one worker per
+``len(os.sched_getaffinity(0)) // b`` cores, where b is the BLAS thread
+count the environment declares (OPENBLAS_NUM_THREADS, else
+OMP_NUM_THREADS), so workers and their BLAS threads share the cores
+without oversubscribing them.  With neither variable set BLAS takes
+every core and every map runs in this process alone.  A map of one key
+never forks.  Nothing else in the package forks.
 """
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import os
 import pickle
 import signal
@@ -60,10 +59,12 @@ def _map_in_key_order(fn, keys):
     once no key is left.  Every result depends on its key alone, so the
     merged list is the same at any worker count.  An exception stops
     the deal, so no key past it is claimed, and the run raises the
-    exception of its lowest failing key, as the serial loop would.  A
-    child that dies before it reports raises RuntimeError naming the
-    keys it claimed.  Every child is reaped before this returns or
-    raises; a BaseException in this process kills them first.
+    exception of its lowest failing key, as the serial loop would.  If
+    a child dies before it reports, the run raises RuntimeError naming
+    the keys below the lowest failing one that no worker reported: with
+    one dead child, the keys it claimed.  Every child is reaped before
+    this returns or raises; a BaseException in this process kills them
+    first.
     """
     keys = list(keys)
     workers = min(len(keys), _worker_count())
@@ -72,34 +73,42 @@ def _map_in_key_order(fn, keys):
     sys.stdout.flush()
     sys.stderr.flush()
     deal = _Deal(len(keys))
-    children = []  # (worker, pid, read end), not yet reaped
+    children = []  # (pid, read end), not yet reaped
     try:
-        for worker in range(1, workers):
+        for _ in range(1, workers):
             read_end, write_end = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _run_child(fn, keys, deal, worker, read_end, write_end)
+                _run_child(fn, keys, deal, read_end, write_end)
             os.close(write_end)
-            children.append((worker, pid, os.fdopen(read_end, "rb")))
-        pairs, failure = _run_worker(fn, keys, deal, 0)
+            children.append((pid, os.fdopen(read_end, "rb")))
+        pairs, failure = _run_worker(fn, keys, deal)
         failures = [failure] if failure else []  # (index, exception)
+        dead = []  # exit statuses of the children that did not report
         while children:
-            worker, pid, pipe = children[0]
+            pid, pipe = children[0]
             payload = pipe.read()
             pipe.close()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             children.pop(0)
             if code != 0:
-                claimed = deal.claimed_by(worker)
-                failures.append((claimed[0] if claimed else len(keys), RuntimeError(
-                    f"a worker ended with status {code} before reporting its "
-                    f"keys {[keys[i] for i in claimed]!r}"
-                )))
+                dead.append(code)
                 continue
             child_pairs, failure = pickle.loads(payload)
             pairs += child_pairs
             if failure:
                 failures.append(failure)
+        if dead:
+            first = min((index for index, _ in failures), default=len(keys))
+            reported = {index for index, _ in pairs}
+            lost = [keys[i] for i in range(first) if i not in reported]
+            if lost or not failures:
+                statuses = ", ".join(map(str, dead))
+                who = (f"a worker ended with status {statuses} before reporting its"
+                       if len(dead) == 1 else
+                       f"{len(dead)} workers ended with status {statuses} "
+                       "before reporting their")
+                raise RuntimeError(f"{who} keys {lost!r}")
         if failures:
             raise min(failures, key=lambda item: item[0])[1]
         rows = [None] * len(keys)
@@ -107,7 +116,7 @@ def _map_in_key_order(fn, keys):
             rows[index] = result
         return rows
     finally:
-        for _, pid, pipe in children:
+        for pid, pipe in children:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
@@ -117,70 +126,44 @@ def _map_in_key_order(fn, keys):
 class _Deal:
     """The keys of one map, dealt by index to the workers claiming them.
 
-    The next index, and each index's owner (its worker's number + 1; 0
-    while unclaimed), are 64-bit integers in a shared mmap of an
-    unlinked temporary file, so this process and its forked children
-    see one counter.  Every update holds an ``fcntl.lockf`` lock on the
-    file.  That lock belongs to a process (a forked child would share a
-    ``flock`` lock with its parent), and the kernel releases it when
-    its holder exits: a worker that dies, even mid-claim, leaves no
-    claim locked.
+    The indices ``0..count-1`` are 8-byte integers in an unlinked
+    temporary file, read through one unbuffered open file description.
+    This process and its forked children share that description, so
+    they share its offset: a claim is one ``os.read`` of 8 bytes, which
+    takes the next index and moves the offset past it.  Linux moves the
+    offset of a regular file shared this way under the file's position
+    lock, so no index is handed out twice and every index is handed out
+    in order.  The lock is held only inside the read, so a worker that
+    dies, even mid-claim, holds nothing the others wait for.
     """
 
     def __init__(self, count):
-        # Loaded only by a map that forks, so a process that never does
-        # (``mtgl check``, say) keeps their pages out of its memory.
-        import fcntl
-        import mmap
+        self._file = tempfile.TemporaryFile(buffering=0)
+        data = memoryview(b"".join(i.to_bytes(8, "little") for i in range(count)))
+        while data:
+            data = data[self._file.write(data):]
+        self._file.seek(0)
 
-        self.count = count
-        self._file = tempfile.TemporaryFile()
-        self._file.truncate(8 * (count + 1))
-        self._map = mmap.mmap(self._file.fileno(), 8 * (count + 1))
-        self._slots = memoryview(self._map).cast("q")
-        self._lock = functools.partial(fcntl.lockf, self._file, fcntl.LOCK_EX)
-        self._unlock = functools.partial(fcntl.lockf, self._file, fcntl.LOCK_UN)
-
-    def claim(self, worker):
-        """The next unclaimed index, now owned by ``worker``, or None."""
-        with self._locked():
-            index = self._slots[0]
-            if index >= self.count:
-                return None
-            self._slots[1 + index] = worker + 1
-            self._slots[0] = index + 1
-            return index
+    def claim(self):
+        """The next unclaimed index, or None once none is left."""
+        chunk = os.read(self._file.fileno(), 8)
+        return int.from_bytes(chunk, "little") if chunk else None
 
     def stop(self):
         """End the deal.  Claims are made in index order, so every index
         below a failing one is claimed already."""
-        with self._locked():
-            self._slots[0] = self.count
-
-    def claimed_by(self, worker):
-        """The indices ``worker`` claimed, in order."""
-        return [i for i in range(self.count) if self._slots[1 + i] == worker + 1]
+        os.lseek(self._file.fileno(), 0, os.SEEK_END)
 
     def close(self):
-        self._slots.release()
-        self._map.close()
         self._file.close()
 
-    @contextlib.contextmanager
-    def _locked(self):
-        self._lock()
-        try:
-            yield
-        finally:
-            self._unlock()
 
-
-def _run_worker(fn, keys, deal, worker):
+def _run_worker(fn, keys, deal):
     """Claim and run keys until none is left: ``(pairs, None)``, or at
     the first exception ``(pairs, (index, exception))``, having stopped
     the deal."""
     pairs = []
-    while (index := deal.claim(worker)) is not None:
+    while (index := deal.claim()) is not None:
         try:
             pairs.append((index, fn(keys[index])))
         except Exception as exc:
@@ -189,7 +172,7 @@ def _run_worker(fn, keys, deal, worker):
     return pairs, None
 
 
-def _run_child(fn, keys, deal, worker, read_end, write_end):
+def _run_child(fn, keys, deal, read_end, write_end):
     """Body of a forked worker: run ``_run_worker`` and pickle what it
     returns down the pipe.  It leaves only through os._exit, so no
     ``finally`` or atexit handler of the caller runs twice; exit status
@@ -200,7 +183,7 @@ def _run_child(fn, keys, deal, worker, read_end, write_end):
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         os.close(read_end)
-        payload = _run_worker(fn, keys, deal, worker)
+        payload = _run_worker(fn, keys, deal)
         with os.fdopen(write_end, "wb") as pipe:
             pipe.write(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
         code = 0

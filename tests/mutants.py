@@ -7,9 +7,11 @@ occurs exactly once there), the new text, and the tests that should fail
 once the old text is replaced.  The script copies ``src``, ``tests`` and
 ``pyproject.toml`` to a temporary directory, checks that the named tests
 pass there unmutated, then applies one mutant at a time, runs only that
-entry's tests with pytest, and restores the file.  A mutant is killed
-when pytest reports a failing test; it survives when the tests pass.
-The script exits 1 if any mutant survives or its run errs.
+entry's tests with pytest, one test per run, and restores the file.
+Each named test must kill its mutant: the pair is killed when pytest
+reports the test failing, and survives when the test passes.  The
+script prints one verdict per pair and exits 1 if any pair survives or
+its run errs.
 
 pytest does not collect this file (it collects ``test_*.py`` only), so
 the list costs the suite nothing; ``test_mutants.py`` checks in the
@@ -141,18 +143,34 @@ MUTANTS = (
         "math.log(self.M)",
         ("tests/test_experiments.py::test_comparison_runs_and_reports",),
     ),
+    Mutant(
+        "a failing key does not stop the deal",
+        "src/mtgl/pool.py",
+        "os.lseek(self._file.fileno(), 0, os.SEEK_END)",
+        "os.lseek(self._file.fileno(), 0, os.SEEK_CUR)",
+        ("tests/test_pool.py::test_a_failing_key_stops_the_deal",),
+    ),
+    Mutant(
+        "no replicate certified",
+        "src/mtgl/experiments.py",
+        'certify = config.kappa_source == "coherence-lemma"',
+        "certify = False",
+        ("tests/test_experiments.py::test_certification_rejects_correlated_design",
+         "tests/test_experiments.py::test_selection_certifies_non_orthogonal_design"),
+    ),
 )
 
 
 def _pytest(copy, tests):
     """pytest's exit code on ``tests`` in the copy."""
-    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests]
     return subprocess.run(command, cwd=copy, stdout=subprocess.DEVNULL).returncode
 
 
 def run(mutants):
-    """Apply each mutant to a copy of the repository and run its tests;
-    returns the names of the mutants that were not killed."""
+    """Apply each mutant to a copy of the repository and run each of its
+    tests on its own; returns the (mutant name, test) pairs in which the
+    test did not kill the mutant."""
     with tempfile.TemporaryDirectory(prefix="mtgl-mutants-") as scratch:
         copy = Path(scratch)
         for name in COPIED:
@@ -174,21 +192,23 @@ def run(mutants):
                 raise SystemExit(f"{mutant.name}: old text does not occur exactly once")
             path.write_text(original.replace(mutant.old, mutant.new))
             try:
-                code = _pytest(copy, mutant.tests)
+                for test in mutant.tests:
+                    code = _pytest(copy, [test])
+                    if code == TESTS_FAILED:
+                        verdict = "killed"
+                    else:
+                        verdict = "SURVIVED" if code == 0 else f"ERROR (pytest exit {code})"
+                        alive.append((mutant.name, test))
+                    print(f"{verdict}: {mutant.name} by {test}", flush=True)
             finally:
                 path.write_text(original)
-            if code == TESTS_FAILED:
-                verdict = "killed"
-            else:
-                verdict = "SURVIVED" if code == 0 else f"ERROR (pytest exit {code})"
-                alive.append(mutant.name)
-            print(f"{verdict}: {mutant.name}", flush=True)
     return alive
 
 
 def main():
     alive = run(MUTANTS)
-    print(f"{len(MUTANTS) - len(alive)} of {len(MUTANTS)} mutants killed")
+    pairs = sum(len(mutant.tests) for mutant in MUTANTS)
+    print(f"{pairs - len(alive)} of {pairs} (mutant, test) pairs killed")
     return 1 if alive else 0
 
 

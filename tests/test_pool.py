@@ -114,6 +114,47 @@ def test_worker_killed_mid_key_raises(use_workers, assert_no_children, tmp_path)
     assert_no_children()
 
 
+def test_a_failing_key_stops_the_deal(use_workers, assert_no_children, tmp_path):
+    # key 0 fails at once while every other key takes 10 ms; a deal that
+    # went on would run all 200 keys on the other worker
+    def fn(key):
+        (tmp_path / str(key)).touch()
+        if key == 0:
+            raise ValueError("key 0")
+        time.sleep(0.01)
+        return key
+
+    use_workers(2)
+    with pytest.raises(ValueError, match="^key 0$"):
+        pool._map_in_key_order(fn, range(200))
+    assert len(list(tmp_path.iterdir())) < 200
+    assert_no_children()
+
+
+def test_every_dead_worker_is_named(use_workers, assert_no_children, tmp_path):
+    # both forked workers note their first key and kill themselves
+    # mid-key; this process holds its own first key until both have, so
+    # it runs every other key and the two noted keys are never reported
+    me = os.getpid()
+
+    def fn(key):
+        if os.getpid() != me:
+            (tmp_path / str(key)).touch()
+            os.kill(os.getpid(), signal.SIGKILL)
+        deadline = time.monotonic() + 10.0
+        while len(list(tmp_path.iterdir())) < 2:
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        return key
+
+    use_workers(3)
+    with pytest.raises(RuntimeError, match="^2 workers ended with status -9, -9") as failure:
+        pool._map_in_key_order(fn, range(6))
+    lost = sorted(int(path.name) for path in tmp_path.iterdir())
+    assert str(failure.value).endswith(f"their keys {lost!r}")
+    assert_no_children()
+
+
 def test_interrupt_in_this_process_kills_the_workers_at_once(
     use_workers, assert_no_children
 ):
