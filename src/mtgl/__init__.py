@@ -49,7 +49,6 @@ from .assumptions import (
 )
 from .selection import (
     AverageEstimate,
-    SelectionResult,
     average_sign_estimate,
     score_selection,
     select_support,

@@ -328,15 +328,15 @@ def _resolve_tau(args, run):
 def _cmd_select(args, run):
     beta = read_coefficients(args.beta)
     tau = run.settings["tau"] = _resolve_tau(args, run)
-    result = select_support(beta, tau)
+    selected = select_support(beta, tau)
     averages = average_sign_estimate(beta, tau)
 
     if args.out:
-        write_lines(run.path("selected.txt"), result.selected)
+        write_lines(run.path("selected.txt"), selected)
         write_lines(run.path("averages.csv"), map(format_row, zip(
             averages.a_hat, averages.a_tilde, averages.signs
         )))
-    for j in result.selected:
+    for j in selected:
         _print(j)
     return 0
 

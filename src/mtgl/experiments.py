@@ -555,9 +555,8 @@ def run_selection_experiment(config):
         return dataset, beta_star
 
     def score(metrics, beta_star, result):
-        truth_pattern = group_support(beta_star, 0.0)
-        selected = select_support(result.beta_hat, tau, truth_pattern)
-        exact, _, _ = score_selection(selected)
+        selected = select_support(result.beta_hat, tau)
+        exact, _, _ = score_selection(selected, group_support(beta_star, 0.0))
         averages = average_sign_estimate(result.beta_hat, tau)
         true_signs = tuple(int(x) for x in np.sign(np.mean(beta_star.values, axis=1)))
         return replace(

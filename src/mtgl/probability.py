@@ -145,14 +145,18 @@ def _draw_chunk(seed, index, size, row_bytes, sample):
     return values
 
 
-def _reduce_chunks(replicates, seed, row_bytes, sample, reduce):
-    """``reduce(*values)`` of each chunk's per-replicate values, in chunk
-    order (see ``_draw_chunk``).  Only what ``reduce`` returns outlives
-    its chunk."""
-    return [
-        reduce(*_draw_chunk(seed, index, min(_CHUNK, replicates - start), row_bytes, sample))
-        for index, start in enumerate(range(0, replicates, _CHUNK))
-    ]
+def _chunk_totals(replicates, seed, row_bytes, sample, reduce):
+    """The entry-by-entry totals of the tuples ``reduce(*values)`` of each
+    chunk's per-replicate values (see ``_draw_chunk``), added one chunk at
+    a time in chunk order: from Python 3.12 the builtin sum() of floats
+    compensates its rounding.  Only what ``reduce`` returns outlives its
+    chunk."""
+    totals = None
+    for index, start in enumerate(range(0, replicates, _CHUNK)):
+        size = min(_CHUNK, replicates - start)
+        chunk = reduce(*_draw_chunk(seed, index, size, row_bytes, sample))
+        totals = chunk if totals is None else [a + b for a, b in zip(totals, chunk)]
+    return totals
 
 
 def chi_square_tail_bound(T, x):
@@ -185,8 +189,7 @@ def chi_square_tail_empirical(T, offsets, replicates, seed):
     def reduce(stats):
         return [int(np.count_nonzero(stats > T + x)) for x in offsets]
 
-    chunks = _reduce_chunks(replicates, seed, 8 * T, sample, reduce)
-    counts = [sum(column) for column in zip(*chunks)]
+    counts = _chunk_totals(replicates, seed, 8 * T, sample, reduce)
     return [
         _freq_report(count, replicates, bound)
         for count, bound in zip(counts, bounds)
@@ -242,20 +245,10 @@ def nemirovski_check(M, n_vectors, distribution, replicates, seed):
             float(np.sum(diff * diff)),
         )
 
-    # Added one chunk at a time, in chunk order: from Python 3.12 the
-    # builtin sum() of floats compensates its rounding.
-    sum_l = 0.0
-    sum_r = 0.0
-    sum_d = 0.0
-    sum_d2 = 0.0
     # Both draws (float64 normals, int64 bits) take 8 bytes an entry.
-    for chunk_l, chunk_r, chunk_d, chunk_d2 in _reduce_chunks(
+    sum_l, sum_r, sum_d, sum_d2 = _chunk_totals(
         replicates, seed, 8 * n_vectors * M, sample, reduce
-    ):
-        sum_l += chunk_l
-        sum_r += chunk_r
-        sum_d += chunk_d
-        sum_d2 += chunk_d2
+    )
 
     mean_l = sum_l / replicates
     mean_r = sum_r / replicates
@@ -308,7 +301,7 @@ def noise_correlation_violation_rate(data, plan, replicates, seed):
         return (np.max(np.sqrt(np.sum(corr * corr, axis=0)), axis=1) / (n * T),)
 
     def reduce(stat):
-        return int(np.count_nonzero(stat > cutoff))
+        return (int(np.count_nonzero(stat > cutoff)),)
 
-    count = sum(_reduce_chunks(replicates, seed, 8 * T * n, sample, reduce))
+    (count,) = _chunk_totals(replicates, seed, 8 * T * n, sample, reduce)
     return _freq_report(count, replicates, bound)

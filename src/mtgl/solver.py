@@ -73,14 +73,14 @@ class SolverConfig:
     max_iterations : sweep / step budget.
     kkt_tolerance  : stop once the optimality residual falls below this;
                      finite and > 0.
-    initial        : optional warm start; defaults to all zeros.
+
+    Every solve starts from all zeros.
     """
 
     lam: float
     algorithm: str = ALGORITHMS[0]
     max_iterations: int = 1000
     kkt_tolerance: float = 1e-8
-    initial: GroupCoefficients | None = None
 
     def __post_init__(self):
         _check_positive("penalty level", self.lam)
@@ -169,19 +169,8 @@ def _check_descent(trace):
         )
 
 
-def _initial_values(data, config):
-    if config.initial is None:
-        return np.zeros((data.M, data.T))
-    values = np.array(config.initial.values, dtype=float)
-    if values.shape != (data.M, data.T):
-        raise ValueError(
-            f"warm start {values.shape} does not match dataset (M={data.M}, T={data.T})"
-        )
-    return values
-
-
 def _descend(data, config, width, step):
-    """Iterate ``step`` from the warm start until the optimality residual
+    """Iterate ``step`` from all zeros until the optimality residual
     over all groups of ``width`` entries is within config.kkt_tolerance
     or config.max_iterations steps are spent.
 
@@ -192,7 +181,7 @@ def _descend(data, config, width, step):
     and resid in place.
     """
     X, Y, lam, nT = data.designs, data.responses, config.lam, data.n * data.T
-    values = _initial_values(data, config)
+    values = np.zeros((data.M, data.T))
     resid = None
     trace = []
     iterations = 0

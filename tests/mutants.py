@@ -158,6 +158,34 @@ MUTANTS = (
         ("tests/test_experiments.py::test_certification_rejects_correlated_design",
          "tests/test_experiments.py::test_selection_certifies_non_orthogonal_design"),
     ),
+    Mutant(
+        "a worker's exception dropped",
+        "src/mtgl/pool.py",
+        "failures.append(failure)",
+        "pass",
+        ("tests/test_pool.py::test_an_exception_in_a_worker_reaches_the_caller",),
+    ),
+    Mutant(
+        "descent slack 1e12",
+        "src/mtgl/solver.py",
+        "_DESCENT_SLACK = 1e-12",
+        "_DESCENT_SLACK = 1e12",
+        ("tests/test_solver.py::test_a_step_that_raises_the_objective_aborts_the_solve",),
+    ),
+    Mutant(
+        "a nonzero row that shrinks to zero is left as it was",
+        "src/mtgl/solver.py",
+        "v[:] = 0.0",
+        "continue",
+        ("tests/test_solver.py::test_block_coordinate_converges_on_unnormalized_design",),
+    ),
+    Mutant(
+        "false positives counted as the missed groups",
+        "src/mtgl/selection.py",
+        "fp = len(selected - truth)",
+        "fp = len(truth - selected)",
+        ("tests/test_selection.py::test_score_selection_counts",),
+    ),
 )
 
 

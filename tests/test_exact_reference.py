@@ -109,8 +109,8 @@ def _recovery_z(config, exact):
             config.design, config.signal, config.noise, [config.seed, r]
         )
         fit = solve_group_lasso(dataset, config.solver)
-        selected = select_support(fit.beta_hat, TAU, group_support(beta_star))
-        hits += score_selection(selected)[0]
+        selected = select_support(fit.beta_hat, TAU)
+        hits += score_selection(selected, group_support(beta_star))[0]
     se = math.sqrt(exact * (1.0 - exact) / RECOVERY_REPLICATES)
     return (hits / RECOVERY_REPLICATES - exact) / se
 

@@ -114,6 +114,29 @@ def test_worker_killed_mid_key_raises(use_workers, assert_no_children, tmp_path)
     assert_no_children()
 
 
+def test_an_exception_in_a_worker_reaches_the_caller(
+    use_workers, assert_no_children, tmp_path
+):
+    # the forked worker notes its first key and raises there; this
+    # process holds its own first key until then, so the one failure is
+    # the child's, pickled back down its pipe
+    me = os.getpid()
+    marker = tmp_path / "raised"
+
+    def fn(key):
+        if os.getpid() != me:
+            marker.write_text(str(key))
+            raise ValueError(f"key {key} failed in a worker")
+        assert _wait_for([marker])
+        return key
+
+    use_workers(2)
+    with pytest.raises(ValueError, match="failed in a worker$") as failure:
+        pool._map_in_key_order(fn, range(4))
+    assert str(failure.value) == f"key {marker.read_text()} failed in a worker"
+    assert_no_children()
+
+
 def test_a_failing_key_stops_the_deal(use_workers, assert_no_children, tmp_path):
     # key 0 fails at once while every other key takes 10 ms; a deal that
     # went on would run all 200 keys on the other worker

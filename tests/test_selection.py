@@ -20,24 +20,20 @@ def test_strict_threshold_semantics():
     # group scores: 0.9*tau, 1.1*tau, 0
     rt2 = math.sqrt(2.0)
     beta = _beta([
-        [0.9 * tau * rt2 / rt2, 0.0],
-        [1.1 * tau, 1.1 * tau * 0.0],
+        [0.9 * tau * rt2, 0.0],
+        [1.1 * tau, 1.1 * tau],
         [0.0, 0.0],
     ])
     # recompute scores directly to keep the construction honest
     scores = np.linalg.norm(beta.values, axis=1) / rt2
-    result = select_support(beta, tau)
-    assert result.group_scores == tuple(scores)
-    assert result.selected.indices == tuple(
-        j for j in range(3) if scores[j] > tau
-    )
+    selected = select_support(beta, tau)
+    assert selected.indices == tuple(j for j in range(3) if scores[j] > tau) == (1,)
 
     # a score exactly at tau is excluded
     exact = _beta([[tau, tau]])  # score = tau*sqrt(2)/sqrt(2) = tau
-    assert select_support(exact, tau).selected.indices == ()
+    assert select_support(exact, tau).indices == ()
 
-    empty = select_support(GroupCoefficients.zeros(4, 2), tau)
-    assert empty.selected.indices == ()
+    assert select_support(GroupCoefficients.zeros(4, 2), tau).indices == ()
     with pytest.raises(ValueError):
         select_support(exact, 0.0)
 
@@ -47,8 +43,8 @@ def test_selection_monotone_in_tau():
         rng = np.random.default_rng(seed)
         beta = GroupCoefficients(rng.standard_normal((8, 3)))
         t1, t2 = sorted(rng.uniform(0.05, 1.5, size=2))
-        big = select_support(beta, t2).selected.as_set()
-        small = select_support(beta, t1).selected.as_set()
+        big = select_support(beta, t2).as_set()
+        small = select_support(beta, t1).as_set()
         assert big <= small
 
 
@@ -64,7 +60,6 @@ def test_average_sign_estimate_hand_cases():
     assert est.a_hat == (0.0, 3 * tau, -0.5 * tau, -3 * tau)
     assert est.a_tilde == (0.0, 3 * tau, 0.0, -3 * tau)
     assert est.signs == (0, 1, 0, -1)
-    assert est.tau == tau
 
 
 def test_average_threshold_is_strict():
@@ -77,20 +72,13 @@ def test_average_threshold_is_strict():
 def test_score_selection_counts():
     beta = _beta([[5.0, 5.0], [0.0, 0.0], [5.0, 5.0]])
     truth = SparsityPattern((0, 2))
-    res = select_support(beta, 1.0, truth)
-    assert score_selection(res) == (True, 0, 0)
+    assert score_selection(select_support(beta, 1.0), truth) == (True, 0, 0)
 
-    missing = select_support(_beta([[5.0, 5.0], [0.0, 0.0], [0.0, 0.0]]), 1.0, truth)
-    assert score_selection(missing) == (False, 0, 1)
+    missing = select_support(_beta([[5.0, 5.0], [0.0, 0.0], [0.0, 0.0]]), 1.0)
+    assert score_selection(missing, truth) == (False, 0, 1)
 
-    extra = select_support(
-        _beta([[5.0, 5.0], [5.0, 5.0], [5.0, 5.0]]), 1.0, truth
-    )
-    assert score_selection(extra) == (False, 1, 0)
-
-    without_truth = select_support(beta, 1.0)
-    with pytest.raises(ValueError):
-        score_selection(without_truth)
+    extra = select_support(_beta([[5.0, 5.0], [5.0, 5.0], [5.0, 5.0]]), 1.0)
+    assert score_selection(extra, truth) == (False, 1, 0)
 
 
 def test_consistency_chain():
@@ -115,8 +103,8 @@ def test_consistency_chain():
         star = GroupCoefficients(beta_star)
         # beta-min: min over active j of ||beta*_j||/sqrt(T) > 2*tau
         assert np.min(star.group_norms()[support]) / math.sqrt(T) > 2.0 * tau
-        result = select_support(beta_hat, tau, group_support(star, 0.0))
-        exact, fp, fn = score_selection(result)
+        selected = select_support(beta_hat, tau)
+        exact, fp, fn = score_selection(selected, group_support(star, 0.0))
         assert exact and fp == 0 and fn == 0
 
 

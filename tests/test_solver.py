@@ -209,20 +209,27 @@ def test_objective_trace_monotone():
         assert res.iterations == len(trace) - 1 or res.iterations == len(trace)
 
 
-def test_warm_start_and_iteration_cap():
+def test_iteration_cap():
     rng = np.random.default_rng(4)
     data = _dataset(rng, T=2, n=20, M=6)
     capped = solve_group_lasso(
         data, SolverConfig(lam=0.05, max_iterations=1, kkt_tolerance=1e-14)
     )
-    assert capped.iterations <= 1
-    full = solve_group_lasso(
-        data,
-        SolverConfig(
-            lam=0.05, kkt_tolerance=1e-10, initial=capped.beta_hat, max_iterations=2000
-        ),
-    )
-    assert full.converged
+    assert capped.iterations == 1 and not capped.converged
+
+
+def test_a_step_that_raises_the_objective_aborts_the_solve():
+    # every step adds 1 to each coefficient, so the objective rises at the
+    # first one and the solve stops there instead of spending its budget
+    rng = np.random.default_rng(4)
+    data = _dataset(rng, T=2, n=20, M=6)
+    config = SolverConfig(lam=0.5 * _lam_max(data), max_iterations=5)
+
+    def uphill(values, resid, corr, objective):
+        return values + 1.0, None
+
+    with pytest.raises(RuntimeError, match="solver diverged"):
+        _descend(data, config, data.T, uphill)
 
 
 def test_block_coordinate_converges_on_unnormalized_design():
@@ -307,26 +314,6 @@ def test_working_set_matches_full_cyclic_reference(fraction):
     )
     assert objective(data, res.beta_hat, lam) == pytest.approx(
         objective(data, GroupCoefficients(expected), lam), rel=1e-9
-    )
-
-
-def test_warm_start_group_outside_support_ends_at_zero():
-    data = _ar1_dataset()
-    lam = 0.2 * _lam_max(data)
-    solved = solve_group_lasso(data, SolverConfig(lam=lam)).beta_hat.values
-    j = int(np.flatnonzero(np.linalg.norm(solved, axis=1) == 0)[0])
-    start = solved.copy()
-    start[j] = 1.0
-    res = solve_group_lasso(
-        data, SolverConfig(lam=lam, initial=GroupCoefficients(start))
-    )
-    assert res.converged
-    assert not np.any(res.beta_hat.values[j])
-    np.testing.assert_allclose(
-        np.linalg.norm(res.beta_hat.values, axis=1),
-        np.linalg.norm(solved, axis=1),
-        rtol=0,
-        atol=1e-7,
     )
 
 
@@ -654,20 +641,19 @@ def test_property_single_task_group_bcd_is_lasso(problem):
 
 
 @_PROPERTY_SETTINGS
-@given(_problems(), st.sampled_from(["block-coordinate", "proximal-gradient"]))
-def test_property_warm_start_at_solution_takes_no_sweep(problem, algorithm):
-    data, lam = problem
-    config = SolverConfig(lam=lam, algorithm=algorithm, max_iterations=50000)
-    first = solve_group_lasso(data, config)
-    assert first.converged
-    again = solve_group_lasso(
-        data,
-        SolverConfig(
-            lam=lam, algorithm=algorithm, max_iterations=50000, initial=first.beta_hat
-        ),
-    )
-    assert again.iterations == 0 and again.converged
-    np.testing.assert_array_equal(again.beta_hat.values, first.beta_hat.values)
+@given(
+    _problems(),
+    st.floats(1.0, 4.0),
+    st.sampled_from(["block-coordinate", "proximal-gradient"]),
+)
+def test_property_cold_start_at_lam_max_takes_no_sweep(problem, factor, algorithm):
+    # Every solve starts from zero, the minimiser once lam is at least
+    # max_j ||X_j^T y|| / (nT): the solve certifies it before any step.
+    data, _ = problem
+    config = SolverConfig(lam=factor * _lam_max(data), algorithm=algorithm)
+    res = solve_group_lasso(data, config)
+    assert res.iterations == 0 and res.converged
+    np.testing.assert_array_equal(res.beta_hat.values, np.zeros((data.M, data.T)))
 
 
 @_PROPERTY_SETTINGS
@@ -851,16 +837,6 @@ def test_solution_support_is_sane():
     support = group_support(res.beta_hat, 0.0)
     norms = np.linalg.norm(res.beta_hat.values, axis=1)
     assert set(support) == {j for j in range(12) if norms[j] > 0}
-
-
-@pytest.mark.parametrize("algorithm", ["block-coordinate", "proximal-gradient"])
-def test_a_warm_start_of_the_wrong_shape_is_rejected(algorithm):
-    data = MultiTaskDataset(np.eye(3)[None] * math.sqrt(3.0), np.ones((1, 3)))
-    start = GroupCoefficients.zeros(2, 1)
-    config = SolverConfig(lam=0.1, algorithm=algorithm, initial=start)
-    message = r"warm start \(2, 1\) does not match dataset \(M=3, T=1\)"
-    with pytest.raises(ValueError, match=message):
-        solve_group_lasso(data, config)
 
 
 def test_proximal_gradient_rejects_an_all_zero_design():
