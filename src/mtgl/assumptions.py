@@ -30,7 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GroupCoefficients, SparsityPattern, UNIT_DIAGONAL_TOL, task_fits
+from .model import GroupCoefficients, SparsityPattern, task_fits
+
+# A Gram counts as unit-diagonal when every (1/n) sum_i x_ij^2 is within
+# this tolerance of 1.
+UNIT_DIAGONAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,10 @@ itself, and generation and reading build a store and hand it to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
-
-# Columns count as normalised when every (1/n) sum_i x_ij^2 is within
-# this tolerance of 1.
-UNIT_DIAGONAL_TOL = 1e-10
 
 
 def _frozen_array(values, dtype=float, copy=True):
@@ -45,17 +42,14 @@ class MultiTaskDataset:
     responses : float array of shape (T, n);    responses[t] is y_t.
 
     ``designs`` is the (T, n, M) view of the design store ``store`` (see
-    the module docstring), whatever layout the caller passed.
-    ``unit_diagonal`` records whether every column of every task design
-    satisfies (1/n) * ||x_tj||^2 = 1 within UNIT_DIAGONAL_TOL; the
-    noise-event lemma requires it.  The constructor copies the arrays
-    (the designs into a new store) and marks the copies read-only, so no
-    caller can change a dataset after it is validated.
+    the module docstring), whatever layout the caller passed.  The
+    constructor copies the arrays (the designs into a new store) and
+    marks the copies read-only, so no caller can change a dataset after
+    it is validated.
     """
 
     designs: np.ndarray
     responses: np.ndarray
-    unit_diagonal: bool = field(init=False)
 
     def __post_init__(self):
         designs = np.asarray(self.designs, dtype=float)
@@ -103,11 +97,6 @@ class MultiTaskDataset:
                 array.setflags(write=False)
         object.__setattr__(self, "designs", store.transpose(0, 2, 1))
         object.__setattr__(self, "responses", _frozen_array(responses, copy=False))
-        # Column norms, not a product with coefficients or residuals.
-        col_sq = np.einsum("tmn,tmn->tm", store, store) / n
-        object.__setattr__(
-            self, "unit_diagonal", bool(np.max(np.abs(col_sq - 1.0)) <= UNIT_DIAGONAL_TOL)
-        )
 
     @property
     def store(self):
@@ -146,10 +135,6 @@ class GroupCoefficients:
         return cls(np.zeros((M, T)))
 
     @property
-    def M(self):
-        return self.values.shape[0]
-
-    @property
     def T(self):
         return self.values.shape[1]
 
@@ -183,6 +168,11 @@ class SparsityPattern:
 
     def __len__(self):
         return len(self.indices)
+
+
+def _check_positive(name, value):
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def _coef_values(beta):
@@ -236,8 +226,7 @@ def residual_error(data, beta):
 
 def objective(data, beta, lam):
     """Group-Lasso objective: residual_error + 2 * lam * mixed_norm(beta, 1)."""
-    if not (lam > 0 and np.isfinite(lam)):
-        raise ValueError(f"penalty level must be finite and positive, got {lam}")
+    _check_positive("penalty level", lam)
     return residual_error(data, beta) + 2.0 * lam * mixed_norm(beta, 1)
 
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assumptions import UNIT_DIAGONAL_TOL, gram_diagnostics
 from .regularization import moment_constant
 from .synth import NoiseSpec, _draw_noise
 
@@ -271,9 +272,10 @@ def noise_correlation_violation_rate(data, plan, replicates, seed):
     sigma, lam and q are those of ``plan``, a RegularizationPlan at the
     data's (n, T, M) whose regime has a q; the analytic rate bound is
     M^(1-q).  The noise is drawn by ``synth._draw_noise``, the law the
-    datasets are drawn from.
+    datasets are drawn from.  The design must be unit-diagonal, as
+    ``assumptions`` judges it.
     """
-    if not data.unit_diagonal:
+    if gram_diagnostics(data).unit_diagonal_max_deviation > UNIT_DIAGONAL_TOL:
         raise ValueError("the correlation event is stated for unit-diagonal designs")
     if replicates < MIN_TAIL_REPLICATES:
         raise ValueError(

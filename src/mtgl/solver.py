@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GroupCoefficients, fitted_responses, task_correlations, task_fits
+from .model import (GroupCoefficients, _check_positive, fitted_responses,
+                    task_correlations, task_fits)
 
 # Objective traces may rise by at most this much (relative slack) before
 # the solver aborts as divergent.
@@ -43,24 +44,22 @@ ALGORITHMS = ("block-coordinate", "proximal-gradient")
 
 
 def block_soft_threshold(v, tau):
-    """Shrink v toward the origin: max(0, 1 - tau/||v||) * v.
+    """Shrink each group of v toward the origin: max(0, 1 - tau/||g||) * g
+    for every group g, a row along v's last axis.
 
-    This is the exact minimiser of (1/2)||u - v||^2 + tau*||u|| over u;
-    it returns the zero vector when ||v|| <= tau.
+    This is the proximal map of tau times the sum of the groups' norms:
+    each group is the exact minimiser of (1/2)||u - g||^2 + tau*||u||
+    over u, and is zero when ||g|| <= tau.  A 1-D v is one group, and
+    the rows of an (M, T) array are its M groups.
     """
     if tau < 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
     v = np.asarray(v, dtype=float)
-    flat = v.ravel()
-    norm = math.sqrt(flat @ flat)
-    if norm <= tau:
-        return np.zeros_like(v)
-    return (1.0 - tau / norm) * v
-
-
-def _check_positive(name, value):
-    if not (value > 0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be finite and positive, got {value}")
+    norms = np.linalg.norm(v, axis=-1)
+    scale = np.zeros_like(norms)
+    kept = norms > tau
+    scale[kept] = 1.0 - tau / norms[kept]
+    return v * scale[..., None]
 
 
 @dataclass(frozen=True)
@@ -318,7 +317,7 @@ def _solve_proximal_gradient(data, config):
             # it is corr_k + beta*(corr_k - corr_{k-1}): no X^T r needed.
             z = values + beta * (values - prev)
             z_corr = corr + beta * (corr - prev_corr)
-            candidate = _prox_l21(z + 2.0 * step * z_corr, prox_tau)
+            candidate = block_soft_threshold(z + 2.0 * step * z_corr, prox_tau)
             candidate_resid = Y - task_fits(X, candidate)
             if _objective_from_resid(candidate_resid, candidate, lam, T) > objective:
                 # Restart (O'Donoghue & Candes 2015): go on as if x_k were
@@ -326,7 +325,7 @@ def _solve_proximal_gradient(data, config):
                 candidate = candidate_resid = None
                 following = _next_momentum(0.0)
         if candidate is None:
-            candidate = _prox_l21(values + 2.0 * step * corr, prox_tau)
+            candidate = block_soft_threshold(values + 2.0 * step * corr, prox_tau)
         prev, prev_corr, momentum = values, corr, following
         return candidate, candidate_resid
 
@@ -338,14 +337,6 @@ def _next_momentum(t):
     # by beta = (t_k - 1) / t_{k+1}; from t_0 = 0 (so t_1 = 1) the first
     # two steps are plain, and so are the two after each restart.
     return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-
-
-def _prox_l21(values, tau):
-    norms = np.linalg.norm(values, axis=1)
-    scale = np.zeros_like(norms)
-    nz = norms > tau
-    scale[nz] = 1.0 - tau / norms[nz]
-    return values * scale[:, None]
 
 
 def solve_lasso_baseline(data, lam, max_iterations=SolverConfig.max_iterations,

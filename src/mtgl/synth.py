@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import GroupCoefficients, MultiTaskDataset, task_fits
+from .selection import _check_tau
 
 DESIGN_KINDS = ("gaussian-iid", "ar1", "orthogonal")
 AMPLITUDE_RULES = ("constant", "gaussian")
@@ -219,8 +220,7 @@ def generate_beta_for_selection(signal, tau, margin, M, T, seed):
     ``margin`` must exceed 2 so the standard beta-min condition holds
     strictly.
     """
-    if not tau > 0:
-        raise ValueError(f"threshold tau must be positive, got {tau}")
+    _check_tau(tau)
     if not margin > 2:
         raise ValueError(f"margin must exceed 2, got {margin}")
     if signal.s < 1:

@@ -9,12 +9,15 @@ a temporary work directory, and its set-up and timed commands run there
 as fresh ``python -m mtgl.cli`` processes, with OPENBLAS_NUM_THREADS=1
 and PYTHONPATH=DIR (default: this repository's ``src``).  Then ``select``
 runs on the ``bcd-0.05`` fit's ``beta_hat.csv``, once with ``--tau`` and
-once with a threshold computed from the tuning flags.  The script prints
-``sha256  path`` for every file the commands leave in the work directory
-but ``run_manifest.txt`` (which records times), and for each command's
-stdout with the work directory written as ``<work>``.  Paths are
-relative to the work directory.  A command that exits nonzero stops the
-script with its stderr.
+once with a threshold computed from the tuning flags.  Last, ``experiment``
+runs on ``tests/test_cli.py``'s oracle, selection and lasso-comparison
+configs (that module is imported for its strings only).  The script
+prints ``sha256  path`` for every file the commands leave in the work
+directory but ``run_manifest.txt`` (which records times), and for each
+command's stdout, with the work directory written as ``<work>``, followed
+by the command's exit code.  Paths are relative to the work directory.
+A command that exits other than 0 or 2 (the comparison's verdict that
+the baseline won) stops the script with its stderr.
 
 pytest does not collect this file, and ``mtgl`` never imports it.
 """
@@ -31,11 +34,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "src"))  # test_cli imports mtgl
 
+from test_cli import COMPARISON_CONFIG, ORACLE_CONFIG, SELECTION_CONFIG  # noqa: E402
 from workloads import AR1_LAMBDA, WORKLOADS  # noqa: E402
 
 SEEDS = (0, 1)
 SKIPPED = "run_manifest.txt"
+# Exit codes that do not stop the script: success, and a verdict against
+# the group estimator (the lasso comparison's exit 2).
+EXPECTED_EXITS = (0, 2)
+EXPERIMENTS = (("oracle", ORACLE_CONFIG), ("selection", SELECTION_CONFIG),
+               ("lasso-comparison", COMPARISON_CONFIG))
 
 
 def _select_commands(fit):
@@ -52,13 +62,25 @@ def _select_commands(fit):
     ]
 
 
+def _experiment_commands(work):
+    """``experiment`` on each of ``EXPERIMENTS``, its config written to
+    ``work``."""
+    commands = []
+    for name, text in EXPERIMENTS:
+        config = work / f"{name}.cfg"
+        config.write_text(text)
+        commands.append((name, ("experiment", "--config", str(config),
+                                "--out", str(work / name))))
+    return commands
+
+
 def _run(args, env, work):
-    """The stdout of ``mtgl args``, with ``work`` written as <work>."""
+    """(exit code, stdout) of ``mtgl args``, with ``work`` written as <work>."""
     done = subprocess.run([sys.executable, "-m", "mtgl.cli", *args], cwd=work,
                           env=env, capture_output=True, text=True)
-    if done.returncode != 0:
+    if done.returncode not in EXPECTED_EXITS:
         raise SystemExit(f"mtgl {' '.join(args)} exited {done.returncode}:\n{done.stderr}")
-    return done.stdout.replace(str(work), "<work>")
+    return done.returncode, done.stdout.replace(str(work), "<work>")
 
 
 def _sha256(data):
@@ -81,8 +103,12 @@ def digests(src):
                 if name == "fit-ar1-file":
                     commands += _select_commands(run)
                 for label, args in commands:
-                    stdout = _run(args, env, work)
-                    lines.append((_sha256(stdout.encode()), f"{run.name}/{label}.stdout"))
+                    code, stdout = _run(args, env, work)
+                    lines.append((_sha256(stdout.encode()),
+                                  f"{run.name}/{label}.stdout exit {code}"))
+        for label, args in _experiment_commands(work):
+            code, stdout = _run(args, env, work)
+            lines.append((_sha256(stdout.encode()), f"{label}.stdout exit {code}"))
         for path in sorted(work.rglob("*")):
             if path.is_file() and path.name != SKIPPED:
                 lines.append((_sha256(path.read_bytes()), str(path.relative_to(work))))

@@ -186,6 +186,34 @@ MUTANTS = (
         "fp = len(truth - selected)",
         ("tests/test_selection.py::test_score_selection_counts",),
     ),
+    Mutant(
+        "a process without sched_getaffinity runs workers",
+        "src/mtgl/pool.py",
+        'if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):',
+        'if not hasattr(os, "fork"):',
+        ("tests/test_pool.py::test_worker_count_divides_cores_by_declared_blas_threads",),
+    ),
+    Mutant(
+        "an all-zero column normalised",
+        "src/mtgl/synth.py",
+        "if np.any(norms == 0.0):",
+        "if False:",
+        ("tests/test_synth.py::test_normalising_an_all_zero_column_is_rejected",),
+    ),
+    Mutant(
+        "unit-diagonal tolerance 1e-2",
+        "src/mtgl/assumptions.py",
+        "UNIT_DIAGONAL_TOL = 1e-10",
+        "UNIT_DIAGONAL_TOL = 1e-2",
+        ("tests/test_probability.py::test_noise_event_requires_unit_diagonal",),
+    ),
+    Mutant(
+        "group shrink by 1 + tau/norm",
+        "src/mtgl/solver.py",
+        "1.0 - tau /",
+        "1.0 + tau /",
+        ("tests/test_solver.py::test_block_soft_threshold_values",),
+    ),
 )
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mtgl.assumptions import UNIT_DIAGONAL_TOL, gram_diagnostics
 from mtgl.dataio import SIDECAR_NAMES, read_dataset, write_dataset
 from mtgl.model import (
     GroupCoefficients,
@@ -36,12 +37,12 @@ def test_dataset_shapes_and_flags():
     rng = np.random.default_rng(0)
     data = _random_dataset(rng)
     assert (data.T, data.n, data.M) == (3, 8, 5)
-    assert data.unit_diagonal is False
+    assert gram_diagnostics(data).unit_diagonal_max_deviation > UNIT_DIAGONAL_TOL
 
-    # exact unit columns -> flag set
+    # exact unit columns -> unit diagonal
     X = np.ones((1, 4, 2))
     data = MultiTaskDataset(X, np.zeros((1, 4)))
-    assert data.unit_diagonal is True
+    assert gram_diagnostics(data).unit_diagonal_max_deviation <= UNIT_DIAGONAL_TOL
 
 
 def test_dataset_rejects_bad_shapes():

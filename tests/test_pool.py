@@ -31,6 +31,10 @@ def test_worker_count_divides_cores_by_declared_blas_threads(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(pool.threading, "active_count", lambda: 2)
     assert pool._worker_count() == 1
+    # no sched_getaffinity, as on macOS: one worker
+    monkeypatch.setattr(pool.threading, "active_count", lambda: 1)
+    monkeypatch.delattr(pool.os, "sched_getaffinity")
+    assert pool._worker_count() == 1
 
 
 def test_key_order_map_returns_results_in_key_order(use_workers):

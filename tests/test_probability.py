@@ -413,6 +413,13 @@ def test_noise_event_requires_unit_diagonal():
         noise_correlation_violation_rate(
             data, RegularizationPlan(GAUSSIAN, 1.0, 10, 2, 3, A=9.0), 2000, seed=0
         )
+    # an orthogonal unit-diagonal design scaled by 1.001: diagonals 1.002
+    Q = np.stack([np.linalg.qr(x)[0] for x in rng.standard_normal((2, 10, 3))])
+    data = MultiTaskDataset(1.001 * math.sqrt(10) * Q, np.zeros((2, 10)))
+    with pytest.raises(ValueError, match="unit-diagonal"):
+        noise_correlation_violation_rate(
+            data, RegularizationPlan(GAUSSIAN, 1.0, 10, 2, 3, A=9.0), 2000, seed=0
+        )
 
 
 def test_noise_event_reads_a_plan_of_the_datas_sizes_with_a_q():

@@ -18,8 +18,6 @@ SPELLINGS = ("einsum", "matmul", "vecdot", "dot", "@")
 SITES = {
     ("model", "task_fits", "matmul"): "the fit kernel",
     ("model", "task_correlations", "matmul"): "the correlation kernel",
-    ("model", "_settle", "einsum"): "column norms of the designs",
-    ("solver", "block_soft_threshold", "@"): "a vector's squared norm",
     ("solver", "_coordinate_sweep", "einsum"):
         "the sweep's Gram diagonals, column norms of the design store",
     ("solver", "sweep", "vecdot"):

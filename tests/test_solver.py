@@ -21,7 +21,6 @@ from mtgl.solver import (
     _group_kkt,
     _next_momentum,
     _objective_from_resid,
-    _prox_l21,
     block_soft_threshold,
     kkt_residual,
     lasso_kkt_residual,
@@ -543,14 +542,14 @@ def _pg_rebuilding_every_residual(data, config):
         if beta > 0.0:
             z = values + beta * (values - prev)
             z_corr = corr + beta * (corr - prev_corr)
-            candidate = _prox_l21(z + 2.0 * step * z_corr, prox_tau)
+            candidate = block_soft_threshold(z + 2.0 * step * z_corr, prox_tau)
             rises = _objective_from_resid(
                 Y - task_fits(X, candidate), candidate, lam, T
             ) > _objective_from_resid(resid, values, lam, T)
             if rises:
                 candidate, following = None, _next_momentum(0.0)
         if candidate is None:
-            candidate = _prox_l21(values + 2.0 * step * corr, prox_tau)
+            candidate = block_soft_threshold(values + 2.0 * step * corr, prox_tau)
         prev, prev_corr, momentum = values, corr, following
         values = candidate
         iterations += 1

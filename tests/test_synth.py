@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mtgl import synth
+from mtgl.assumptions import UNIT_DIAGONAL_TOL, gram_diagnostics
 from mtgl.model import GroupCoefficients, group_support
 from mtgl.synth import (
     DesignSpec,
@@ -71,7 +72,15 @@ def test_normalization_exactness():
         data, _ = _gen(design, seed=1)
         col_sq = np.einsum("tnm,tnm->tm", data.designs, data.designs) / 37
         assert np.max(np.abs(col_sq - 1.0)) <= 1e-12
-        assert data.unit_diagonal
+        assert gram_diagnostics(data).unit_diagonal_max_deviation <= UNIT_DIAGONAL_TOL
+
+
+def test_normalising_an_all_zero_column_is_rejected():
+    design = DesignSpec(kind="gaussian-iid", n=6, M=3, T=2)
+    designs = np.random.default_rng(0).standard_normal((2, 6, 3))
+    designs[1, :, 2] = 0.0
+    with pytest.raises(ValueError, match="all-zero column"):
+        synth._shape_designs(designs, design)
 
 
 def test_orthogonal_gram_is_identity():
@@ -85,7 +94,7 @@ def test_orthogonal_gram_is_identity():
 def test_unnormalized_columns_allowed():
     design = DesignSpec(kind="gaussian-iid", n=30, M=5, T=2, normalize=False)
     data, _ = _gen(design, seed=3)
-    assert not data.unit_diagonal
+    assert gram_diagnostics(data).unit_diagonal_max_deviation > UNIT_DIAGONAL_TOL
 
 
 def test_signal_support_and_amplitude():
@@ -233,6 +242,12 @@ def test_generate_beta_for_selection():
     boundary = generate_beta_for_selection(signal, tau, 2.01, M, T, seed=13)
     boundary_norms = np.linalg.norm(boundary.values, axis=1) / math.sqrt(T)
     assert np.min(boundary_norms[list(group_support(boundary, 0.0))]) > 2.0 * tau
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
+def test_generate_beta_for_selection_rejects_a_bad_tau(tau):
+    with pytest.raises(ValueError, match="threshold tau must be positive and finite"):
+        generate_beta_for_selection(SignalSpec(s=3), tau, 2.5, 10, 4, seed=12)
 
 
 def _per_task_generation(design, signal, noise, seed, beta_star=None):
