@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .model import (
     GroupCoefficients,
     MultiTaskDataset,
-    SparsityPattern,
     fitted_responses,
     group_support,
     mixed_norm,
@@ -48,7 +47,6 @@ from .assumptions import (
     re_upper_estimate,
 )
 from .selection import (
-    AverageEstimate,
     average_sign_estimate,
     score_selection,
     select_support,

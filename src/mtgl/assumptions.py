@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GroupCoefficients, SparsityPattern, task_fits
+from .model import GroupCoefficients, task_fits
 
 # A Gram counts as unit-diagonal when every (1/n) sum_i x_ij^2 is within
 # this tolerance of 1.
@@ -59,7 +59,7 @@ class REProbe:
     D_J nonzero, and ratio = sqrt(D^T X^T X D / n) / ||D_J||_F."""
 
     direction: GroupCoefficients
-    support: SparsityPattern
+    support: tuple
     ratio: float
 
 
@@ -326,7 +326,7 @@ def minimize_re_quotient(data, s, samples, seed):
         values[others] = rows
     return REProbe(
         direction=GroupCoefficients(values),
-        support=SparsityPattern(tuple(int(j) for j in support)),
+        support=tuple(support.tolist()),
         ratio=float(_quotient(data, values, support)),
     )
 

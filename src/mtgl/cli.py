@@ -329,13 +329,11 @@ def _cmd_select(args, run):
     beta = read_coefficients(args.beta)
     tau = run.settings["tau"] = _resolve_tau(args, run)
     selected = select_support(beta, tau)
-    averages = average_sign_estimate(beta, tau)
+    averages = (column.tolist() for column in average_sign_estimate(beta, tau))
 
     if args.out:
         write_lines(run.path("selected.txt"), selected)
-        write_lines(run.path("averages.csv"), map(format_row, zip(
-            averages.a_hat, averages.a_tilde, averages.signs
-        )))
+        write_lines(run.path("averages.csv"), map(format_row, zip(*averages)))
     for j in selected:
         _print(j)
     return 0

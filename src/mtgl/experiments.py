@@ -28,9 +28,7 @@ from .assumptions import (
     gram_diagnostics,
     re_lower_bound_from_coherence,
 )
-from .model import (
-    GroupCoefficients, group_support, mixed_norm, task_correlations, task_fits,
-)
+from .model import _norm_of_norms, group_support, task_correlations, task_fits
 from .pool import _map_in_key_order
 from .probability import frequency_verdict
 from .regularization import (
@@ -372,8 +370,7 @@ def _error_metrics(r, dataset, beta_star, result, config, diag):
     rt = math.sqrt(dataset.T)
     gram_rows = task_correlations(X, fits) / fits.size
     correlation = float(np.max(np.linalg.norm(gram_rows, axis=1)))
-    diff_groups = GroupCoefficients(diff)
-    err2p = tuple(mixed_norm(diff_groups, p) / rt for p in config.p_values)
+    err2p = tuple(_norm_of_norms(row_norms, p) / rt for p in config.p_values)
     m_hat = len(group_support(result.beta_hat))
     return ReplicateMetrics(
         replicate=r,
@@ -557,10 +554,11 @@ def run_selection_experiment(config):
     def score(metrics, beta_star, result):
         selected = select_support(result.beta_hat, tau)
         exact, _, _ = score_selection(selected, group_support(beta_star, 0.0))
-        averages = average_sign_estimate(result.beta_hat, tau)
-        true_signs = tuple(int(x) for x in np.sign(np.mean(beta_star.values, axis=1)))
+        _, _, signs = average_sign_estimate(result.beta_hat, tau)
+        true_signs = np.sign(np.mean(beta_star.values, axis=1))
         return replace(
-            metrics, support_exact=exact, sign_exact=averages.signs == true_signs
+            metrics, support_exact=exact,
+            sign_exact=bool(np.array_equal(signs, true_signs)),
         )
 
     return _run_bound_experiment("selection", config, draw, score)

@@ -143,33 +143,6 @@ class GroupCoefficients:
         return np.linalg.norm(self.values, axis=1)
 
 
-@dataclass(frozen=True)
-class SparsityPattern:
-    """Sorted tuple of active variable indices (0-based)."""
-
-    indices: tuple
-
-    def __post_init__(self):
-        idx = tuple(int(j) for j in self.indices)
-        if any(j < 0 for j in idx):
-            raise ValueError(f"negative variable index in {idx}")
-        if len(set(idx)) != len(idx):
-            raise ValueError(f"duplicate variable index in {idx}")
-        object.__setattr__(self, "indices", tuple(sorted(idx)))
-
-    def as_set(self):
-        return frozenset(self.indices)
-
-    def __contains__(self, j):
-        return j in self.indices
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __len__(self):
-        return len(self.indices)
-
-
 def _check_positive(name, value):
     if not (value > 0 and math.isfinite(value)):
         raise ValueError(f"{name} must be finite and positive, got {value}")
@@ -189,7 +162,11 @@ def mixed_norm(beta, p):
     values = _coef_values(beta)
     if not (p >= 1):
         raise ValueError(f"mixed norm needs p >= 1, got {p}")
-    group = np.linalg.norm(values, axis=1)
+    return _norm_of_norms(np.linalg.norm(values, axis=1), p)
+
+
+def _norm_of_norms(group, p):
+    """The p-norm of the (M,) group norms ``group``, p >= 1 or inf."""
     if np.isinf(p):
         return float(np.max(group))
     if p == 1:
@@ -231,9 +208,9 @@ def objective(data, beta, lam):
 
 
 def group_support(beta, tol=0.0):
-    """Indices of groups with Euclidean norm strictly greater than tol."""
+    """Sorted tuple of the 0-based indices of groups with Euclidean norm
+    strictly greater than tol."""
     if tol < 0:
         raise ValueError(f"tolerance must be nonnegative, got {tol}")
-    norms = _coef_values(beta)
-    norms = np.linalg.norm(norms, axis=1)
-    return SparsityPattern(tuple(int(j) for j in np.nonzero(norms > tol)[0]))
+    norms = np.linalg.norm(_coef_values(beta), axis=1)
+    return tuple(np.flatnonzero(norms > tol).tolist())

@@ -58,6 +58,8 @@ class DesignSpec:
         if self.kind == "ar1":
             if self.rho is None or not -1.0 < self.rho < 1.0:
                 raise ValueError(f"ar1 designs need rho in (-1, 1), got {self.rho}")
+        elif self.rho is not None:
+            raise ValueError(f"rho is read by ar1 designs only, not {self.kind}")
         if self.kind == "orthogonal" and self.n < self.M:
             raise ValueError(
                 f"orthogonal designs need n >= M, got n={self.n}, M={self.M}"
@@ -115,6 +117,8 @@ class NoiseSpec:
                 raise ValueError(
                     f"student-t noise needs nu > 2 for a finite variance, got {self.nu}"
                 )
+        elif self.nu is not None:
+            raise ValueError(f"noise nu is read by student-t noise only, not {self.kind}")
 
 
 def _check_finite(name, value):

@@ -214,6 +214,36 @@ MUTANTS = (
         "1.0 + tau /",
         ("tests/test_solver.py::test_block_soft_threshold_values",),
     ),
+    Mutant(
+        "every selection replicate recovers the support",
+        "src/mtgl/experiments.py",
+        "metrics, support_exact=exact,",
+        "metrics, support_exact=True,",
+        ("tests/test_experiments.py::"
+         "test_selection_experiment_fails_when_the_plan_understates_the_noise",),
+    ),
+    Mutant(
+        "every selection replicate recovers the signs",
+        "src/mtgl/experiments.py",
+        "sign_exact=bool(np.array_equal(signs, true_signs)),",
+        "sign_exact=True,",
+        ("tests/test_experiments.py::"
+         "test_selection_experiment_fails_when_the_plan_understates_the_noise",),
+    ),
+    Mutant(
+        "rho accepted for a design that is not ar1",
+        "src/mtgl/synth.py",
+        "elif self.rho is not None:",
+        "elif False:",
+        ("tests/test_cli.py::test_gen_rejects_a_key_its_kind_does_not_read",),
+    ),
+    Mutant(
+        "nu accepted for noise that is not student-t",
+        "src/mtgl/synth.py",
+        "elif self.nu is not None:",
+        "elif False:",
+        ("tests/test_cli.py::test_gen_rejects_a_key_its_kind_does_not_read",),
+    ),
 )
 
 

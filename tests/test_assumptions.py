@@ -479,7 +479,7 @@ def _probe_with_reference(data, s, samples, seed, monkeypatch):
     probe = minimize_re_quotient(data, s, samples, seed)
     monkeypatch.undo()
     values = probe.direction.values
-    support = np.array(probe.support.indices)
+    support = np.array(probe.support)
     rows = np.linalg.norm(values, axis=1)
     assert rows[support].sum() > 0
     assert rows.sum() - rows[support].sum() <= 3.0 * rows[support].sum() * (1 + 1e-12)
@@ -490,7 +490,7 @@ def _probe_with_reference(data, s, samples, seed, monkeypatch):
 def _assert_same_probe(probe, reference):
     ratio, values, support = reference
     assert probe.ratio == pytest.approx(ratio, rel=1e-12, abs=0.0)
-    assert probe.support.indices == tuple(int(j) for j in support)
+    assert probe.support == tuple(int(j) for j in support)
     np.testing.assert_allclose(
         probe.direction.values, values, rtol=0, atol=1e-12 * np.abs(values).max()
     )

@@ -280,6 +280,19 @@ def test_gen_reads_normalize_as_a_boolean(value, code, tmp_path, capsys):
         assert err == f"error: {config}: key 'normalize' has invalid value 'yes'\n"
 
 
+@pytest.mark.parametrize("line, key", [
+    ("rho=0.5", "rho"),       # an orthogonal design has no correlation
+    ("noise_nu=3", "noise nu"),  # gaussian noise has no degrees of freedom
+])
+def test_gen_rejects_a_key_its_kind_does_not_read(line, key, tmp_path, capsys):
+    config = _write(tmp_path / "gen.cfg", GEN_CONFIG + line + "\n")
+    out_dir = tmp_path / "d"
+    code, out, err = _run(capsys, "gen", "--config", config, "--out", str(out_dir))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {key} is read by ")
+    assert not out_dir.exists()
+
+
 def test_solve_select_pipeline(tmp_path, capsys):
     config = _write(tmp_path / "gen.cfg", GEN_CONFIG)
     data_dir = tmp_path / "data"
@@ -333,6 +346,21 @@ def test_solve_exits_2_when_it_does_not_converge(tmp_path, capsys):
     assert _stdout_pairs(out)["converged"] == "false"
     assert read_keyvalue(fit_dir / "report.txt")["converged"] == "false"
     assert sorted(os.listdir(fit_dir)) == ["beta_hat.csv", "report.txt", "run_manifest.txt"]
+
+
+def test_select_writes_its_files_text_exactly(tmp_path, capsys):
+    beta_path = _write(tmp_path / "beta.csv", "1,-1\n0.9,0.9\n-0.1,-0.3\n-2,-1\n")
+    out_dir = tmp_path / "sel"
+    code, out, _ = _run(capsys, "select", "--beta", beta_path, "--tau", "0.5",
+                        "--out", str(out_dir))
+    assert code == 0 and out == "0\n1\n3\n"
+    assert (out_dir / "selected.txt").read_text() == "0\n1\n3\n"
+    assert (out_dir / "averages.csv").read_text() == (
+        "0,0,0\n"
+        "0.90000000000000002,0.90000000000000002,1\n"
+        "-0.20000000000000001,0,0\n"
+        "-1.5,-1.5,-1\n"
+    )
 
 
 def test_select_computes_threshold_from_plan(tmp_path, capsys):

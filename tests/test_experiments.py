@@ -538,6 +538,19 @@ def test_selection_experiment_validation_and_recovery():
     assert report.required_pass()
 
 
+def test_selection_experiment_fails_when_the_plan_understates_the_noise():
+    # tau is set for sigma = 0.02 while sigma = 1 noise is drawn, so the
+    # selector keeps noise groups and neither recovery event occurs
+    report = run_selection_experiment(
+        _small_config(alpha=8.0, margin=3.0, replicates=6, plan_sigma=0.02)
+    )
+    assert not any(m.support_exact or m.sign_exact for m in report.metrics)
+    for name in ("support_recovery", "sign_recovery"):
+        check = report.bound(name)
+        assert check.coverage == 0.0 and not check.passed
+    assert not report.required_pass()
+
+
 def test_comparison_grid_validation():
     config = _small_config(design=DesignSpec(kind="gaussian-iid", n=32, M=8, T=1))
     with pytest.raises(ValueError):

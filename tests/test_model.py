@@ -8,7 +8,6 @@ from mtgl.dataio import SIDECAR_NAMES, read_dataset, write_dataset
 from mtgl.model import (
     GroupCoefficients,
     MultiTaskDataset,
-    SparsityPattern,
     fitted_responses,
     group_support,
     mixed_norm,
@@ -129,18 +128,6 @@ def test_adopt_raises_on_a_foreign_layout():
     data = MultiTaskDataset._adopt(store, responses)
     assert data.store.base is store and not store.flags.writeable
     assert data.designs.shape == (2, 7, 4)
-
-
-def test_sparsity_pattern_semantics():
-    pat = SparsityPattern((3, 1, 0))
-    assert pat.indices == (0, 1, 3)
-    assert 1 in pat and 2 not in pat
-    assert len(pat) == 3
-    assert pat.as_set() == {0, 1, 3}
-    with pytest.raises(ValueError):
-        SparsityPattern((-1,))
-    with pytest.raises(ValueError):
-        SparsityPattern((3, 1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +287,14 @@ def test_residual_error_shape_mismatch():
 # support
 
 def test_group_support_thresholds():
-    assert group_support(GroupCoefficients.zeros(3, 2), 0.0).indices == ()
+    assert group_support(GroupCoefficients.zeros(3, 2), 0.0) == ()
 
     beta = _beta([[0.0, 0.0], [1e-12, 0.0], [0.3, 0.4]])
-    assert group_support(beta, 1e-9).indices == (2,)
-    assert group_support(beta, 0.0).indices == (1, 2)
+    assert group_support(beta, 1e-9) == (2,)
+    assert group_support(beta, 0.0) == (1, 2)
 
     one = _beta([[0.0, 0.0], [2.0, 0.0]])
-    assert group_support(one, 0.0).indices == (1,)
+    assert group_support(one, 0.0) == (1,)
     with pytest.raises(ValueError):
         group_support(one, -1e-3)
 

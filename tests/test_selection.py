@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mtgl.model import GroupCoefficients, SparsityPattern, group_support
+from mtgl.model import GroupCoefficients, group_support
 from mtgl.selection import (
     average_sign_estimate,
     score_selection,
@@ -27,13 +27,13 @@ def test_strict_threshold_semantics():
     # recompute scores directly to keep the construction honest
     scores = np.linalg.norm(beta.values, axis=1) / rt2
     selected = select_support(beta, tau)
-    assert selected.indices == tuple(j for j in range(3) if scores[j] > tau) == (1,)
+    assert selected == tuple(j for j in range(3) if scores[j] > tau) == (1,)
 
     # a score exactly at tau is excluded
     exact = _beta([[tau, tau]])  # score = tau*sqrt(2)/sqrt(2) = tau
-    assert select_support(exact, tau).indices == ()
+    assert select_support(exact, tau) == ()
 
-    assert select_support(GroupCoefficients.zeros(4, 2), tau).indices == ()
+    assert select_support(GroupCoefficients.zeros(4, 2), tau) == ()
     with pytest.raises(ValueError):
         select_support(exact, 0.0)
 
@@ -43,8 +43,8 @@ def test_selection_monotone_in_tau():
         rng = np.random.default_rng(seed)
         beta = GroupCoefficients(rng.standard_normal((8, 3)))
         t1, t2 = sorted(rng.uniform(0.05, 1.5, size=2))
-        big = select_support(beta, t2).as_set()
-        small = select_support(beta, t1).as_set()
+        big = set(select_support(beta, t2))
+        small = set(select_support(beta, t1))
         assert big <= small
 
 
@@ -56,22 +56,22 @@ def test_average_sign_estimate_hand_cases():
         [-0.5 * tau, -0.5 * tau],  # |a_hat| = tau/2 -> zeroed
         [-3 * tau, -3 * tau],
     ])
-    est = average_sign_estimate(beta, tau)
-    assert est.a_hat == (0.0, 3 * tau, -0.5 * tau, -3 * tau)
-    assert est.a_tilde == (0.0, 3 * tau, 0.0, -3 * tau)
-    assert est.signs == (0, 1, 0, -1)
+    a_hat, a_tilde, signs = average_sign_estimate(beta, tau)
+    assert a_hat.tolist() == [0.0, 3 * tau, -0.5 * tau, -3 * tau]
+    assert a_tilde.tolist() == [0.0, 3 * tau, 0.0, -3 * tau]
+    assert signs.tolist() == [0, 1, 0, -1]
 
 
 def test_average_threshold_is_strict():
     tau = 0.7
     beta = _beta([[tau, tau]])
-    est = average_sign_estimate(beta, tau)
-    assert est.a_tilde == (0.0,) and est.signs == (0,)
+    _, a_tilde, signs = average_sign_estimate(beta, tau)
+    assert a_tilde.tolist() == [0.0] and signs.tolist() == [0]
 
 
 def test_score_selection_counts():
     beta = _beta([[5.0, 5.0], [0.0, 0.0], [5.0, 5.0]])
-    truth = SparsityPattern((0, 2))
+    truth = (0, 2)
     assert score_selection(select_support(beta, 1.0), truth) == (True, 0, 0)
 
     missing = select_support(_beta([[5.0, 5.0], [0.0, 0.0], [0.0, 0.0]]), 1.0)
@@ -128,10 +128,10 @@ def test_sign_chain_for_averages():
         beta_hat = GroupCoefficients(beta_star + noise)
 
         err_2inf = max(np.linalg.norm(noise, axis=1)) / math.sqrt(T)
-        est = average_sign_estimate(beta_hat, tau)
+        a_hat, _, signs = average_sign_estimate(beta_hat, tau)
         for j in range(M):
-            assert abs(est.a_hat[j] - a_star[j]) <= err_2inf + 1e-12
-        assert est.signs == tuple(int(x) for x in np.sign(a_star))
+            assert abs(a_hat[j] - a_star[j]) <= err_2inf + 1e-12
+        assert signs.tolist() == [int(x) for x in np.sign(a_star)]
 
 
 @pytest.mark.parametrize("tau", [0.0, -1.0, math.inf, math.nan])
